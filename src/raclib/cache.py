@@ -94,8 +94,12 @@ class BucketCache:
     def bucket_id(self, now: float) -> str:
         return bucket_name(now, self.bucket_width)
 
-    def bucket_dir(self, bucket_id: str) -> Path:
-        return self.root / bucket_id
+    # Per-request paths are plain strings: pathlib interns every component,
+    # and each interned string that dies leaves a slot in the process-wide
+    # intern table, which then grows with the number of requests served.
+
+    def bucket_dir(self, bucket_id: str) -> str:
+        return os.path.join(self.root, bucket_id)
 
     # -- token protocol -----------------------------------------------------
 
@@ -109,9 +113,9 @@ class BucketCache:
     def _release_token(self) -> None:
         self._token.unlink(missing_ok=True)
 
-    def _make_bucket_and_sweep(self, bucket: Path, now: float) -> None:
+    def _make_bucket_and_sweep(self, bucket: str, now: float) -> None:
         try:
-            bucket.mkdir(parents=True, exist_ok=True)
+            os.makedirs(bucket, exist_ok=True)
             self.sweep_old_buckets(now)
         finally:
             self._release_token()
@@ -128,14 +132,14 @@ class BucketCache:
         if now is None:
             now = self.now()
         bucket = self.bucket_dir(self.bucket_id(now))
-        if bucket.is_dir():
+        if os.path.isdir(bucket):
             return BucketOutcome.EXISTED
         for _ in range(TOKEN_WAIT_ROUNDS):
             if self._grab_token():
                 self._make_bucket_and_sweep(bucket, now)
                 return BucketOutcome.CREATED
             self._sleep(TOKEN_WAIT_SECONDS)
-            if bucket.is_dir():
+            if os.path.isdir(bucket):
                 return BucketOutcome.WAITED
         # Presumed-dead owner. Replace the token; if another forcer beats us
         # to it we still proceed — directory creation and sweep are idempotent.
@@ -167,24 +171,26 @@ class BucketCache:
 
     # -- cached files ---------------------------------------------------------
 
-    def find_cached(self, filename: str, now: float | None = None) -> Path | None:
+    def find_cached(self, filename: str, now: float | None = None) -> str | None:
         """Look for a cached file in the current, then the previous bucket."""
         if now is None:
             now = self.now()
         current = int(self.bucket_id(now))
         for bucket_id in (current, current - 1):
-            path = self.root / str(bucket_id) / filename
-            if path.is_file():
+            path = os.path.join(self.root, str(bucket_id), filename)
+            if os.path.isfile(path):
                 return path
         return None
 
-    def store_file(self, filename: str, payload: bytes, now: float | None = None) -> Path:
+    def store_file(self, filename: str, payload: bytes, now: float | None = None) -> str:
         """Write into the current bucket atomically (temp name, then rename)."""
         if now is None:
             now = self.now()
-        target = self.bucket_dir(self.bucket_id(now)) / filename
-        tmp = target.with_name(f".{filename}.{os.getpid()}.{threading.get_ident()}.tmp")
-        tmp.write_bytes(payload)
+        bucket = self.bucket_dir(self.bucket_id(now))
+        target = os.path.join(bucket, filename)
+        tmp = os.path.join(bucket, f".{filename}.{os.getpid()}.{threading.get_ident()}.tmp")
+        with open(tmp, "wb") as f:
+            f.write(payload)
         os.replace(tmp, target)
         return target
 
@@ -222,7 +228,8 @@ class ImageResolver:
         cached = self.cache.find_cached(filename, now) if cache_usable else None
         if cached is not None:
             try:
-                payload = cached.read_bytes()
+                with open(cached, "rb") as f:
+                    payload = f.read()
                 return DeliveryResult(payload, "cache", (time.perf_counter() - started) * 1000)
             except OSError:
                 pass  # swept between lookup and read; fall through to the library

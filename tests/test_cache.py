@@ -1,5 +1,6 @@
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -225,7 +226,7 @@ def test_concurrent_readers_never_see_partial_files(tmp_path):
             path = cache.find_cached("img.jpg")
             if path is None:
                 continue
-            data = path.read_bytes()
+            data = Path(path).read_bytes()
             if data not in bodies:
                 bad.append(len(data))
 

@@ -131,3 +131,24 @@ def test_collection_set_spans_libraries(tmp_path):
 def test_collection_set_missing_dir(tmp_path):
     with pytest.raises(FileNotFoundError):
         CollectionSet.load_dir(tmp_path / "nope")
+
+
+def test_collection_set_reads_one_index_line_per_hit_and_none_per_miss(tmp_path):
+    out = tmp_path / "lib"
+    for c in range(4):
+        indir = tmp_path / f"in{c}"
+        indir.mkdir()
+        for i in range(500):
+            (indir / f"Book{c}_{i:04d}.jpg").write_bytes(f"{c}/{i}".encode())
+        pack_directory(indir, f"coll{c}", out).close()
+    group = CollectionSet.load_dir(out)
+    assert group.fetch("Book3", "0499") == b"3/499"
+    indexes = [collection.index for collection in group.collections]
+    assert sum(index.counters.reads for index in indexes) == 1
+    line = (out / "coll3.index").read_text().splitlines(keepends=True)[-1]
+    assert sum(index.counters.bytes_read for index in indexes) == len(line)
+    for index in indexes:
+        index.counters.reset()
+    with pytest.raises(NotFoundError):
+        group.fetch("Book3", "9999")
+    assert sum(index.counters.reads for index in indexes) == 0
