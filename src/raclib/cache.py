@@ -50,6 +50,10 @@ def bucket_name(now: float, bucket_width: int = DEFAULT_BUCKET_WIDTH) -> str:
     return str(int(now) // bucket_width)
 
 
+def _escape(part: str) -> str:
+    return part.replace("%", "%25").replace("_", "%5F")
+
+
 @dataclass(frozen=True)
 class DeliveryRequest:
     title: str
@@ -64,7 +68,9 @@ class DeliveryRequest:
                 raise ValueError(f"{field} contains forbidden characters: {value!r}")
 
     def cache_filename(self) -> str:
-        return f"{self.title}_{self.page}.jpg"
+        """``<title>_<page>.jpg``, with '%' and '_' percent-escaped in both
+        parts so that no two requests share a file."""
+        return f"{_escape(self.title)}_{_escape(self.page)}.jpg"
 
 
 class BucketCache:
@@ -207,12 +213,18 @@ class ImageResolver:
 
     ``fetch_payload(title, page)`` supplies the library bytes and raises
     NotFoundError for unknown members. Caching is best-effort: a failed cache
-    write degrades to serving the fetched bytes directly.
+    write degrades to serving the fetched bytes directly. ``close``, if given,
+    releases what ``fetch_payload`` reads from.
     """
 
-    def __init__(self, fetch_payload, cache: BucketCache):
+    def __init__(self, fetch_payload, cache: BucketCache, close=None):
         self._fetch = fetch_payload
         self.cache = cache
+        self._close = close
+
+    def close(self) -> None:
+        if self._close is not None:
+            self._close()
 
     def resolve(self, request: DeliveryRequest, now: float | None = None) -> DeliveryResult:
         if now is None:

@@ -16,7 +16,7 @@ import string
 from dataclasses import dataclass
 from pathlib import Path
 
-from .store import IOCounters, _pread_all, _pwrite_all
+from .store import Closeable, IOCounters, _pread_all, _pwrite_all
 
 ALPHABET_SIZE = 26
 GROUP_COUNT = ALPHABET_SIZE**3  # 17576
@@ -84,7 +84,7 @@ def key_ordinal(key: TrigramKey) -> int:
     return key.c3 + ALPHABET_SIZE * key.c2 + ALPHABET_SIZE**2 * key.c1
 
 
-class ComputedIndex:
+class ComputedIndex(Closeable):
     """Fixed-geometry group index file with one-seek entry access."""
 
     def __init__(self, path: Path, fd: int):
@@ -148,9 +148,3 @@ class ComputedIndex:
         if self._fd >= 0:
             os.close(self._fd)
             self._fd = -1
-
-    def __enter__(self) -> "ComputedIndex":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -5,18 +5,27 @@ digits, so (-41, 12, -35) is "n41p12n35"; zero takes 'p'. A block names the
 10 mm cube a coordinate falls in by sign and decade per axis: "n4_xp1_yn3_z"
 covers (-4[0-9], 1[0-9], -3[0-9]). Coordinates of one (region, block) group
 are stored as consecutive fixed-width records, one serial-index line per
-group, so a block query is one index scan plus one contiguous read.
+group, so a block query is one index lookup plus one contiguous read.
+
+A region query reads the region's lines through a region table: each
+region's (start, count) record runs in index order, adjacent groups merged
+into one run. One pass over the index builds it, kept until the index
+file's size, mtime or inode changes, so a region query is a stat, a dict
+probe and one contiguous read per run; a built library stores each region's
+groups back to back, so that is one read.
 """
 
 from __future__ import annotations
 
+import os
 import re
+import threading
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import NotFoundError
-from .serial_index import SerialIndex, SerialIndexEntry
-from .store import RecordStore
+from .serial_index import SerialIndex, SerialIndexEntry, file_signature
+from .store import Closeable, RecordStore
 
 COORD_BOUND = 999  # 3-digit encoding per axis
 COORD_RECORD_SIZE = 16
@@ -89,12 +98,40 @@ def _unpack_coord(raw: bytes) -> Voxel:
     return decode_coord(raw.rstrip(b"\x00").decode("ascii"))
 
 
-class RegionLibrary:
+class _RegionTable(NamedTuple):
+    signature: tuple[int, int, int]  # (st_size, st_mtime_ns, st_ino) the table covers
+    runs: dict[str, tuple[tuple[int, int], ...]]  # region -> (start, count) runs
+
+
+def _load_regions(path: Path) -> _RegionTable:
+    """One pass over the index: every region's record runs in line order.
+
+    A line whose records follow on from the region's previous run extends
+    that run, so reading the runs returns exactly the lines' records
+    concatenated; lines appended after the signature was taken are left out.
+    """
+    with open(path, "rb") as f:
+        signature = file_signature(os.fstat(f.fileno()))
+        data = f.read(signature[0])
+    runs: dict[str, list[list[int]]] = {}
+    for line in data.decode("ascii").splitlines():
+        entry = SerialIndexEntry.parse(line)
+        region = runs.setdefault(entry.name, [])
+        if region and region[-1][0] + region[-1][1] == entry.start:
+            region[-1][1] += entry.count
+        elif entry.count:
+            region.append([entry.start, entry.count])
+    return _RegionTable(signature, {name: tuple(map(tuple, r)) for name, r in runs.items()})
+
+
+class RegionLibrary(Closeable):
     """Voxel store grouped region-by-region, block-by-block."""
 
     def __init__(self, store: RecordStore, index: SerialIndex):
         self.store = store
         self.index = index
+        self._regions: _RegionTable | None = None
+        self._regions_lock = threading.Lock()
 
     @classmethod
     def build(cls, regions: Mapping[str, Iterable[Voxel]], out_dir: str | Path) -> "RegionLibrary":
@@ -131,6 +168,7 @@ class RegionLibrary:
         store.append_payload(bytes(blob))
         for entry in entries:
             index.append(entry)
+        index.close_appender()
         return cls(store, index)
 
     @classmethod
@@ -138,32 +176,47 @@ class RegionLibrary:
         directory = Path(directory)
         return cls(RecordStore.open(directory / DATA_FILE), SerialIndex(directory / INDEX_FILE))
 
-    def _read_group(self, entry: SerialIndexEntry) -> list[Voxel]:
-        data = self.store.read_records(entry.start, entry.count)
+    def _read_run(self, start: int, count: int) -> list[Voxel]:
+        data = self.store.read_records(start, count)
         return [
             _unpack_coord(data[i * COORD_RECORD_SIZE : (i + 1) * COORD_RECORD_SIZE])
-            for i in range(entry.count)
+            for i in range(count)
         ]
+
+    def _region_runs(self) -> dict[str, tuple[tuple[int, int], ...]]:
+        table = self._regions
+        if table is None or table.signature != file_signature(os.stat(self.index.path)):
+            with self._regions_lock:
+                table = self._regions
+                if table is None or table.signature != file_signature(os.stat(self.index.path)):
+                    table = self._regions = _load_regions(self.index.path)
+        return table.runs
 
     def block_voxels(self, region: str, block: str) -> list[Voxel]:
         """One index lookup plus one contiguous read."""
-        return self._read_group(self.index.lookup(region, block))
+        entry = self.index.lookup(region, block)
+        return self._read_run(entry.start, entry.count)
 
     def region_voxels(self, region: str) -> list[Voxel]:
-        """All the region's voxels, its blocks concatenated in index order."""
-        voxels = []
-        found = False
-        for entry in self.index.entries():
-            if entry.name == region:
-                found = True
-                voxels.extend(self._read_group(entry))
-        if not found:
+        """The records of every index line named for the region, in file order.
+
+        Duplicate lines are read as often as they appear. The cost is one
+        stat of the index, a region-table probe and one contiguous read per
+        run of adjacent groups: one read for a library written by ``build``.
+        An unknown region raises NotFoundError without reading the store.
+        """
+        runs = self._region_runs().get(region)
+        if runs is None:
             raise NotFoundError(f"no region {region!r} in index")
+        voxels = []
+        for start, count in runs:
+            voxels.extend(self._read_run(start, count))
         return voxels
 
     def close(self) -> None:
         self.store.close()
         self.index.close()
+        self._regions = None
 
 
 def read_atlas_tsv(path: str | Path) -> dict[str, list[Voxel]]:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .errors import DuplicateKeyError, NotFoundError
 from .serial_index import SerialIndex, SerialIndexEntry
-from .store import DEFAULT_RECORD_SIZE, RecordStore
+from .store import DEFAULT_RECORD_SIZE, Closeable, RecordStore
 
 LIBRARY_SUFFIX = ".raclib"
 INDEX_SUFFIX = ".index"
@@ -44,7 +44,7 @@ def read_manifest(path: str | Path) -> dict[str, tuple[str, str]]:
     return members
 
 
-class Collection:
+class Collection(Closeable):
     """One packed library and its serial index, fetched by (name, key)."""
 
     def __init__(self, store: RecordStore, index: SerialIndex):
@@ -106,18 +106,16 @@ def pack_directory(
     for (name, key), path in sorted(seen.items()):
         ref = store.append_payload(path.read_bytes())
         index.append(SerialIndexEntry(name, key, ref.start, ref.count, ref.byte_length))
+    index.close_appender()
     return Collection(store, index)
 
 
 def fetch_member(library_path: str | Path, name: str, key: str, index_path=None) -> bytes:
-    collection = Collection.open(library_path, index_path)
-    try:
+    with Collection.open(library_path, index_path) as collection:
         return collection.fetch(name, key)
-    finally:
-        collection.close()
 
 
-class CollectionSet:
+class CollectionSet(Closeable):
     """All collections under one directory, addressed by member (name, key)."""
 
     def __init__(self, collections: list[Collection]):

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import DuplicateKeyError, NotFoundError
-from .store import IOCounters, RecordSetRef
+from .store import Closeable, IOCounters, RecordSetRef
 
 # A table slot is one 64-bit word: tag | line offset | line length, zero when
 # empty. The tag is the low bits of the per-process salted hash((name, key)),
@@ -125,7 +125,7 @@ def _word(tag: int, offset: int, length: int, offset_bits: int) -> int:
     return tag << (offset_bits + LENGTH_BITS) | offset << LENGTH_BITS | min(length, LONG_LINE)
 
 
-def _signature(st: os.stat_result) -> tuple[int, int, int]:
+def file_signature(st: os.stat_result) -> tuple[int, int, int]:
     return st.st_size, st.st_mtime_ns, st.st_ino
 
 
@@ -181,7 +181,7 @@ def _load(path: Path) -> _Table:
     """One pass over the file: the offset, length and tag of every line."""
     fd = os.open(path, os.O_RDONLY)
     file = _OpenFile(fd)
-    signature = _signature(os.fstat(fd))
+    signature = file_signature(os.fstat(fd))
     size = signature[0]
     offset_bits = _offset_bits(size)
     entries = lines = offset = 0
@@ -204,7 +204,7 @@ def _load(path: Path) -> _Table:
     return _Table(file, signature, slots, offset_bits, lines, entries)
 
 
-class SerialIndex:
+class SerialIndex(Closeable):
     """Append-only index file with flat, table-driven lookup.
 
     ``counters`` counts the line reads made to answer lookups and append's
@@ -229,13 +229,13 @@ class SerialIndex:
     def _fresh(self) -> _Table:
         """The table for the file as it is now; the caller holds the lock."""
         table = self._table
-        if table is None or table.signature != _signature(os.stat(self.path)):
+        if table is None or table.signature != file_signature(os.stat(self.path)):
             table = self._table = _load(self.path)
         return table
 
     def _view(self) -> _Table:
         table = self._table
-        if table is None or table.signature != _signature(os.stat(self.path)):
+        if table is None or table.signature != file_signature(os.stat(self.path)):
             with self._lock:
                 table = self._fresh()
         return table
@@ -290,7 +290,7 @@ class SerialIndex:
             self._appender.write(line)
             self._appender.flush()
             offset = table.signature[0]
-            signature = _signature(os.fstat(self._appender.fileno()))
+            signature = file_signature(os.fstat(self._appender.fileno()))
             if signature[0] != offset + len(line) or signature[2] != table.signature[2]:
                 return  # another writer got in between; the next lookup reloads
             slots, offset_bits = _with_room(table.slots, table.entries, table.offset_bits, signature[0])
@@ -318,15 +318,14 @@ class SerialIndex:
         """Lines in the file, counted by the pass that builds the table."""
         return self._view().lines
 
+    def close_appender(self) -> None:
+        """Close the append handle and keep the table; a later append reopens it."""
+        with self._lock:
+            if self._appender is not None:
+                self._appender.close()
+                self._appender = None
+
     def close(self) -> None:
-        if self._appender is not None:
-            self._appender.close()
-            self._appender = None
+        self.close_appender()
         # The fd closes once no lookup still holds the table.
         self._table = None
-
-    def __enter__(self) -> "SerialIndex":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -62,7 +62,7 @@ class DeliveryHandler(BaseHTTPRequestHandler):
         except NotFoundError:
             self._send(404, b"unknown title/page\n", "text/plain")
             return
-        except OSError:
+        except Exception:  # a corrupt library or index must not drop the connection
             logger.exception("delivery failed for %s", self.path)
             self._send(500, b"internal error\n", "text/plain")
             return
@@ -105,7 +105,7 @@ def build_resolver(config: Config) -> ImageResolver:
         bucket_width=config.bucket_width_seconds,
         bucket_ttl=config.bucket_ttl_seconds,
     )
-    return ImageResolver(collections.fetch, cache)
+    return ImageResolver(collections.fetch, cache, close=collections.close)
 
 
 def serve(config: Config) -> None:
@@ -118,3 +118,4 @@ def serve(config: Config) -> None:
         pass
     finally:
         server.server_close()
+        server.resolver.close()

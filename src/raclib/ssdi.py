@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .computed_index import GROUP_COUNT, ComputedIndex, GroupEntry, key_ordinal, letters_only, trigram_of
-from .store import RecordStore
+from .store import Closeable, RecordStore
 
 RECORD_SIZE = 64
 SURNAME_WIDTH = 24
@@ -133,7 +133,7 @@ def matches(query: SearchQuery, record: DeathRecord) -> bool:
     return True
 
 
-class SsdiLibrary:
+class SsdiLibrary(Closeable):
     """A built record library plus its computed group index."""
 
     def __init__(self, store: RecordStore, index: ComputedIndex):

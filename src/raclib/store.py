@@ -36,6 +36,16 @@ class RecordSetRef:
     byte_length: int
 
 
+class Closeable:
+    """``with`` support for objects whose ``close`` releases their files."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
 class IOCounters:
     """Read instrumentation: logical read calls and bytes returned."""
 
@@ -96,7 +106,7 @@ def _write_meta(meta_path: Path, record_size: int, record_count: int) -> None:
     os.replace(tmp, meta_path)
 
 
-class RecordStore:
+class RecordStore(Closeable):
     """One library file plus its sidecar metadata."""
 
     def __init__(self, path: Path, fd: int, record_size: int, record_count: int, writable: bool):
@@ -201,9 +211,3 @@ class RecordStore:
         if self._fd >= 0:
             os.close(self._fd)
             self._fd = -1
-
-    def __enter__(self) -> "RecordStore":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

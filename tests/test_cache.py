@@ -3,6 +3,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from raclib.cache import (
     BucketCache,
@@ -126,6 +128,25 @@ def test_request_validation():
             DeliveryRequest(title, page)
 
 
+# Any non-empty text DeliveryRequest accepts: no whitespace, '/' or NUL.
+request_parts = st.text(
+    st.characters(blacklist_characters="/\x00", blacklist_categories=("Cs",)), min_size=1
+).filter(lambda part: not any(c.isspace() for c in part))
+
+
+@given(request_parts, request_parts, request_parts, request_parts)
+def test_cache_filename_is_injective(title1, page1, title2, page2):
+    first = DeliveryRequest(title1, page1)
+    second = DeliveryRequest(title2, page2)
+    assert (first.cache_filename() == second.cache_filename()) == (first == second)
+
+
+def test_cache_filename_escapes_underscore_and_percent():
+    assert DeliveryRequest("a_b", "c").cache_filename() == "a%5Fb_c.jpg"
+    assert DeliveryRequest("a", "b_c").cache_filename() == "a_b%5Fc.jpg"
+    assert DeliveryRequest("a%5Fb", "c").cache_filename() == "a%255Fb_c.jpg"
+
+
 class FakeLibrary:
     def __init__(self, pages):
         self.pages = pages
@@ -155,6 +176,15 @@ def test_resolve_miss_then_hit(resolver):
     second = res.resolve(req)
     assert (second.source, second.payload) == ("cache", first.payload)
     assert library.fetches == 1
+
+
+def test_underscore_members_resolve_to_their_own_bytes(tmp_path):
+    pages = {("a_b", "c"): b"\xff\xd8\xff first", ("a", "b_c"): b"\xff\xd8\xff second"}
+    res = ImageResolver(FakeLibrary(pages), BucketCache(tmp_path, clock=FakeClock()))
+    for source in ("library", "cache"):
+        for (title, page), payload in pages.items():
+            result = res.resolve(DeliveryRequest(title, page))
+            assert (result.source, result.payload) == (source, payload)
 
 
 def test_resolve_unknown_page(resolver):

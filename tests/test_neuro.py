@@ -1,7 +1,15 @@
+import os
 import random
+import sys
+import tempfile
+import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from raclib import neuro
 from raclib.errors import NotFoundError
 from raclib.neuro import (
     COORD_RECORD_SIZE,
@@ -12,6 +20,8 @@ from raclib.neuro import (
     encode_coord,
     read_atlas_tsv,
 )
+from raclib.serial_index import SerialIndex, SerialIndexEntry
+from raclib.store import RecordStore
 
 
 def test_encode_known_coordinate():
@@ -204,3 +214,165 @@ def test_reopen_library(tmp_path):
     RegionLibrary.build({"r": [Voxel(-41, 12, -35)]}, tmp_path / "lib")
     lib = RegionLibrary.open(tmp_path / "lib")
     assert lib.region_voxels("r") == [Voxel(-41, 12, -35)]
+
+
+def test_region_query_is_one_read_of_its_records(tmp_path):
+    atlas = random_atlas(random.Random(8), n_regions=4)
+    with RegionLibrary.build(atlas, tmp_path / "lib") as lib:
+        for region, voxels in atlas.items():
+            assert len({e.key for e in lib.index.entries() if e.name == region}) > 1
+            lib.store.counters.reset()
+            assert sorted(lib.region_voxels(region)) == sorted(voxels)
+            assert lib.store.counters.reads == 1
+            assert lib.store.counters.bytes_read == len(voxels) * COORD_RECORD_SIZE
+
+
+def count_index_passes(monkeypatch):
+    passes = []
+    real_load = neuro._load_regions
+
+    def counting_load(path):
+        passes.append(path)
+        return real_load(path)
+
+    monkeypatch.setattr(neuro, "_load_regions", counting_load)
+    return passes
+
+
+def test_region_table_built_once_and_again_after_second_writer_appends(tmp_path, monkeypatch):
+    passes = count_index_passes(monkeypatch)
+    a = [Voxel(1, 2, 3), Voxel(15, 2, 3)]
+    b = [Voxel(-41, 12, -35), Voxel(-42, 13, -36)]
+    with RegionLibrary.build({"a": a, "b": b}, tmp_path / "lib") as lib:
+        for _ in range(100):
+            assert lib.region_voxels("a") == a
+        assert len(passes) == 1
+        # Another writer names b's block for region a too.
+        with SerialIndex(tmp_path / "lib" / "regions.index") as writer:
+            writer.append(SerialIndexEntry("a", "n4_xp1_yn3_z", 2, 2))
+        assert lib.region_voxels("a") == a + b
+        for _ in range(10):
+            assert lib.region_voxels("b") == b
+        assert len(passes) == 2
+
+
+def test_region_table_sees_index_replaced_by_rename(tmp_path):
+    a = [Voxel(1, 2, 3), Voxel(2, 2, 3)]
+    with RegionLibrary.build({"a": a}, tmp_path / "lib") as lib:
+        assert lib.region_voxels("a") == a
+        index_path = tmp_path / "lib" / "regions.index"
+        replacement = tmp_path / "lib" / "regions.index.new"
+        replacement.write_text("z p0_xp0_yp0_z 1 1\nz p0_xp0_yp0_z 0 1\n")
+        os.replace(replacement, index_path)
+        assert lib.region_voxels("z") == [a[1], a[0]]
+        with pytest.raises(NotFoundError):
+            lib.region_voxels("a")
+
+
+def test_unknown_region_reads_nothing_from_the_store(tmp_path):
+    with RegionLibrary.build({"r": [Voxel(1, 2, 3)]}, tmp_path / "lib") as lib:
+        for _ in range(2):  # before and after the table exists
+            lib.store.counters.reset()
+            with pytest.raises(NotFoundError):
+                lib.region_voxels("nope")
+            assert lib.store.counters.reads == 0
+
+
+def run_threads(targets, timeout=30):
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=target) for target in targets]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_concurrent_region_queries_build_once_and_see_whole_appends(tmp_path, monkeypatch):
+    passes = count_index_passes(monkeypatch)
+    a = [Voxel(1, 2, 3), Voxel(15, 2, 3)]
+    b = [Voxel(-41, 12, -35), Voxel(-42, 13, -36)]
+    appends = 20
+    with RegionLibrary.build({"a": a, "b": b}, tmp_path / "lib") as lib:
+        barrier = threading.Barrier(8)
+        first = []
+
+        def first_query():
+            barrier.wait()
+            first.append(lib.region_voxels("a"))
+
+        run_threads([first_query] * 8)
+        assert first == [a] * 8
+        assert len(passes) == 1
+
+        # Readers race a second writer that names b's records for a, line by line:
+        # every answer holds a and a whole number of those lines, never fewer
+        # than the reader saw before.
+        answers = {i: [] for i in range(6)}
+
+        def reader(i):
+            for _ in range(200):
+                answers[i].append(lib.region_voxels("a"))
+
+        def writer():
+            with SerialIndex(tmp_path / "lib" / "regions.index") as index:
+                for k in range(appends):
+                    index.append(SerialIndexEntry("a", f"extra{k}", 2, 2))
+
+        run_threads([writer] + [lambda i=i: reader(i) for i in answers])
+        for seen in answers.values():
+            extras = [(len(v) - len(a)) // len(b) for v in seen]
+            assert all(v == a + b * n for v, n in zip(seen, extras))
+            assert extras == sorted(extras)
+        assert lib.region_voxels("a") == a + b * appends
+
+
+STORE_RECORDS = 40
+index_lines = st.lists(
+    st.tuples(
+        st.sampled_from("abc"),  # region
+        st.sampled_from(["k1", "k2"]),  # block key: a small set, so lines repeat
+        st.booleans(),  # follow on from the region's previous line
+        st.integers(0, STORE_RECORDS),
+        st.integers(0, 6),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(index_lines)
+def test_region_voxels_matches_a_scan_of_the_index(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        lib_dir = Path(tmp)
+        store = RecordStore.create(lib_dir / "voxels.raclib", record_size=COORD_RECORD_SIZE)
+        store.append_payload(b"".join(
+            encode_coord(Voxel(i, -i, 7)).encode("ascii").ljust(COORD_RECORD_SIZE, b"\0")
+            for i in range(STORE_RECORDS)
+        ))
+        store.close()
+        ends = {}
+        text = []
+        for region, key, follow_on, start, count in lines:
+            if follow_on and region in ends:
+                start = ends[region]
+            count = min(count, STORE_RECORDS - start)
+            ends[region] = start + count
+            text.append(f"{region} {key} {start} {count}\n")
+        (lib_dir / "regions.index").write_text("".join(text))
+        with RegionLibrary.open(lib_dir) as lib:
+            for region in "abcd":
+                # The oracle: every line named for the region, in file order.
+                entries = [e for e in lib.index.entries() if e.name == region]
+                expected = [
+                    Voxel(i, -i, 7) for e in entries for i in range(e.start, e.start + e.count)
+                ]
+                if entries:
+                    assert lib.region_voxels(region) == expected
+                else:
+                    with pytest.raises(NotFoundError):
+                        lib.region_voxels(region)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from raclib import serial_index
 from raclib.errors import DuplicateKeyError, NotFoundError
 from raclib.pack import (
     Collection,
@@ -11,6 +12,7 @@ from raclib.pack import (
     parse_member_filename,
     read_manifest,
 )
+from raclib.serial_index import SerialIndexEntry
 
 
 def test_parse_member_filename():
@@ -43,6 +45,21 @@ def test_pack_fetch_round_trip(tmp_path):
     assert collection.index.entry_count() == 25
     for (name, key), body in pages.items():
         assert collection.fetch(name, key) == body
+
+
+def test_pack_releases_append_handle_and_keeps_table(tmp_path, monkeypatch):
+    passes = []
+    real_load = serial_index._load
+    monkeypatch.setattr(serial_index, "_load", lambda path: passes.append(path) or real_load(path))
+    pages = make_pages(tmp_path / "in", 5)
+    with pack_directory(tmp_path / "in", "yearbooks", tmp_path / "out") as collection:
+        assert collection.index._appender is None
+        assert len(passes) == 1  # the first append's table, of the empty file
+        for (name, key), body in pages.items():
+            assert collection.fetch(name, key) == body
+        collection.index.append(SerialIndexEntry("Extra", "0001", 0, 1, 1))
+        assert collection.fetch("Extra", "0001") == pages["TallyHo1965", "0001"][:1]
+        assert len(passes) == 1
 
 
 def test_pack_appends_in_sorted_order(tmp_path):

@@ -1,3 +1,4 @@
+import logging
 import threading
 import urllib.error
 import urllib.request
@@ -21,7 +22,7 @@ def test_sniff_content_type():
 @pytest.fixture
 def service(tmp_path):
     pages = make_pages(tmp_path / "in", 3)
-    pack_directory(tmp_path / "in", "yearbooks", tmp_path / "lib")
+    pack_directory(tmp_path / "in", "yearbooks", tmp_path / "lib").close()
     config = Config(library_dir=tmp_path / "lib", cache_root=tmp_path / "cache")
     server = DeliveryServer(("127.0.0.1", 0), build_resolver(config))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -29,11 +30,20 @@ def service(tmp_path):
     yield f"http://127.0.0.1:{server.server_address[1]}", pages
     server.shutdown()
     server.server_close()
+    server.resolver.close()
 
 
 def get(url):
     with urllib.request.urlopen(url) as response:
         return response.status, dict(response.headers), response.read()
+
+
+def get_error(url):
+    """Status and body of a request that must fail, its response closed."""
+    with pytest.raises(urllib.error.HTTPError) as err:
+        get(url)
+    with err.value:
+        return err.value.code, err.value.read()
 
 
 def test_health(service):
@@ -59,9 +69,7 @@ def test_image_library_then_cache(service):
 
 def test_unknown_image_404(service):
     base, _ = service
-    with pytest.raises(urllib.error.HTTPError) as err:
-        get(base + "/image?title=NoSuchTitle&page=0001")
-    assert err.value.code == 404
+    assert get_error(base + "/image?title=NoSuchTitle&page=0001")[0] == 404
 
 
 @pytest.mark.parametrize(
@@ -69,16 +77,25 @@ def test_unknown_image_404(service):
 )
 def test_malformed_request_400(service, query):
     base, _ = service
-    with pytest.raises(urllib.error.HTTPError) as err:
-        get(base + "/image?" + query)
-    assert err.value.code == 400
+    assert get_error(base + "/image?" + query)[0] == 400
 
 
 def test_unknown_path_404(service):
     base, _ = service
-    with pytest.raises(urllib.error.HTTPError) as err:
-        get(base + "/nope")
-    assert err.value.code == 404
+    assert get_error(base + "/nope")[0] == 404
+
+
+def test_corrupt_index_line_answers_500_and_server_keeps_serving(service, tmp_path, caplog):
+    base, pages = service
+    # Two records cannot hold 1 byte: read_payload raises ValueError.
+    with open(tmp_path / "lib" / "yearbooks.index", "a", encoding="ascii") as f:
+        f.write("Broken 0001 0 2 1\n")
+    with caplog.at_level(logging.ERROR, logger="raclib.server"):
+        status, body = get_error(base + "/image?title=Broken&page=0001")
+    assert (status, body) == (500, b"internal error\n")
+    assert "delivery failed" in caplog.text
+    status, _, body = get(base + "/image?title=TallyHo1965&page=0001")
+    assert (status, body) == (200, pages["TallyHo1965", "0001"])
 
 
 def test_missing_library_dir_fails_startup(tmp_path):
