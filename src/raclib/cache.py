@@ -2,11 +2,12 @@
 
 Cache directories are named by epoch seconds with the last three digits
 removed, so a new bucket starts every 1000 seconds and an image persists for
-2000 seconds (current plus previous bucket). Handlers that find the current
-bucket missing race for an exclusively created token file; the winner makes
-the directory and sweeps expired buckets, losers sleep one second and
-re-check. A token that survives two such waits is presumed stale (its owner
-died) and is forcibly replaced, so no handler ever hangs on a crashed peer.
+2000 seconds (current plus previous bucket); lookups search exactly the
+buckets the sweep keeps. Handlers that find the current bucket missing race
+for an exclusively created token file; the winner makes the directory and
+sweeps expired buckets, losers sleep one second and re-check. A token that
+survives two such waits is presumed stale (its owner died) and is forcibly
+replaced, so no handler ever hangs on a crashed peer.
 
 Handlers may live in different processes: the token file is the only
 exclusion mechanism, and cached files become visible only via rename, so a
@@ -100,6 +101,11 @@ class BucketCache:
     def bucket_id(self, now: float) -> str:
         return bucket_name(now, self.bucket_width)
 
+    def live_bucket_ids(self, now: float) -> range:
+        """Ids of the ``ttl // width`` buckets still served at ``now``, newest first."""
+        current = int(self.bucket_id(now))
+        return range(current, current - self.bucket_ttl // self.bucket_width, -1)
+
     # Per-request paths are plain strings: pathlib interns every component,
     # and each interned string that dies leaves a slot in the process-wide
     # intern table, which then grows with the number of requests served.
@@ -155,14 +161,10 @@ class BucketCache:
         return BucketOutcome.FORCED
 
     def sweep_old_buckets(self, now: float | None = None) -> list[str]:
-        """Delete buckets past their lifetime; keep enough to cover the TTL.
-
-        With the default 1000/2000 geometry that is the current and previous
-        buckets. Deletion failures are reported, not raised.
-        """
+        """Delete buckets older than every live one; failures are reported, not raised."""
         if now is None:
             now = self.now()
-        cutoff = int(self.bucket_id(now)) - self.bucket_ttl // self.bucket_width + 1
+        cutoff = self.live_bucket_ids(now)[-1]
         deleted = []
         for child in self.root.iterdir():
             if not child.is_dir() or not child.name.isdigit():
@@ -178,11 +180,10 @@ class BucketCache:
     # -- cached files ---------------------------------------------------------
 
     def find_cached(self, filename: str, now: float | None = None) -> str | None:
-        """Look for a cached file in the current, then the previous bucket."""
+        """Look for a cached file in each live bucket, newest first."""
         if now is None:
             now = self.now()
-        current = int(self.bucket_id(now))
-        for bucket_id in (current, current - 1):
+        for bucket_id in self.live_bucket_ids(now):
             path = os.path.join(self.root, str(bucket_id), filename)
             if os.path.isfile(path):
                 return path

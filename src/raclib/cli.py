@@ -16,7 +16,7 @@ from . import bench, server
 from .config import load_config
 from .errors import NotFoundError, RacLibError
 from .neuro import RegionLibrary, read_atlas_tsv
-from .pack import fetch_member, pack_directory
+from .pack import Collection, pack_directory
 from .ssdi import SearchQuery, SsdiLibrary, read_records_tsv, record_tsv_line
 from .store import RecordStore
 
@@ -34,21 +34,21 @@ class _Parser(argparse.ArgumentParser):
 
 def cmd_pack(args) -> int:
     config = load_config(args.config, record_size=args.record_size)
-    collection = pack_directory(
+    with pack_directory(
         args.input_dir, args.collection, args.out_dir,
         record_size=config.record_size, manifest=args.manifest,
-    )
-    print(
-        f"packed {collection.index.entry_count()} members into "
-        f"{collection.store.path} ({collection.store.record_count} records)",
-        file=sys.stderr,
-    )
-    collection.close()
+    ) as collection:
+        print(
+            f"packed {collection.index.entry_count()} members into "
+            f"{collection.store.path} ({collection.store.record_count} records)",
+            file=sys.stderr,
+        )
     return EXIT_OK
 
 
 def cmd_fetch(args) -> int:
-    payload = fetch_member(args.library, args.name, args.key, index_path=args.index)
+    with Collection.open(args.library, args.index) as collection:
+        payload = collection.fetch(args.name, args.key)
     if args.out == "-":
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()
@@ -71,14 +71,12 @@ def cmd_serve(args) -> int:
 
 
 def cmd_ssdi_build(args) -> int:
-    library = SsdiLibrary.build(read_records_tsv(args.input), args.out_dir)
-    print(f"built {library.store.record_count} records in {args.out_dir}", file=sys.stderr)
-    library.close()
+    with SsdiLibrary.build(read_records_tsv(args.input), args.out_dir) as library:
+        print(f"built {library.store.record_count} records in {args.out_dir}", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_ssdi_search(args) -> int:
-    library = SsdiLibrary.open(args.lib)
     query = SearchQuery(
         given=args.given,
         surname=args.surname,
@@ -86,43 +84,38 @@ def cmd_ssdi_search(args) -> int:
         death_year_from=args.death_from,
         death_year_to=args.death_to,
     )
-    for record in library.search(query):
-        print(record_tsv_line(record))
-    library.close()
+    with SsdiLibrary.open(args.lib) as library:
+        for record in library.search(query):
+            print(record_tsv_line(record))
     return EXIT_OK
 
 
 def cmd_neuro_build(args) -> int:
-    library = RegionLibrary.build(read_atlas_tsv(args.input), args.out_dir)
-    print(f"built {library.store.record_count} voxel records in {args.out_dir}", file=sys.stderr)
-    library.close()
+    with RegionLibrary.build(read_atlas_tsv(args.input), args.out_dir) as library:
+        print(f"built {library.store.record_count} voxel records in {args.out_dir}", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_neuro_query(args) -> int:
-    library = RegionLibrary.open(args.lib)
-    if args.block:
-        voxels = library.block_voxels(args.region, args.block)
-    else:
-        voxels = library.region_voxels(args.region)
+    with RegionLibrary.open(args.lib) as library:
+        voxels = (library.block_voxels(args.region, args.block) if args.block
+                  else library.region_voxels(args.region))
     for v in voxels:
         print(f"{v.x}\t{v.y}\t{v.z}")
-    library.close()
     return EXIT_OK
 
 
 def cmd_bench_synth(args) -> int:
-    store = bench.synth_library(args.out, args.records, args.record_size, args.seed)
-    writer = csv.writer(sys.stdout)
-    writer.writerow(["path", "records", "record_size", "seed"])
-    writer.writerow([store.path, store.record_count, store.record_size, args.seed])
-    store.close()
+    with bench.synth_library(args.out, args.records, args.record_size, args.seed) as store:
+        writer = csv.writer(sys.stdout)
+        writer.writerow(["path", "records", "record_size", "seed"])
+        writer.writerow([store.path, store.record_count, store.record_size, args.seed])
     return EXIT_OK
 
 
 def cmd_bench_fetch(args) -> int:
-    store = RecordStore.open(args.library)
-    stats = bench.measure_fetch(store, args.start, args.count, args.trials)
+    with RecordStore.open(args.library) as store:
+        stats = bench.measure_fetch(store, args.start, args.count, args.trials)
     writer = csv.writer(sys.stdout)
     writer.writerow(["start", "count", "elapsed_us", "bytes_read"])
     for s in stats.samples:
@@ -132,7 +125,6 @@ def cmd_bench_fetch(args) -> int:
         f"{stats.mean_us:.1f} {stats.max_us:.1f}",
         file=sys.stderr,
     )
-    store.close()
     return EXIT_OK
 
 

@@ -11,12 +11,11 @@ Entry layout: ten-digit start, space, eight-digit count, newline.
 
 from __future__ import annotations
 
-import os
 import string
 from dataclasses import dataclass
 from pathlib import Path
 
-from .store import Closeable, IOCounters, _pread_all, _pwrite_all
+from .store import Closeable, RecordStore
 
 ALPHABET_SIZE = 26
 GROUP_COUNT = ALPHABET_SIZE**3  # 17576
@@ -85,66 +84,41 @@ def key_ordinal(key: TrigramKey) -> int:
 
 
 class ComputedIndex(Closeable):
-    """Fixed-geometry group index file with one-seek entry access."""
+    """A codec over one fixed-geometry record store; read-only after ``open``."""
 
-    def __init__(self, path: Path, fd: int):
-        self.path = path
-        self._fd = fd
-        self.counters = IOCounters()
+    def __init__(self, records: RecordStore):
+        self.records = records
+        self.path = records.path
+        self.counters = records.counters
 
     @classmethod
     def create(cls, path: str | Path) -> "ComputedIndex":
-        path = Path(path)
-        fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o644)
-        _pwrite_all(fd, GroupEntry(0, 0).pack() * GROUP_COUNT, 0)
-        return cls(path, fd)
+        return cls(RecordStore.create_fixed(path, ENTRY_WIDTH, GroupEntry(0, 0).pack() * GROUP_COUNT))
 
     @classmethod
     def open(cls, path: str | Path) -> "ComputedIndex":
-        path = Path(path)
-        fd = os.open(path, os.O_RDWR)
-        size = os.fstat(fd).st_size
-        if size != INDEX_FILE_SIZE:
-            os.close(fd)
-            raise ValueError(f"computed index {path} is {size} bytes, expected {INDEX_FILE_SIZE}")
-        return cls(path, fd)
-
-    def _check_ordinal(self, ordinal: int) -> None:
-        if not 0 <= ordinal < GROUP_COUNT:
-            raise IndexError(f"group ordinal out of range: {ordinal}")
+        return cls(RecordStore.open_fixed(path, ENTRY_WIDTH, GROUP_COUNT))
 
     def write_group_entry(self, ordinal: int, entry: GroupEntry) -> None:
-        self._check_ordinal(ordinal)
-        _pwrite_all(self._fd, entry.pack(), ordinal * ENTRY_WIDTH)
+        self.records.write_records(ordinal, entry.pack())
 
     def read_group_entry(self, ordinal: int) -> GroupEntry:
         """Fetch one entry with a single positioned read; no scan."""
-        self._check_ordinal(ordinal)
-        raw = _pread_all(self._fd, ENTRY_WIDTH, ordinal * ENTRY_WIDTH)
-        self.counters.reads += 1
-        self.counters.bytes_read += len(raw)
-        return GroupEntry.unpack(raw)
+        return GroupEntry.unpack(self.records.read_records(ordinal, 1))
 
     def write_all(self, entries: list[GroupEntry]) -> None:
         """Replace every entry in ordinal order (single write; for builds)."""
         if len(entries) != GROUP_COUNT:
             raise ValueError(f"expected {GROUP_COUNT} entries, got {len(entries)}")
-        _pwrite_all(self._fd, b"".join(e.pack() for e in entries), 0)
+        self.records.write_records(0, b"".join(e.pack() for e in entries))
 
     def read_all(self) -> list[GroupEntry]:
         """All entries in ordinal order (one full-file read; for builds and audits)."""
-        raw = _pread_all(self._fd, INDEX_FILE_SIZE, 0)
-        self.counters.reads += 1
-        self.counters.bytes_read += len(raw)
-        return [
-            GroupEntry.unpack(raw[i * ENTRY_WIDTH : (i + 1) * ENTRY_WIDTH])
-            for i in range(GROUP_COUNT)
-        ]
+        raw = self.records.read_records(0, GROUP_COUNT)
+        return [GroupEntry.unpack(raw[i : i + ENTRY_WIDTH]) for i in range(0, INDEX_FILE_SIZE, ENTRY_WIDTH)]
 
     def sync(self) -> None:
-        os.fsync(self._fd)
+        self.records.sync()
 
     def close(self) -> None:
-        if self._fd >= 0:
-            os.close(self._fd)
-            self._fd = -1
+        self.records.close()

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .errors import NotFoundError
 from .serial_index import SerialIndex, SerialIndexEntry, file_signature
-from .store import Closeable, RecordStore
+from .store import Library, RecordStore, closed_on_error
 
 COORD_BOUND = 999  # 3-digit encoding per axis
 COORD_RECORD_SIZE = 16
@@ -124,12 +124,11 @@ def _load_regions(path: Path) -> _RegionTable:
     return _RegionTable(signature, {name: tuple(map(tuple, r)) for name, r in runs.items()})
 
 
-class RegionLibrary(Closeable):
+class RegionLibrary(Library):
     """Voxel store grouped region-by-region, block-by-block."""
 
     def __init__(self, store: RecordStore, index: SerialIndex):
-        self.store = store
-        self.index = index
+        super().__init__(store, index)
         self._regions: _RegionTable | None = None
         self._regions_lock = threading.Lock()
 
@@ -141,11 +140,6 @@ class RegionLibrary(Closeable):
         voxels keep input order within their block. A voxel may appear only
         once per region.
         """
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        store = RecordStore.create(out_dir / DATA_FILE, record_size=COORD_RECORD_SIZE)
-        index = SerialIndex.create(out_dir / INDEX_FILE)
-
         blob = bytearray()
         entries = []
         start = 0
@@ -165,16 +159,21 @@ class RegionLibrary(Closeable):
                 entries.append(SerialIndexEntry(region, block, start, len(members)))
                 start += len(members)
 
-        store.append_payload(bytes(blob))
-        for entry in entries:
-            index.append(entry)
-        index.close_appender()
-        return cls(store, index)
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        index = SerialIndex.create(out_dir / INDEX_FILE)  # holds no fd until used
+        with closed_on_error(cls(RecordStore.create(out_dir / DATA_FILE, COORD_RECORD_SIZE), index)) as built:
+            built.store.append_payload(bytes(blob))
+            for entry in entries:
+                index.append(entry)
+            index.close_appender()
+        return built
 
     @classmethod
     def open(cls, directory: str | Path) -> "RegionLibrary":
         directory = Path(directory)
-        return cls(RecordStore.open(directory / DATA_FILE), SerialIndex(directory / INDEX_FILE))
+        with closed_on_error(RecordStore.open(directory / DATA_FILE)) as store:
+            return cls(store, SerialIndex(directory / INDEX_FILE))
 
     def _read_run(self, start: int, count: int) -> list[Voxel]:
         data = self.store.read_records(start, count)
@@ -214,8 +213,7 @@ class RegionLibrary(Closeable):
         return voxels
 
     def close(self) -> None:
-        self.store.close()
-        self.index.close()
+        super().close()
         self._regions = None
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .errors import DuplicateKeyError, NotFoundError
 from .serial_index import SerialIndex, SerialIndexEntry
-from .store import DEFAULT_RECORD_SIZE, Closeable, RecordStore
+from .store import DEFAULT_RECORD_SIZE, Closeable, Library, RecordStore, closed_on_error
 
 LIBRARY_SUFFIX = ".raclib"
 INDEX_SUFFIX = ".index"
@@ -44,12 +44,8 @@ def read_manifest(path: str | Path) -> dict[str, tuple[str, str]]:
     return members
 
 
-class Collection(Closeable):
+class Collection(Library):
     """One packed library and its serial index, fetched by (name, key)."""
-
-    def __init__(self, store: RecordStore, index: SerialIndex):
-        self.store = store
-        self.index = index
 
     @classmethod
     def open(cls, library_path: str | Path, index_path: str | Path | None = None) -> "Collection":
@@ -59,15 +55,12 @@ class Collection(Closeable):
         index_path = Path(index_path)
         if not index_path.exists():
             raise FileNotFoundError(f"no serial index at {index_path}")
-        return cls(RecordStore.open(library_path), SerialIndex(index_path))
+        with closed_on_error(RecordStore.open(library_path)) as store:
+            return cls(store, SerialIndex(index_path))
 
     def fetch(self, name: str, key: str) -> bytes:
         entry = self.index.lookup(name, key)
         return self.store.read_payload(entry.to_ref(self.store.record_size))
-
-    def close(self) -> None:
-        self.store.close()
-        self.index.close()
 
 
 def pack_directory(
@@ -101,18 +94,14 @@ def pack_directory(
             raise DuplicateKeyError(f"{path} and {seen[member]} both map to {member}")
         seen[member] = path
 
+    index = SerialIndex.create(out_dir / (collection + INDEX_SUFFIX))  # holds no fd until used
     store = RecordStore.create(out_dir / (collection + LIBRARY_SUFFIX), record_size)
-    index = SerialIndex.create(out_dir / (collection + INDEX_SUFFIX))
-    for (name, key), path in sorted(seen.items()):
-        ref = store.append_payload(path.read_bytes())
-        index.append(SerialIndexEntry(name, key, ref.start, ref.count, ref.byte_length))
-    index.close_appender()
-    return Collection(store, index)
-
-
-def fetch_member(library_path: str | Path, name: str, key: str, index_path=None) -> bytes:
-    with Collection.open(library_path, index_path) as collection:
-        return collection.fetch(name, key)
+    with closed_on_error(Collection(store, index)) as packed:
+        for (name, key), path in sorted(seen.items()):
+            ref = store.append_payload(path.read_bytes())
+            index.append(SerialIndexEntry(name, key, ref.start, ref.count, ref.byte_length))
+        index.close_appender()
+    return packed
 
 
 class CollectionSet(Closeable):
@@ -126,7 +115,10 @@ class CollectionSet(Closeable):
         library_dir = Path(library_dir)
         if not library_dir.is_dir():
             raise FileNotFoundError(f"library directory {library_dir} does not exist")
-        return cls([Collection.open(path) for path in sorted(library_dir.glob("*" + LIBRARY_SUFFIX))])
+        with closed_on_error(cls([])) as collection_set:
+            for path in sorted(library_dir.glob("*" + LIBRARY_SUFFIX)):
+                collection_set.collections.append(Collection.open(path))
+            return collection_set
 
     def fetch(self, name: str, key: str) -> bytes:
         for collection in self.collections:

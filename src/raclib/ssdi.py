@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .computed_index import GROUP_COUNT, ComputedIndex, GroupEntry, key_ordinal, letters_only, trigram_of
-from .store import Closeable, RecordStore
+from .store import Library, RecordStore, closed_on_error
 
 RECORD_SIZE = 64
 SURNAME_WIDTH = 24
@@ -133,12 +133,8 @@ def matches(query: SearchQuery, record: DeathRecord) -> bool:
     return True
 
 
-class SsdiLibrary(Closeable):
+class SsdiLibrary(Library):
     """A built record library plus its computed group index."""
-
-    def __init__(self, store: RecordStore, index: ComputedIndex):
-        self.store = store
-        self.index = index
 
     @classmethod
     def build(cls, records, out_dir: str | Path) -> "SsdiLibrary":
@@ -155,27 +151,25 @@ class SsdiLibrary(Closeable):
             ordinal = key_ordinal(trigram_of(record.surname, record.given))
             groups.setdefault(ordinal, []).append(record.pack())
 
-        store = RecordStore.create(out_dir / DATA_FILE, record_size=RECORD_SIZE)
-        store.append_payload(b"".join(b"".join(groups[o]) for o in sorted(groups)))
-
         entries = []
         start = 0
         for ordinal in range(GROUP_COUNT):
             count = len(groups.get(ordinal, ()))
             entries.append(GroupEntry(start=start, count=count))
             start += count
-        index = ComputedIndex.create(out_dir / INDEX_FILE)
-        index.write_all(entries)
-        index.sync()
+
+        with closed_on_error(RecordStore.create(out_dir / DATA_FILE, record_size=RECORD_SIZE)) as store:
+            store.append_payload(b"".join(b"".join(groups[o]) for o in sorted(groups)))
+            with closed_on_error(ComputedIndex.create(out_dir / INDEX_FILE)) as index:
+                index.write_all(entries)
+                index.sync()
         return cls(store, index)
 
     @classmethod
     def open(cls, directory: str | Path) -> "SsdiLibrary":
         directory = Path(directory)
-        return cls(
-            RecordStore.open(directory / DATA_FILE),
-            ComputedIndex.open(directory / INDEX_FILE),
-        )
+        with closed_on_error(RecordStore.open(directory / DATA_FILE)) as store:
+            return cls(store, ComputedIndex.open(directory / INDEX_FILE))
 
     def search(self, query: SearchQuery) -> list[DeathRecord]:
         """One index fetch, one contiguous group read, then a serial filter."""
@@ -189,10 +183,6 @@ class SsdiLibrary(Closeable):
             if matches(query, record):
                 results.append(record)
         return results
-
-    def close(self) -> None:
-        self.store.close()
-        self.index.close()
 
 
 def read_records_tsv(path: str | Path):

@@ -11,11 +11,16 @@ Reads go through ``pread``, so any number of threads or processes may read
 one store concurrently; at most one appender may be active. The sidecar is
 rewritten only after appended bytes are fsync'd, so a crash never leaves the
 record count pointing into unwritten data.
+
+A file whose format fixes its geometry, such as the computed index, is a
+store with no sidecar: ``open_fixed`` checks its exact size and opens it
+read-only unless asked, and ``write_records`` rewrites it in place.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,6 +49,16 @@ class Closeable:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+@contextmanager
+def closed_on_error(resource):
+    """Yield ``resource``, closing it if the block raises."""
+    try:
+        yield resource
+    except BaseException:
+        resource.close()
+        raise
 
 
 class IOCounters:
@@ -107,7 +122,7 @@ def _write_meta(meta_path: Path, record_size: int, record_count: int) -> None:
 
 
 class RecordStore(Closeable):
-    """One library file plus its sidecar metadata."""
+    """One library file plus its sidecar metadata, or a fixed-geometry file."""
 
     def __init__(self, path: Path, fd: int, record_size: int, record_count: int, writable: bool):
         self.path = path
@@ -141,17 +156,31 @@ class RecordStore(Closeable):
         if mode not in ("r", "a"):
             raise ValueError(f"mode must be 'r' or 'a', got {mode!r}")
         path = Path(path)
-        record_size, record_count = _read_meta(_meta_path(path))
-        writable = mode == "a"
+        return cls._open(path, *_read_meta(_meta_path(path)), writable=mode == "a", exact=False)
+
+    @classmethod
+    def create_fixed(cls, path: str | Path, record_size: int, records: bytes) -> "RecordStore":
+        """Create a sidecar-less store holding exactly ``records``, open for writes."""
+        with open(path, "xb") as f:
+            f.write(records)
+        return cls.open_fixed(path, record_size, len(records) // record_size, writable=True)
+
+    @classmethod
+    def open_fixed(cls, path: str | Path, record_size: int, record_count: int, writable=False):
+        """Open a sidecar-less store that must be exactly ``record_count`` records long."""
+        return cls._open(Path(path), record_size, record_count, writable, exact=True)
+
+    @classmethod
+    def _open(cls, path: Path, record_size: int, record_count: int, writable: bool, exact: bool):
         fd = os.open(path, os.O_RDWR if writable else os.O_RDONLY)
         covered = record_count * record_size
         size = os.fstat(fd).st_size
-        if size < covered:
+        if size < covered or exact and size != covered:
             os.close(fd)
-            raise ValueError(f"store {path} is shorter ({size} B) than its metadata covers ({covered} B)")
+            raise ValueError(f"store {path} is {size} B, but its geometry covers {covered} B")
         if writable and size > covered:
             os.ftruncate(fd, covered)
-        return cls(path, fd, record_size, record_count, writable=writable)
+        return cls(path, fd, record_size, record_count, writable)
 
     @property
     def record_size(self) -> int:
@@ -185,15 +214,28 @@ class RecordStore(Closeable):
 
         One positioned read; no bytes before the requested offset are touched.
         """
-        if start < 0 or count < 0 or start + count > self._record_count:
-            raise IndexError(
-                f"record range [{start}, {start + count}) outside store of {self._record_count} records"
-            )
+        self._check_range(start, count)
         rsize = self._record_size
         data = _pread_all(self._fd, count * rsize, start * rsize) if count else b""
         self.counters.reads += 1
         self.counters.bytes_read += len(data)
         return data
+
+    def write_records(self, start: int, data: bytes) -> None:
+        """Overwrite whole records in place from record ``start``; no fsync."""
+        if not self._writable:
+            raise PermissionError(f"store {self.path} opened read-only")
+        count, partial = divmod(len(data), self._record_size)
+        if partial:
+            raise ValueError(f"{len(data)} bytes are not whole records of {self._record_size} bytes")
+        self._check_range(start, count)
+        _pwrite_all(self._fd, data, start * self._record_size)
+
+    def _check_range(self, start: int, count: int) -> None:
+        if start < 0 or count < 0 or start + count > self._record_count:
+            raise IndexError(
+                f"record range [{start}, {start + count}) outside store of {self._record_count} records"
+            )
 
     def read_payload(self, ref: RecordSetRef) -> bytes:
         """Return the exact original payload for ``ref`` (padding stripped)."""
@@ -207,7 +249,22 @@ class RecordStore(Closeable):
             )
         return self.read_records(ref.start, ref.count)[: ref.byte_length]
 
+    def sync(self) -> None:
+        os.fsync(self._fd)
+
     def close(self) -> None:
         if self._fd >= 0:
             os.close(self._fd)
             self._fd = -1
+
+
+class Library(Closeable):
+    """A record store and the index that addresses it: opened all or nothing, closed together."""
+
+    def __init__(self, store: RecordStore, index):
+        self.store = store
+        self.index = index
+
+    def close(self) -> None:
+        self.store.close()
+        self.index.close()

@@ -7,6 +7,7 @@ behavioural check runs at full strength.
 import random
 import re
 import socket
+import statistics
 import subprocess
 import sys
 import threading
@@ -21,6 +22,9 @@ from raclib.cache import BucketCache, BucketOutcome, DeliveryRequest, ImageResol
 from raclib.cli import main
 from raclib.computed_index import GROUP_COUNT, TrigramKey, key_ordinal, trigram_of
 from raclib.neuro import RegionLibrary, Voxel, block_of, decode_coord, encode_coord
+from raclib.pack import Collection
+from raclib.serial_index import SerialIndexEntry
+from raclib.server import DeliveryServer
 from raclib.ssdi import DeathRecord, SearchQuery, SsdiLibrary
 from raclib.store import RecordStore
 
@@ -162,6 +166,61 @@ def test_criterion_4_latency_offset_independence(tmp_path):
         finally:
             store.close()
             (tmp_path / "big.raclib").unlink()
+
+
+def test_criterion_4b_http_last_vs_first_member(tmp_path):
+    with criterion("4b", "100k-member collection over HTTP: last vs first fetch ratio <= 2.0",
+                   budget_seconds=60):
+        n_members, record_size = 100_000, 128
+        rng = random.Random(404)
+        payloads = [b"\xff\xd8\xff" + rng.randbytes(rng.randrange(40, record_size - 2))
+                    for _ in range(n_members)]
+        # One append and one index write, as a bulk loader would; packing
+        # 100k files would cost one fsync each.
+        with RecordStore.create(tmp_path / "big.raclib", record_size) as store:
+            store.append_payload(b"".join(p.ljust(record_size, b"\x00") for p in payloads))
+        (tmp_path / "big.index").write_text("".join(
+            SerialIndexEntry("Book", f"{i:06d}", i, 1, len(p)).line() for i, p in enumerate(payloads)
+        ), "ascii")
+
+        collection = Collection.open(tmp_path / "big.raclib")
+        resolver = ImageResolver(collection.fetch, BucketCache(tmp_path / "cache"), close=collection.close)
+        server = DeliveryServer(("127.0.0.1", 0), resolver)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        base = f"http://127.0.0.1:{server.server_address[1]}/image?title=Book&page="
+
+        def timed_fetch(i):
+            collection.index.counters.reset()
+            collection.store.counters.reset()
+            started = time.perf_counter()
+            with urllib.request.urlopen(base + f"{i:06d}") as response:
+                body = response.read()
+                source = response.headers["X-RacLib-Source"]
+            elapsed = time.perf_counter() - started
+            assert body == payloads[i]
+            assert source == "library", "every member is fetched once, so never from the cache"
+            assert collection.index.counters.reads == 1, "one index line read per fetch"
+            assert collection.store.counters.reads == 1, "one store read per fetch"
+            return elapsed
+
+        try:
+            timed_fetch(n_members // 2)  # builds the index table and the cache bucket
+            ratios = []
+            for i in range(60):
+                first, last = i, n_members - 1 - i
+                if i % 2:
+                    last_s = timed_fetch(last)
+                    first_s = timed_fetch(first)
+                else:
+                    first_s = timed_fetch(first)
+                    last_s = timed_fetch(last)
+                ratios.append(last_s / first_s)
+            ratio = statistics.median(ratios)
+            assert ratio <= 2.0, f"median latency ratio last/first = {ratio:.2f}"
+        finally:
+            server.shutdown()
+            server.server_close()
+            resolver.close()
 
 
 def test_criterion_5_serial_baseline_asymmetry(tmp_path):

@@ -1,3 +1,5 @@
+import fcntl
+import os
 import random
 
 import pytest
@@ -121,3 +123,19 @@ def test_open_existing(tmp_path):
     again = ComputedIndex.open(tmp_path / "g.index")
     assert again.read_group_entry(7) == GroupEntry(5, 2)
     assert again.read_all()[7] == GroupEntry(5, 2)
+
+
+def test_open_is_read_only(tmp_path):
+    ComputedIndex.create(tmp_path / "g.index").close()
+    with ComputedIndex.open(tmp_path / "g.index") as index:
+        assert fcntl.fcntl(index.records._fd, fcntl.F_GETFL) & os.O_ACCMODE == os.O_RDONLY
+        with pytest.raises(PermissionError):
+            index.write_group_entry(7, GroupEntry(5, 2))
+        assert index.read_group_entry(7) == GroupEntry(0, 0)
+
+
+def test_index_file_has_no_sidecar(tmp_path):
+    with ComputedIndex.create(tmp_path / "g.index") as index:
+        index.write_all([GroupEntry(i, 0) for i in range(GROUP_COUNT)])
+        index.sync()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.index"]

@@ -1,13 +1,13 @@
 import random
 
 import pytest
+from helpers import open_fd_count
 
 from raclib import serial_index
 from raclib.errors import DuplicateKeyError, NotFoundError
 from raclib.pack import (
     Collection,
     CollectionSet,
-    fetch_member,
     pack_directory,
     parse_member_filename,
     read_manifest,
@@ -111,13 +111,24 @@ def test_pack_with_manifest(tmp_path):
     assert collection.index.entry_count() == 1
 
 
-def test_fetch_member_convenience(tmp_path):
+def test_collection_open_fetches(tmp_path):
     make_pages(tmp_path / "in", 3)
-    pack_directory(tmp_path / "in", "c", tmp_path / "out")
-    body = fetch_member(tmp_path / "out" / "c.raclib", "TallyHo1965", "0002")
-    assert body == (tmp_path / "in" / "TallyHo1965_0002.jpg").read_bytes()
-    with pytest.raises(NotFoundError):
-        fetch_member(tmp_path / "out" / "c.raclib", "TallyHo1965", "9999")
+    pack_directory(tmp_path / "in", "c", tmp_path / "out").close()
+    with Collection.open(tmp_path / "out" / "c.raclib") as collection:
+        body = collection.fetch("TallyHo1965", "0002")
+        assert body == (tmp_path / "in" / "TallyHo1965_0002.jpg").read_bytes()
+        with pytest.raises(NotFoundError):
+            collection.fetch("TallyHo1965", "9999")
+
+
+def test_failed_pack_leaves_no_fd(tmp_path):
+    make_pages(tmp_path / "in", 2)
+    manifest = tmp_path / "members.tsv"  # the second file is missing
+    manifest.write_text("TallyHo1965_0001.jpg\tA\t1\nmissing.jpg\tB\t2\n")
+    before = open_fd_count()
+    with pytest.raises(FileNotFoundError):
+        pack_directory(tmp_path / "in", "c", tmp_path / "out", manifest=manifest)
+    assert open_fd_count() == before
 
 
 def test_collection_open_requires_index(tmp_path):
@@ -143,6 +154,19 @@ def test_collection_set_spans_libraries(tmp_path):
     assert group.fetch("BetaBook", "0001") == b"beta"
     with pytest.raises(NotFoundError):
         group.fetch("GammaBook", "0001")
+
+
+def test_collection_set_failed_load_leaves_no_fd(tmp_path):
+    out = tmp_path / "lib"
+    for name in ("a", "b", "c"):
+        make_pages(tmp_path / name, 2)
+        pack_directory(tmp_path / name, name, out).close()
+    (out / "c.index").unlink()  # a and b open before c fails
+    before = open_fd_count()
+    for _ in range(5):
+        with pytest.raises(FileNotFoundError):
+            CollectionSet.load_dir(out)
+    assert open_fd_count() == before
 
 
 def test_collection_set_missing_dir(tmp_path):

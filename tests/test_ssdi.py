@@ -2,7 +2,7 @@ import random
 import re
 
 import pytest
-from helpers import random_death_fields
+from helpers import open_fd_count, random_death_fields
 
 from raclib.computed_index import GROUP_COUNT
 from raclib.ssdi import (
@@ -235,3 +235,13 @@ def test_library_files_on_disk(tmp_path):
     assert (tmp_path / "lib" / INDEX_FILE).stat().st_size == 351_520
     reopened = SsdiLibrary.open(tmp_path / "lib")
     assert reopened.search(SearchQuery(surname="Kennedy", given="R")) == [KENNEDY]
+
+
+def test_failed_open_leaves_no_fd(tmp_path):
+    SsdiLibrary.build([KENNEDY], tmp_path / "lib").close()
+    (tmp_path / "lib" / INDEX_FILE).write_bytes(b"0" * 100)  # wrong size
+    before = open_fd_count()
+    for _ in range(5):
+        with pytest.raises(ValueError):
+            SsdiLibrary.open(tmp_path / "lib")
+    assert open_fd_count() == before

@@ -2,6 +2,7 @@ import os
 import random
 
 import pytest
+from helpers import open_fd_count
 
 from raclib.store import RecordSetRef, RecordStore
 
@@ -163,3 +164,43 @@ def test_open_shorter_than_metadata_is_error(tmp_path):
     os.truncate(tmp_path / "lib", 1024)
     with pytest.raises(ValueError):
         RecordStore.open(tmp_path / "lib")
+
+
+def test_fixed_store_round_trip_without_sidecar(tmp_path):
+    with RecordStore.create_fixed(tmp_path / "fixed", 4, b"aaaabbbbcccc") as store:
+        assert store.record_count == 3
+        store.write_records(1, b"BBBB")
+        store.sync()
+    assert not (tmp_path / "fixed.meta").exists()
+    with RecordStore.open_fixed(tmp_path / "fixed", 4, 3) as store:
+        assert store.read_records(0, 3) == b"aaaaBBBBcccc"
+
+
+def test_fixed_store_is_read_only_unless_asked(tmp_path):
+    RecordStore.create_fixed(tmp_path / "fixed", 4, b"aaaa").close()
+    with RecordStore.open_fixed(tmp_path / "fixed", 4, 1) as store:
+        with pytest.raises(PermissionError):
+            store.write_records(0, b"bbbb")
+    with RecordStore.open_fixed(tmp_path / "fixed", 4, 1, writable=True) as store:
+        store.write_records(0, b"bbbb")
+    assert (tmp_path / "fixed").read_bytes() == b"bbbb"
+
+
+def test_fixed_store_write_bounds(tmp_path):
+    with RecordStore.create_fixed(tmp_path / "fixed", 4, b"a" * 8) as store:
+        with pytest.raises(ValueError):
+            store.write_records(0, b"abc")  # not a whole record
+        with pytest.raises(IndexError):
+            store.write_records(1, b"b" * 8)  # runs past the last record
+        with pytest.raises(IndexError):
+            store.write_records(-1, b"bbbb")
+    assert (tmp_path / "fixed").read_bytes() == b"a" * 8
+
+
+def test_open_fixed_checks_exact_size_and_closes_on_mismatch(tmp_path):
+    (tmp_path / "fixed").write_bytes(b"a" * 12)
+    before = open_fd_count()
+    for record_count in (2, 4):
+        with pytest.raises(ValueError):
+            RecordStore.open_fixed(tmp_path / "fixed", 4, record_count)
+    assert open_fd_count() == before
