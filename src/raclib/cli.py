@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import logging
 import random
 import sys
 from pathlib import Path
@@ -23,6 +24,9 @@ from .store import RecordStore
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_NOT_FOUND = 2
+
+SERVE_LOG_LEVEL = logging.INFO
+SERVE_LOG_FORMAT = "%(asctime)s %(levelname)s %(name)s: %(message)s"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,6 +70,7 @@ def cmd_serve(args) -> int:
         bucket_ttl_seconds=args.bucket_ttl,
         bucket_width_seconds=args.bucket_width,
     )
+    logging.basicConfig(level=SERVE_LOG_LEVEL, format=SERVE_LOG_FORMAT)
     server.serve(config)
     return EXIT_OK
 

@@ -83,6 +83,12 @@ def key_ordinal(key: TrigramKey) -> int:
     return key.c3 + ALPHABET_SIZE * key.c2 + ALPHABET_SIZE**2 * key.c1
 
 
+def _pack_all(entries: list[GroupEntry]) -> bytes:
+    if len(entries) != GROUP_COUNT:
+        raise ValueError(f"expected {GROUP_COUNT} entries, got {len(entries)}")
+    return b"".join(e.pack() for e in entries)
+
+
 class ComputedIndex(Closeable):
     """A codec over one fixed-geometry record store; read-only after ``open``."""
 
@@ -92,8 +98,10 @@ class ComputedIndex(Closeable):
         self.counters = records.counters
 
     @classmethod
-    def create(cls, path: str | Path) -> "ComputedIndex":
-        return cls(RecordStore.create_fixed(path, ENTRY_WIDTH, GroupEntry(0, 0).pack() * GROUP_COUNT))
+    def create(cls, path: str | Path, entries: list[GroupEntry] | None = None) -> "ComputedIndex":
+        """Create the index holding ``entries`` (every group empty if omitted) in one write."""
+        records = GroupEntry(0, 0).pack() * GROUP_COUNT if entries is None else _pack_all(entries)
+        return cls(RecordStore.create_fixed(path, ENTRY_WIDTH, records))
 
     @classmethod
     def open(cls, path: str | Path) -> "ComputedIndex":
@@ -107,10 +115,8 @@ class ComputedIndex(Closeable):
         return GroupEntry.unpack(self.records.read_records(ordinal, 1))
 
     def write_all(self, entries: list[GroupEntry]) -> None:
-        """Replace every entry in ordinal order (single write; for builds)."""
-        if len(entries) != GROUP_COUNT:
-            raise ValueError(f"expected {GROUP_COUNT} entries, got {len(entries)}")
-        self.records.write_records(0, b"".join(e.pack() for e in entries))
+        """Replace every entry in ordinal order (single write)."""
+        self.records.write_records(0, _pack_all(entries))
 
     def read_all(self) -> list[GroupEntry]:
         """All entries in ordinal order (one full-file read; for builds and audits)."""

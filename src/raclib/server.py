@@ -6,6 +6,15 @@ Endpoints:
 
 Every image response carries ``X-RacLib-Source: cache|library`` and
 ``X-RacLib-Millis`` so cache behaviour is observable from the outside.
+
+Connections are HTTP/1.1 and persistent: every response carries
+``Content-Length``, so a client may send any number of requests on one
+connection, each served by that connection's handler thread. Nagle's
+algorithm is off on accepted sockets, so a response is never held back
+waiting for the client's delayed ACK. A connection idle for
+``IDLE_TIMEOUT_S`` is closed, which frees its thread. A response after
+which the connection closes carries ``Connection: close``; a request that
+declares a body, which no endpoint reads, ends its connection.
 """
 
 from __future__ import annotations
@@ -20,6 +29,8 @@ from .errors import NotFoundError
 from .pack import CollectionSet
 
 logger = logging.getLogger(__name__)
+
+IDLE_TIMEOUT_S = 5.0  # Apache's default KeepAliveTimeout
 
 _MAGIC_TYPES = [
     (b"\xff\xd8\xff", "image/jpeg"),
@@ -38,8 +49,15 @@ def sniff_content_type(payload: bytes) -> str:
 
 class DeliveryHandler(BaseHTTPRequestHandler):
     server: "DeliveryServer"
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    timeout = IDLE_TIMEOUT_S
 
     def do_GET(self):
+        if "Content-Length" in self.headers or "Transfer-Encoding" in self.headers:
+            # No endpoint reads a request body; on a kept-alive connection it
+            # would be parsed as the next request, so close instead.
+            self.close_connection = True
         parts = urlsplit(self.path)
         if parts.path == "/health":
             self._send(200, b"ok\n", "text/plain")
@@ -82,11 +100,14 @@ class DeliveryHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (extra or {}).items():
             self.send_header(name, value)
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def log_message(self, format, *args):
-        logger.debug("%s - %s", self.address_string(), format % args)
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug("%s - %s", self.address_string(), format % args)
 
 
 class DeliveryServer(ThreadingHTTPServer):

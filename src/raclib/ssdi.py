@@ -160,8 +160,7 @@ class SsdiLibrary(Library):
 
         with closed_on_error(RecordStore.create(out_dir / DATA_FILE, record_size=RECORD_SIZE)) as store:
             store.append_payload(b"".join(b"".join(groups[o]) for o in sorted(groups)))
-            with closed_on_error(ComputedIndex.create(out_dir / INDEX_FILE)) as index:
-                index.write_all(entries)
+            with closed_on_error(ComputedIndex.create(out_dir / INDEX_FILE, entries)) as index:
                 index.sync()
         return cls(store, index)
 

@@ -8,9 +8,10 @@ self-describing while the data file stays a plain byte-for-byte record
 concatenation.
 
 Reads go through ``pread``, so any number of threads or processes may read
-one store concurrently; at most one appender may be active. The sidecar is
-rewritten only after appended bytes are fsync'd, so a crash never leaves the
-record count pointing into unwritten data.
+one store concurrently; at most one appender may be active. A member read is
+one ``pread`` of exactly the member's own bytes: the padding after it is
+never read. The sidecar is rewritten only after appended bytes are fsync'd,
+so a crash never leaves the record count pointing into unwritten data.
 
 A file whose format fixes its geometry, such as the computed index, is a
 store with no sidecar: ``open_fixed`` checks its exact size and opens it
@@ -209,14 +210,21 @@ class RecordStore(Closeable):
         self._record_count = start + count
         return RecordSetRef(start=start, count=count, byte_length=len(payload))
 
-    def read_records(self, start: int, count: int) -> bytes:
+    def read_records(self, start: int, count: int, nbytes: int | None = None) -> bytes:
         """Return ``count`` whole records beginning at record ``start``.
 
         One positioned read; no bytes before the requested offset are touched.
+        With ``nbytes``, only the first ``nbytes`` bytes of those records are
+        read and returned, so the padding after a member is not touched either.
         """
         self._check_range(start, count)
         rsize = self._record_size
-        data = _pread_all(self._fd, count * rsize, start * rsize) if count else b""
+        span = count * rsize
+        if nbytes is None:
+            nbytes = span
+        elif not 0 <= nbytes <= span:
+            raise ValueError(f"cannot read {nbytes} bytes from {count} records of {rsize} bytes")
+        data = _pread_all(self._fd, nbytes, start * rsize) if nbytes else b""
         self.counters.reads += 1
         self.counters.bytes_read += len(data)
         return data
@@ -238,7 +246,12 @@ class RecordStore(Closeable):
             )
 
     def read_payload(self, ref: RecordSetRef) -> bytes:
-        """Return the exact original payload for ``ref`` (padding stripped)."""
+        """Return the exact original payload for ``ref``: one read of its ``byte_length`` bytes.
+
+        The padding after the payload is never read. A ref whose
+        ``byte_length`` is ``count × record_size`` (a four-field index line)
+        reads its whole records.
+        """
         rsize = self._record_size
         if ref.count == 0:
             if ref.byte_length != 0:
@@ -247,7 +260,7 @@ class RecordStore(Closeable):
             raise ValueError(
                 f"byte_length {ref.byte_length} inconsistent with {ref.count} records of {rsize} bytes"
             )
-        return self.read_records(ref.start, ref.count)[: ref.byte_length]
+        return self.read_records(ref.start, ref.count, ref.byte_length)
 
     def sync(self) -> None:
         os.fsync(self._fd)

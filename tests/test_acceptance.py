@@ -201,6 +201,7 @@ def test_criterion_4b_http_last_vs_first_member(tmp_path):
             assert source == "library", "every member is fetched once, so never from the cache"
             assert collection.index.counters.reads == 1, "one index line read per fetch"
             assert collection.store.counters.reads == 1, "one store read per fetch"
+            assert collection.store.counters.bytes_read == len(body), "exactly the member's own bytes"
             return elapsed
 
         try:

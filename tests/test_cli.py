@@ -1,3 +1,9 @@
+import re
+import select
+import socket
+import subprocess
+import sys
+
 import pytest
 
 from raclib.cli import main
@@ -164,3 +170,25 @@ def test_bench_serial_cli(tmp_path, capsys):
 
 def test_bench_serial_missing_archive_exits_1(tmp_path):
     assert main(["bench", "serial", "--archive", str(tmp_path / "none"), "--member", "0"]) == 1
+
+
+def test_serve_logs_timestamped_lines(tmp_path):
+    make_pages(tmp_path / "in", 2)
+    assert main(["pack", "--in", str(tmp_path / "in"), "--collection", "yb", "--out", str(tmp_path / "lib")]) == 0
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        port = s.getsockname()[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "raclib.cli", "serve", "--port", str(port),
+         "--library-dir", str(tmp_path / "lib"), "--cache-root", str(tmp_path / "cache")],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        assert select.select([proc.stderr], [], [], 10)[0], "no log line within 10 s"
+        line = proc.stderr.readline()
+    finally:
+        proc.terminate()
+        proc.wait(timeout=10)
+        proc.stderr.close()
+    stamp = r"\d{4}-\d\d-\d\d \d\d:\d\d:\d\d,\d{3}"
+    assert re.fullmatch(stamp + rf" INFO raclib.server: serving \S+ on port {port}\n", line), line

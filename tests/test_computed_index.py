@@ -139,3 +139,17 @@ def test_index_file_has_no_sidecar(tmp_path):
         index.write_all([GroupEntry(i, 0) for i in range(GROUP_COUNT)])
         index.sync()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["g.index"]
+
+
+def test_create_with_entries_writes_them(tmp_path):
+    entries = [GroupEntry(i, i % 7) for i in range(GROUP_COUNT)]
+    with ComputedIndex.create(tmp_path / "g.index", entries) as index:
+        assert index.read_all() == entries
+    assert (tmp_path / "g.index").read_bytes() == b"".join(e.pack() for e in entries)
+
+
+def test_create_with_wrong_entry_count_writes_no_file(tmp_path):
+    for entries in ([], [GroupEntry(0, 0)] * (GROUP_COUNT + 1)):
+        with pytest.raises(ValueError):
+            ComputedIndex.create(tmp_path / "g.index", entries)
+    assert not (tmp_path / "g.index").exists()

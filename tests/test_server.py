@@ -1,13 +1,17 @@
+import http.client
 import logging
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
+from raclib.cache import BucketCache, DeliveryRequest, ImageResolver
 from raclib.config import Config
 from raclib.pack import pack_directory
-from raclib.server import DeliveryServer, build_resolver, sniff_content_type
+from raclib.server import IDLE_TIMEOUT_S, DeliveryHandler, DeliveryServer, build_resolver, sniff_content_type
 
 from test_pack import make_pages
 
@@ -102,3 +106,123 @@ def test_missing_library_dir_fails_startup(tmp_path):
     config = Config(library_dir=tmp_path / "missing", cache_root=tmp_path / "cache")
     with pytest.raises(FileNotFoundError):
         build_resolver(config)
+
+
+class CountingConnection(http.client.HTTPConnection):
+    """An ``http.client`` connection that counts the TCP connections it opens."""
+
+    def __init__(self, port):
+        super().__init__("127.0.0.1", port, timeout=10)
+        self.connects = 0
+
+    def connect(self):
+        self.connects += 1
+        super().connect()
+
+    def get(self, path):
+        self.request("GET", path)
+        with self.getresponse() as response:
+            return response.status, response.getheader("X-RacLib-Source"), response.read()
+
+
+@pytest.fixture
+def counted(tmp_path):
+    """A server over one packed collection whose I/O counters the test can read."""
+    pages = make_pages(tmp_path / "in", 3)
+    collection = pack_directory(tmp_path / "in", "yearbooks", tmp_path / "lib")
+    resolver = ImageResolver(collection.fetch, BucketCache(tmp_path / "cache"), close=collection.close)
+    server = DeliveryServer(("127.0.0.1", 0), resolver)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    conn = CountingConnection(server.server_address[1])
+    yield conn, collection, pages
+    conn.close()
+    server.shutdown()
+    server.server_close()
+    resolver.close()
+
+
+def image_path(title, page):
+    return f"/image?title={title}&page={page}"
+
+
+def test_library_fetch_reads_exactly_the_body(counted):
+    conn, collection, pages = counted
+    for (title, page), payload in pages.items():
+        collection.index.counters.reset()
+        collection.store.counters.reset()
+        status, source, body = conn.get(image_path(title, page))
+        assert (status, source, body) == (200, "library", payload)
+        assert collection.index.counters.reads == 1
+        assert collection.store.counters.reads == 1
+        assert collection.store.counters.bytes_read == len(body)
+        assert len(body) % collection.store.record_size  # padding was there to skip
+
+
+def test_one_connection_carries_every_status(counted, tmp_path):
+    conn, _, pages = counted
+    with open(tmp_path / "lib" / "yearbooks.index", "a", encoding="ascii") as f:
+        f.write("Broken 0001 0 2 1\n")
+    with pytest.raises(ValueError) as bad:
+        DeliveryRequest(title="OnlyTitle", page="")
+    first, second = pages["TallyHo1965", "0001"], pages["TallyHo1965", "0002"]
+    script = [
+        (image_path("TallyHo1965", "0001"), 200, "library", first),
+        (image_path("TallyHo1965", "0001"), 200, "cache", first),
+        (image_path("NoSuchTitle", "0001"), 404, None, b"unknown title/page\n"),
+        ("/image?title=OnlyTitle", 400, None, f"bad request: {bad.value}\n".encode()),
+        (image_path("Broken", "0001"), 500, None, b"internal error\n"),
+        ("/nope", 404, None, b"not found\n"),
+        ("/health", 200, None, b"ok\n"),
+        (image_path("TallyHo1965", "0002"), 200, "library", second),
+        (image_path("TallyHo1965", "0001"), 200, "cache", first),
+    ]
+    for path, *expected in script:
+        assert list(conn.get(path)) == expected, path
+    assert conn.connects == 1
+
+
+def test_responses_are_not_held_back_by_nagle(counted):
+    # With Nagle on, each body segment waits for the client's delayed ACK
+    # (~40 ms on Linux), so 50 responses would take >= 2 s.
+    conn, _, pages = counted
+    path, payload = image_path("TallyHo1965", "0003"), pages["TallyHo1965", "0003"]
+    conn.get(path)
+    started = time.perf_counter()
+    for _ in range(50):
+        assert conn.get(path) == (200, "cache", payload)
+    assert time.perf_counter() - started < 1.0
+    assert conn.connects == 1
+
+
+def test_idle_connection_is_closed_after_timeout(counted, monkeypatch):
+    assert DeliveryHandler.timeout == IDLE_TIMEOUT_S
+    monkeypatch.setattr(DeliveryHandler, "timeout", 0.2)
+    conn, _, pages = counted
+    path, payload = image_path("TallyHo1965", "0001"), pages["TallyHo1965", "0001"]
+    assert conn.get(path) == (200, "library", payload)
+    conn.sock.settimeout(5)
+    started = time.perf_counter()
+    assert conn.sock.recv(1) == b"", "the server closes the idle connection"
+    assert 0.15 < time.perf_counter() - started < 4
+    conn.close()
+    assert conn.get(path) == (200, "cache", payload)
+    assert conn.connects == 2
+
+
+def test_request_with_a_body_ends_its_connection(counted):
+    conn, _, pages = counted
+    smuggled = b"GET /image?title=TallyHo1965&page=0002 HTTP/1.1\r\nHost: x\r\n\r\n"
+    with socket.create_connection(("127.0.0.1", conn.port), timeout=5) as raw:
+        raw.sendall(b"GET /health HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n" % len(smuggled) + smuggled)
+        with raw.makefile("rb") as replies:
+            answered = replies.read()  # until the server closes
+    head, body = answered.split(b"\r\n\r\n", 1)
+    assert head.startswith(b"HTTP/1.1 200 ") and b"\r\nConnection: close" in head
+    assert body == b"ok\n", "the body was not served as a second request"
+
+    conn.request("GET", image_path("TallyHo1965", "0001"), body=b"x")
+    with conn.getresponse() as response:
+        assert (response.status, response.read()) == (200, pages["TallyHo1965", "0001"])
+    assert conn.get("/health") == (200, None, b"ok\n")
+    assert conn.connects == 2

@@ -237,6 +237,22 @@ def test_library_files_on_disk(tmp_path):
     assert reopened.search(SearchQuery(surname="Kennedy", given="R")) == [KENNEDY]
 
 
+def written_bytes() -> int:
+    """Bytes this process has passed to write calls so far (Linux ``wchar``)."""
+    with open("/proc/self/io", encoding="ascii") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("wchar:"))
+
+
+def test_build_writes_each_file_once(tmp_path):
+    records = [DeathRecord(*fields) for fields in random_death_fields(random.Random(11), 2_000)]
+    before = written_bytes()
+    SsdiLibrary.build(records, tmp_path / "lib").close()
+    written = written_bytes() - before
+    files = (tmp_path / "lib" / DATA_FILE).stat().st_size + (tmp_path / "lib" / INDEX_FILE).stat().st_size
+    assert files == 2_000 * RECORD_SIZE + 351_520
+    assert files <= written < files + 1024  # the rest is the two sidecar writes
+
+
 def test_failed_open_leaves_no_fd(tmp_path):
     SsdiLibrary.build([KENNEDY], tmp_path / "lib").close()
     (tmp_path / "lib" / INDEX_FILE).write_bytes(b"0" * 100)  # wrong size

@@ -4,6 +4,7 @@ import random
 import pytest
 from helpers import open_fd_count
 
+from raclib.serial_index import SerialIndexEntry
 from raclib.store import RecordSetRef, RecordStore
 
 
@@ -114,6 +115,59 @@ def test_read_payload_inconsistent_ref(tmp_path):
         store.read_payload(RecordSetRef(start=0, count=2, byte_length=500))
     with pytest.raises(ValueError):
         store.read_payload(RecordSetRef(start=0, count=0, byte_length=5))
+
+
+def test_read_payload_out_of_range_ref_reads_nothing(tmp_path):
+    store = RecordStore.create(tmp_path / "lib", record_size=1024)
+    store.append_payload(b"a" * 2000)
+    store.counters.reset()
+    with pytest.raises(IndexError):
+        store.read_payload(RecordSetRef(start=1, count=2, byte_length=1500))
+    with pytest.raises(IndexError):
+        store.read_payload(RecordSetRef(start=-1, count=1, byte_length=1))
+    assert store.counters.reads == store.counters.bytes_read == 0
+
+
+@pytest.mark.parametrize(
+    "payload_len, expected_records",
+    [(1, 1), (1024, 1), (3 * 1024, 3), (2049, 3), (0, 0)],
+    ids=["1-byte", "one-full-record", "three-full-records", "one-byte-into-third", "empty"],
+)
+def test_read_payload_reads_exactly_byte_length(tmp_path, payload_len, expected_records):
+    store = RecordStore.create(tmp_path / "lib", record_size=1024)
+    store.append_payload(b"\x01" * 5000)  # neighbours on both sides
+    payload = bytes(range(256)) * (payload_len // 256) + bytes(range(payload_len % 256))
+    ref = store.append_payload(payload)
+    store.append_payload(b"\x02" * 700)
+    assert ref.count == expected_records
+    store.counters.reset()
+    assert store.read_payload(ref) == payload
+    assert store.counters.reads == 1
+    assert store.counters.bytes_read == ref.byte_length == payload_len
+
+
+def test_read_payload_legacy_ref_reads_whole_records(tmp_path):
+    store = RecordStore.create(tmp_path / "lib", record_size=1024)
+    store.append_payload(b"\x01" * 10)
+    ref = store.append_payload(b"\x03" * 1500)
+    legacy = SerialIndexEntry.parse(f"Book 0002 {ref.start} {ref.count}\n").to_ref(1024)
+    store.counters.reset()
+    assert store.read_payload(legacy) == b"\x03" * 1500 + b"\x00" * 548
+    assert store.counters.reads == 1
+    assert store.counters.bytes_read == legacy.byte_length == 2 * 1024
+
+
+def test_read_records_byte_cap(tmp_path):
+    store = RecordStore.create(tmp_path / "lib", record_size=64)
+    store.append_payload(bytes(range(192)))
+    assert store.read_records(1, 2, 5) == bytes(range(64, 69))
+    assert store.read_records(1, 2, 128) == bytes(range(64, 192))
+    assert store.read_records(1, 0, 0) == b""
+    for nbytes in (-1, 129):
+        with pytest.raises(ValueError):
+            store.read_records(1, 2, nbytes)
+    with pytest.raises(IndexError):
+        store.read_records(2, 2, 5)
 
 
 def test_io_locality_bytes_read_independent_of_offset(tmp_path):
