@@ -15,11 +15,18 @@ waiting for the client's delayed ACK. A connection idle for
 ``IDLE_TIMEOUT_S`` is closed, which frees its thread. A response after
 which the connection closes carries ``Connection: close``; a request that
 declares a body, which no endpoint reads, ends its connection.
+
+``DeliveryServer.server_close`` ends every open connection: a handler
+waiting for its next request sees end of input, a request in flight is
+answered with ``Connection: close``, and the call returns only when every
+handler thread has finished, so the resolver may be closed after it.
 """
 
 from __future__ import annotations
 
 import logging
+import socket
+import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
@@ -100,6 +107,8 @@ class DeliveryHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (extra or {}).items():
             self.send_header(name, value)
+        if self.server.closing:
+            self.close_connection = True
         if self.close_connection:
             self.send_header("Connection", "close")
         self.end_headers()
@@ -111,11 +120,36 @@ class DeliveryHandler(BaseHTTPRequestHandler):
 
 
 class DeliveryServer(ThreadingHTTPServer):
-    daemon_threads = True
+    """Thread-per-connection server; ``server_close`` waits for its handlers."""
+
+    daemon_threads = False  # ThreadingMixIn joins only non-daemon handlers on close
 
     def __init__(self, address: tuple[str, int], resolver: ImageResolver):
         super().__init__(address, DeliveryHandler)
         self.resolver = resolver
+        self.closing = False
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
+
+    def process_request(self, request, client_address):
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def close_request(self, request):
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().close_request(request)
+
+    def server_close(self):
+        with self._connections_lock:
+            self.closing = True
+            for connection in self._connections:
+                try:
+                    connection.shutdown(socket.SHUT_RD)  # wakes a handler waiting to read
+                except OSError:
+                    pass  # the client has already gone
+        super().server_close()  # closes the listening socket and joins the handlers
 
 
 def build_resolver(config: Config) -> ImageResolver:

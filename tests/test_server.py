@@ -126,7 +126,7 @@ class CountingConnection(http.client.HTTPConnection):
 
 
 @pytest.fixture
-def counted(tmp_path):
+def counted_server(tmp_path):
     """A server over one packed collection whose I/O counters the test can read."""
     pages = make_pages(tmp_path / "in", 3)
     collection = pack_directory(tmp_path / "in", "yearbooks", tmp_path / "lib")
@@ -135,11 +135,16 @@ def counted(tmp_path):
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     conn = CountingConnection(server.server_address[1])
-    yield conn, collection, pages
+    yield server, conn, collection, pages
     conn.close()
     server.shutdown()
     server.server_close()
     resolver.close()
+
+
+@pytest.fixture
+def counted(counted_server):
+    return counted_server[1:]
 
 
 def image_path(title, page):
@@ -226,3 +231,51 @@ def test_request_with_a_body_ends_its_connection(counted):
         assert (response.status, response.read()) == (200, pages["TallyHo1965", "0001"])
     assert conn.get("/health") == (200, None, b"ok\n")
     assert conn.connects == 2
+
+
+def test_close_ends_an_idle_connection_before_the_store_closes(counted_server):
+    server, conn, collection, pages = counted_server
+    assert conn.get(image_path("TallyHo1965", "0001")) == (200, "library", pages["TallyHo1965", "0001"])
+    server.shutdown()
+    started = time.perf_counter()
+    server.server_close()
+    assert time.perf_counter() - started < 1.0, "the idle connection did not hold up the close"
+    collection.close()
+    # The kept-alive connection is gone: no answer from the closed store.
+    with pytest.raises((http.client.RemoteDisconnected, ConnectionError)):
+        conn.get(image_path("TallyHo1965", "0002"))
+    assert conn.connects == 1
+
+
+def test_close_answers_the_request_in_flight_then_ends_its_connection(counted_server, monkeypatch):
+    server, conn, collection, pages = counted_server
+    entered, release = threading.Event(), threading.Event()
+    read_payload = collection.store.read_payload
+
+    def held_read(ref):
+        entered.set()
+        release.wait(5)
+        return read_payload(ref)
+
+    monkeypatch.setattr(collection.store, "read_payload", held_read)
+    answers = []
+
+    def client():
+        conn.request("GET", image_path("TallyHo1965", "0003"))
+        with conn.getresponse() as response:
+            answers.append((response.status, response.getheader("Connection"), response.read()))
+
+    requester = threading.Thread(target=client)
+    requester.start()
+    assert entered.wait(5)
+    server.shutdown()
+    closer = threading.Thread(target=server.server_close)
+    closer.start()
+    closer.join(0.3)
+    assert closer.is_alive(), "server_close waits for the request in flight"
+    release.set()
+    closer.join(5)
+    requester.join(5)
+    assert not closer.is_alive() and not requester.is_alive()
+    assert answers == [(200, "close", pages["TallyHo1965", "0003"])]
+    assert conn.connects == 1
