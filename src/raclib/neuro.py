@@ -138,7 +138,8 @@ class RegionLibrary(Library):
 
         Blocks of a region stay contiguous and appear in first-use order;
         voxels keep input order within their block. A voxel may appear only
-        once per region.
+        once per region. The index is written last, in one write, once the
+        voxels are in the library.
         """
         blob = bytearray()
         entries = []
@@ -161,13 +162,11 @@ class RegionLibrary(Library):
 
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        index = SerialIndex.create(out_dir / INDEX_FILE)  # holds no fd until used
-        with closed_on_error(cls(RecordStore.create(out_dir / DATA_FILE, COORD_RECORD_SIZE), index)) as built:
-            built.store.append_payload(bytes(blob))
-            for entry in entries:
-                index.append(entry)
-            index.close_appender()
-        return built
+        if (out_dir / INDEX_FILE).exists():
+            raise FileExistsError(f"index already exists: {out_dir / INDEX_FILE}")
+        with closed_on_error(RecordStore.create(out_dir / DATA_FILE, COORD_RECORD_SIZE)) as store:
+            store.append_payload(bytes(blob))
+            return cls(store, SerialIndex.create(out_dir / INDEX_FILE, entries))
 
     @classmethod
     def open(cls, directory: str | Path) -> "RegionLibrary":

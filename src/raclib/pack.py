@@ -6,6 +6,9 @@ the token after the last underscore), or from an explicit manifest of
 convention. Members are appended in sorted (name, key) order and indexed
 with their exact byte length, so a fetch returns the original file
 byte-for-byte.
+
+Every (name, key) is checked before any file is created, and the index is
+written last, whole, in one write, once every payload is in the library.
 """
 
 from __future__ import annotations
@@ -77,8 +80,6 @@ def pack_directory(
     """
     input_dir = Path(input_dir)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     if manifest is not None:
         named = {input_dir / fname: (name, key) for fname, (name, key) in read_manifest(manifest).items()}
     else:
@@ -92,16 +93,19 @@ def pack_directory(
     for path, member in named.items():
         if member in seen:
             raise DuplicateKeyError(f"{path} and {seen[member]} both map to {member}")
+        SerialIndexEntry(*member, 0, 0)  # a name or key unfit for an index line raises here
         seen[member] = path
 
-    index = SerialIndex.create(out_dir / (collection + INDEX_SUFFIX))  # holds no fd until used
-    store = RecordStore.create(out_dir / (collection + LIBRARY_SUFFIX), record_size)
-    with closed_on_error(Collection(store, index)) as packed:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    index_path = out_dir / (collection + INDEX_SUFFIX)
+    if index_path.exists():
+        raise FileExistsError(f"index already exists: {index_path}")
+    with closed_on_error(RecordStore.create(out_dir / (collection + LIBRARY_SUFFIX), record_size)) as store:
+        entries = []
         for (name, key), path in sorted(seen.items()):
             ref = store.append_payload(path.read_bytes())
-            index.append(SerialIndexEntry(name, key, ref.start, ref.count, ref.byte_length))
-        index.close_appender()
-    return packed
+            entries.append(SerialIndexEntry(name, key, ref.start, ref.count, ref.byte_length))
+        return Collection(store, SerialIndex.create(index_path, entries))
 
 
 class CollectionSet(Closeable):

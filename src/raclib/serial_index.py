@@ -1,4 +1,4 @@
-"""Human-readable line-per-member index, found through an in-memory offset table.
+"""Human-readable line-per-member index, found through an in-memory slot table.
 
 Each line locates one record set in a companion library:
 
@@ -7,14 +7,18 @@ Each line locates one record set in a companion library:
 The optional fifth field is the exact payload length; four-field lines (the
 legacy format) are accepted and resolve to the full padded record set.
 
-The file stays the only copy of the entries. One pass over it builds an
-open-addressed table of line offsets, kept until the file's size, mtime or
+The file stays the only copy of the entries. A load reads it twice: it
+counts the lines, sizes an open-addressed table of fixed-layout words once,
+then fills it in one pass. The table is kept until the file's size, mtime or
 inode changes, so lines appended by another writer and an index replaced by
 rename are seen by the next lookup. A lookup probes the table and reads only
 the lines its probe points at (normally exactly one, none for a miss), then
 matches the name and key tokens of that line exactly, never by substring, so
 "040" does not hit "0404". When a file holds the same (name, key) twice, the
-first line wins. Writers only append to an index or replace it by rename.
+first line wins. Writers only append to an index or replace it by rename:
+``create`` writes a whole index in one write, and ``append`` one line, which
+it adds to the table in place while the table is under MAX_FILL; past that
+the next lookup reloads, once per ~20% growth, so O(1) per append amortised.
 """
 
 from __future__ import annotations
@@ -24,31 +28,32 @@ import threading
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import DuplicateKeyError, NotFoundError
 from .store import Closeable, IOCounters, RecordSetRef
 
-# A table slot is one 64-bit word: tag | line offset | line length, zero when
-# empty. The tag is the low bits of the per-process salted hash((name, key)),
-# so keys sent from outside cannot be chosen to collide, and it also picks
-# the home slot (tag % len(slots)), so the table can be resized without
-# reading the file again.
+# A slot is one 64-bit word, tag | line offset | line length, zero when empty.
+# Tag and home slot are disjoint bits of the per-process salted hash((name,
+# key)), so keys sent from outside cannot be chosen to collide. A probe reads
+# a line only on a tag match, 1 in 16M per word passed, so a miss reads none.
+TAG_BITS = 24
+OFFSET_BITS = 32  # so an index must stay under 4 GiB
 LENGTH_BITS = 8
+TAG_MASK = (1 << TAG_BITS) - 1
+OFFSET_MASK = (1 << OFFSET_BITS) - 1
 LONG_LINE = (1 << LENGTH_BITS) - 1  # length field of a line this long or longer
-# Slots per entry when a table is sized; an append that would leave fewer
-# than MIN_SLOTS_PER_ENTRY doubles the table, so probe runs stay short.
-SLOTS_PER_ENTRY = 1.5
-MIN_SLOTS_PER_ENTRY = 1.25
+SLOTS_PER_ENTRY = 1.5  # a load sizes the table at this many slots per line
+MAX_FILL = 0.8  # an append fills a slot in place only below this share of slots
 MIN_SLOTS = 8
-SAMPLE_BYTES = 1 << 16
+BLOCK_BYTES = 1 << 16
 
 
 def _check_token(field: str, value: str) -> None:
     if not value:
         raise ValueError(f"{field} must be non-empty")
-    if any(c.isspace() for c in value):
-        raise ValueError(f"{field} contains whitespace: {value!r}")
+    if not value.isascii() or any(c.isspace() for c in value):
+        raise ValueError(f"{field} must be ASCII without whitespace: {value!r}")
 
 
 @dataclass(frozen=True)
@@ -112,103 +117,60 @@ class _Table(NamedTuple):
     file: _OpenFile
     signature: tuple[int, int, int]  # (st_size, st_mtime_ns, st_ino) the table covers
     slots: array
-    offset_bits: int
     lines: int
-    entries: int
+    unterminated: bool  # the last line has no newline
 
 
-def _tag(name: bytes, key: bytes, offset_bits: int) -> int:
-    return hash((name, key)) & ((1 << (64 - LENGTH_BITS - offset_bits)) - 1)
+def _hash(name: bytes, key: bytes) -> int:
+    return hash((name, key))
 
 
-def _word(tag: int, offset: int, length: int, offset_bits: int) -> int:
-    return tag << (offset_bits + LENGTH_BITS) | offset << LENGTH_BITS | min(length, LONG_LINE)
+def _word(h: int, offset: int, length: int) -> int:
+    return ((h & TAG_MASK) << OFFSET_BITS | offset) << LENGTH_BITS | min(length, LONG_LINE)
 
 
 def file_signature(st: os.stat_result) -> tuple[int, int, int]:
     return st.st_size, st.st_mtime_ns, st.st_ino
 
 
-def _offset_bits(end: int) -> int:
-    """Offset field width for a file of ``end`` bytes, with room to double."""
-    return max(2 * end, 1 << 12).bit_length()
-
-
-def _slot_count(entries: int) -> int:
-    return max(MIN_SLOTS, int(entries * SLOTS_PER_ENTRY) + 1)
-
-
-def _insert(slots: array, home: int, word: int) -> None:
+def _insert(slots: array, h: int, word: int) -> None:
     n = len(slots)
-    i = home % n
+    i = (h >> TAG_BITS) % n
     while slots[i]:
         i = i + 1 if i + 1 < n else 0
     slots[i] = word
 
 
-def _rehashed(slots: array, old_bits: int, nslots: int, offset_bits: int) -> array:
-    """The same words in ``nslots`` slots with ``offset_bits``-wide offsets.
-
-    Walking from an empty slot visits every probe run in probe order, so
-    entries that share a tag keep their order and the first line still wins.
-    """
-    old_shift = old_bits + LENGTH_BITS
-    shift = offset_bits + LENGTH_BITS
-    tag_mask = (1 << (64 - shift)) - 1
-    low_mask = (1 << old_shift) - 1
-    new = array("Q", [0]) * nslots
-    n = len(slots)
-    empty = slots.index(0)
-    for j in range(empty + 1, empty + 1 + n):
-        word = slots[j % n]
-        if word:
-            tag = (word >> old_shift) & tag_mask
-            _insert(new, tag, tag << shift | word & low_mask)
-    return new
-
-
-def _with_room(slots: array, entries: int, offset_bits: int, end: int) -> tuple[array, int]:
-    """Slots and offset width that take one more entry in a file of ``end`` bytes."""
-    grow = (entries + 1) * MIN_SLOTS_PER_ENTRY > len(slots)
-    if grow or end >> offset_bits:
-        new_bits = max(offset_bits, _offset_bits(end))
-        slots = _rehashed(slots, offset_bits, len(slots) * (2 if grow else 1), new_bits)
-        offset_bits = new_bits
-    return slots, offset_bits
-
-
 def _load(path: Path) -> _Table:
-    """One pass over the file: the offset, length and tag of every line."""
+    """Count the lines, size the table for them, then one pass fills it."""
     fd = os.open(path, os.O_RDONLY)
     file = _OpenFile(fd)
     signature = file_signature(os.fstat(fd))
     size = signature[0]
-    offset_bits = _offset_bits(size)
-    entries = lines = offset = 0
-    with open(fd, "rb", buffering=SAMPLE_BYTES, closefd=False) as f:
-        # Size the table from the line density of the first block, so no
-        # list of all entries is held while the file is read.
-        sample = f.peek(SAMPLE_BYTES)
-        slots = array("Q", [0]) * _slot_count(size * sample.count(b"\n") // max(len(sample), 1))
+    if size >> OFFSET_BITS:
+        raise ValueError(f"index {path} is {size} B, not under the {1 << OFFSET_BITS} B limit")
+    unterminated = size > 0 and os.pread(fd, 1, size - 1) != b"\n"
+    blocks = range(0, size, BLOCK_BYTES)
+    lines = unterminated + sum(os.pread(fd, min(BLOCK_BYTES, size - s), s).count(b"\n") for s in blocks)
+    slots = array("Q", [0]) * max(MIN_SLOTS, int(lines * SLOTS_PER_ENTRY) + 1)
+    offset = 0
+    with open(fd, "rb", buffering=BLOCK_BYTES, closefd=False) as f:
         for line in f:
             if offset >= size:
                 break  # appended after the signature was taken
             tokens = line.split(None, 2)
             if len(tokens) >= 2:
-                slots, _ = _with_room(slots, entries, offset_bits, size)
-                tag = _tag(tokens[0], tokens[1], offset_bits)
-                _insert(slots, tag, _word(tag, offset, min(len(line), size - offset), offset_bits))
-                entries += 1
-            lines += 1
+                h = _hash(tokens[0], tokens[1])
+                _insert(slots, h, _word(h, offset, min(len(line), size - offset)))
             offset += len(line)
-    return _Table(file, signature, slots, offset_bits, lines, entries)
+    return _Table(file, signature, slots, lines, unterminated)
 
 
 class SerialIndex(Closeable):
     """Append-only index file with flat, table-driven lookup.
 
     ``counters`` counts the line reads made to answer lookups and append's
-    duplicate check; the one pass that builds the table is not counted.
+    duplicate check; the passes that load the table are not counted.
     """
 
     def __init__(self, path: str | Path):
@@ -216,14 +178,14 @@ class SerialIndex(Closeable):
         self.counters = IOCounters()
         self._table: _Table | None = None
         self._lock = threading.Lock()
-        self._appender = None
 
     @classmethod
-    def create(cls, path: str | Path) -> "SerialIndex":
-        path = Path(path)
-        if path.exists():
-            raise FileExistsError(f"index already exists: {path}")
-        path.touch()
+    def create(cls, path: str | Path, entries: Iterable[SerialIndexEntry] = ()) -> "SerialIndex":
+        """Create the index holding ``entries``, in order, in one write; fails if it exists.
+
+        No (name, key) may repeat: unlike ``append``, this does not check."""
+        with open(path, "xb") as f:
+            f.write("".join(entry.line() for entry in entries).encode("ascii"))
         return cls(path)
 
     def _fresh(self) -> _Table:
@@ -258,20 +220,19 @@ class SerialIndex(Closeable):
 
     def _find(self, table: _Table, name: str, key: str) -> SerialIndexEntry | None:
         try:
-            tag = _tag(name.encode("ascii"), key.encode("ascii"), table.offset_bits)
+            h = _hash(name.encode("ascii"), key.encode("ascii"))
         except UnicodeEncodeError:
             return None  # the file is ASCII, so no line can match
+        tag = h & TAG_MASK
         slots = table.slots
         n = len(slots)
-        shift = table.offset_bits + LENGTH_BITS
-        offset_mask = (1 << table.offset_bits) - 1
-        i = tag % n
+        i = (h >> TAG_BITS) % n
         while True:
             word = slots[i]
             if not word:
                 return None
-            if word >> shift == tag:
-                line = self._read_line(table, word >> LENGTH_BITS & offset_mask, word & LONG_LINE)
+            if word >> (OFFSET_BITS + LENGTH_BITS) == tag:
+                line = self._read_line(table, word >> LENGTH_BITS & OFFSET_MASK, word & LONG_LINE)
                 text = line.decode("ascii")
                 tokens = text.split()
                 if len(tokens) >= 2 and tokens[0] == name and tokens[1] == key:
@@ -279,27 +240,26 @@ class SerialIndex(Closeable):
             i = i + 1 if i + 1 < n else 0
 
     def append(self, entry: SerialIndexEntry) -> None:
-        line = entry.line()
+        line = entry.line().encode("ascii")
         with self._lock:
             table = self._fresh()
             if self._find(table, entry.name, entry.key) is not None:
                 raise DuplicateKeyError(f"duplicate index entry ({entry.name}, {entry.key})")
-            if self._appender is None:
-                self._appender = open(self.path, "a", encoding="ascii")
-            # One write call per line, so concurrent readers never see a torn line.
-            self._appender.write(line)
-            self._appender.flush()
-            offset = table.signature[0]
-            signature = file_signature(os.fstat(self._appender.fileno()))
-            if signature[0] != offset + len(line) or signature[2] != table.signature[2]:
-                return  # another writer got in between; the next lookup reloads
-            slots, offset_bits = _with_room(table.slots, table.entries, table.offset_bits, signature[0])
-            tag = _tag(entry.name.encode("ascii"), entry.key.encode("ascii"), offset_bits)
-            _insert(slots, tag, _word(tag, offset, len(line), offset_bits))
-            self._table = table._replace(
-                signature=signature, slots=slots, offset_bits=offset_bits,
-                lines=table.lines + 1, entries=table.entries + 1,
-            )
+            # A last line without a newline is ended first, in the same write.
+            data = b"\n" + line if table.unterminated else line
+            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
+            try:
+                os.write(fd, data)  # one write per line, so readers never see a torn line
+                signature = file_signature(os.fstat(fd))
+            finally:
+                os.close(fd)
+            end = table.signature[0] + len(data)
+            raced = signature[0] != end or signature[2] != table.signature[2]  # another writer got in
+            if raced or table.lines + 1 > MAX_FILL * len(table.slots) or end >> OFFSET_BITS:
+                return  # the table no longer matches the file, so the next lookup reloads
+            h = _hash(entry.name.encode("ascii"), entry.key.encode("ascii"))
+            _insert(table.slots, h, _word(h, end - len(line), len(line)))
+            self._table = table._replace(signature=signature, lines=table.lines + 1, unterminated=False)
 
     def lookup(self, name: str, key: str) -> SerialIndexEntry:
         """The first line whose name and key tokens both match exactly."""
@@ -315,17 +275,9 @@ class SerialIndex(Closeable):
                 yield SerialIndexEntry.parse(line)
 
     def entry_count(self) -> int:
-        """Lines in the file, counted by the pass that builds the table."""
+        """Lines in the file, counted by the load."""
         return self._view().lines
 
-    def close_appender(self) -> None:
-        """Close the append handle and keep the table; a later append reopens it."""
-        with self._lock:
-            if self._appender is not None:
-                self._appender.close()
-                self._appender = None
-
     def close(self) -> None:
-        self.close_appender()
         # The fd closes once no lookup still holds the table.
         self._table = None

@@ -344,7 +344,7 @@ index_lines = st.lists(
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(index_lines)
 def test_region_voxels_matches_a_scan_of_the_index(lines):
     with tempfile.TemporaryDirectory() as tmp:

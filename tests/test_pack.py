@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -52,11 +53,15 @@ def test_pack_releases_append_handle_and_keeps_table(tmp_path, monkeypatch):
     real_load = serial_index._load
     monkeypatch.setattr(serial_index, "_load", lambda path: passes.append(path) or real_load(path))
     pages = make_pages(tmp_path / "in", 5)
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("counting open fds needs /proc/self/fd")
+    before = open_fd_count()
     with pack_directory(tmp_path / "in", "yearbooks", tmp_path / "out") as collection:
-        assert collection.index._appender is None
-        assert len(passes) == 1  # the first append's table, of the empty file
+        assert open_fd_count() == before + 1  # the library's own fd, no index handle
+        assert len(passes) == 0  # the index was written whole, never read
         for (name, key), body in pages.items():
             assert collection.fetch(name, key) == body
+        assert len(passes) == 1
         collection.index.append(SerialIndexEntry("Extra", "0001", 0, 1, 1))
         assert collection.fetch("Extra", "0001") == pages["TallyHo1965", "0001"][:1]
         assert len(passes) == 1
@@ -96,6 +101,28 @@ def test_pack_unparsable_filename_without_manifest(tmp_path):
     (indir / "README").write_bytes(b"hello")
     with pytest.raises(ValueError):
         pack_directory(indir, "c", tmp_path / "out")
+
+
+@pytest.mark.parametrize("bad", ["T\u00e4lly_0001.jpg", "Tally Ho_0001.jpg", "Tally_000\u0661.jpg"])
+def test_pack_rejects_unindexable_names_before_writing(tmp_path, bad):
+    indir = tmp_path / "in"
+    indir.mkdir()
+    (indir / "Alpha_0001.jpg").write_bytes(b"packed first in sorted order")
+    (indir / bad).write_bytes(b"x")
+    with pytest.raises(ValueError):
+        pack_directory(indir, "c", tmp_path / "out")
+    assert list((tmp_path / "out").glob("*")) == []
+    (indir / bad).unlink()
+    pack_directory(indir, "c", tmp_path / "out").close()  # a rerun finds nothing in its way
+
+
+def test_pack_rejects_unindexable_manifest_names(tmp_path):
+    make_pages(tmp_path / "in", 1)
+    manifest = tmp_path / "members.tsv"
+    manifest.write_text("TallyHo1965_0001.jpg\tTally Ho\t0001\n")
+    with pytest.raises(ValueError):
+        pack_directory(tmp_path / "in", "c", tmp_path / "out", manifest=manifest)
+    assert list((tmp_path / "out").glob("*")) == []
 
 
 def test_pack_with_manifest(tmp_path):

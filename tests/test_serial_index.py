@@ -275,10 +275,10 @@ def test_lookups_stay_exact_while_appending(tmp_path):
 
 
 def test_tag_collisions_never_return_another_entry(tmp_path, monkeypatch):
-    # Every entry gets the same tag: hits must still match the line exactly.
-    # Tag 7 homes the first line in the last of the 8 slots a two-line file
-    # gets, so the second wraps to slot 0 and growth must keep their order.
-    monkeypatch.setattr(serial_index, "_tag", lambda name, key, offset_bits: 7)
+    # Every entry gets the same hash, so the same tag: hits must still match
+    # the line exactly. Its home is the last of the 8 slots a two-line file
+    # gets, so the second line wraps to slot 0 and reloads must keep their order.
+    monkeypatch.setattr(serial_index, "_hash", lambda name, key: 7 << serial_index.TAG_BITS | 7)
     path = tmp_path / "i"
     path.write_text("T 1 100 5\nT 1 900 9\n")
     written = [SerialIndexEntry(f"n{i}", "0", i, 1) for i in range(40)]
@@ -293,24 +293,48 @@ def test_tag_collisions_never_return_another_entry(tmp_path, monkeypatch):
             index.append(SerialIndexEntry("n39", "0", 0, 1))
 
 
-def test_append_racing_second_writer_keeps_both_lines(tmp_path):
+def test_append_racing_second_writer_keeps_both_lines(tmp_path, monkeypatch):
     with SerialIndex.create(tmp_path / "i") as index:
         index.append(SerialIndexEntry("a", "1", 0, 1))
-        appender = index._appender
+        real_write = os.write
 
-        class Interleaved:
+        def interleaved(fd, data):
             """Another writer's line lands just before ours."""
+            with open(tmp_path / "i", "a") as other:
+                other.write("b 2 5 1\n")
+            return real_write(fd, data)
 
-            def write(self, text):
-                with open(tmp_path / "i", "a") as other:
-                    other.write("b 2 5 1\n")
-                return appender.write(text)
-
-            def __getattr__(self, name):
-                return getattr(appender, name)
-
-        index._appender = Interleaved()
+        monkeypatch.setattr(serial_index.os, "write", interleaved)
         index.append(SerialIndexEntry("c", "3", 9, 1))
-        index._appender = appender
+        monkeypatch.undo()
         assert index.lookup("b", "2").start == 5
         assert index.lookup("c", "3").start == 9
+
+
+def test_append_ends_an_unterminated_last_line(tmp_path):
+    path = tmp_path / "i"
+    path.write_text("a 1 0 1")  # written by hand, without a final newline
+    with SerialIndex(path) as index:
+        index.append(SerialIndexEntry("b", "2", 1, 1))
+    assert path.read_text() == "a 1 0 1\nb 2 1 1\n"
+    fresh = SerialIndex(path)
+    assert fresh.lookup("a", "1").start == 0
+    assert fresh.lookup("b", "2").start == 1
+
+
+def test_non_ascii_token_rejected():
+    with pytest.raises(ValueError):
+        SerialIndexEntry("Tälly", "1", 0, 1)
+    with pytest.raises(ValueError):
+        SerialIndexEntry("T", "١", 0, 1)
+
+
+def test_create_writes_entries_in_order_and_refuses_an_existing_file(tmp_path):
+    written = [SerialIndexEntry(f"n{i}", str(i), i, 1, i + 1) for i in range(1_000)]
+    with SerialIndex.create(tmp_path / "i", written) as index:
+        assert index.path.read_text() == "".join(e.line() for e in written)
+        assert all(index.lookup(e.name, e.key) == e for e in written)
+        assert index.entry_count() == 1_000
+    with pytest.raises(FileExistsError):
+        SerialIndex.create(tmp_path / "i", written[:1])
+    assert len((tmp_path / "i").read_text().splitlines()) == 1_000
