@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import ceil, floor, log10
 from pathlib import Path
 
-from .store import RecordStore
+from .store import RecordStore, closed_on_error
 
 SYNTH_CHUNK_BYTES = 16 * 1024 * 1024
 SCAN_HEADER_SIZE = 16  # 15-digit payload length plus newline
@@ -59,15 +59,23 @@ class FetchStats:
 def synth_library(
     path: str | Path, n_records: int, record_size: int = 1024, seed: int = 0
 ) -> RecordStore:
-    """Create a store of n_records pseudorandom records, reproducible per seed."""
-    store = RecordStore.create(path, record_size)
+    """Create a store of n_records pseudorandom records, reproducible per seed.
+
+    The records are generated and written one chunk at a time, under one
+    fsync and one sidecar update in total.
+    """
     rng = random.Random(seed)
     chunk_records = max(1, SYNTH_CHUNK_BYTES // record_size)
-    remaining = n_records
-    while remaining:
-        n = min(chunk_records, remaining)
-        store.append_payload(rng.randbytes(n * record_size))
-        remaining -= n
+
+    def chunks():
+        remaining = n_records
+        while remaining:
+            n = min(chunk_records, remaining)
+            yield rng.randbytes(n * record_size)
+            remaining -= n
+
+    with closed_on_error(RecordStore.create(path, record_size)) as store:
+        store.append_records(chunks())
     return store
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 from .store import Closeable, RecordStore
 
@@ -83,10 +84,18 @@ def key_ordinal(key: TrigramKey) -> int:
     return key.c3 + ALPHABET_SIZE * key.c2 + ALPHABET_SIZE**2 * key.c1
 
 
-def _pack_all(entries: list[GroupEntry]) -> bytes:
-    if len(entries) != GROUP_COUNT:
-        raise ValueError(f"expected {GROUP_COUNT} entries, got {len(entries)}")
-    return b"".join(e.pack() for e in entries)
+def pack_entries(entries: Iterable[GroupEntry]) -> bytearray:
+    """The index file's bytes: one packed entry per group, in ordinal order.
+
+    Entries are packed one at a time as they are drawn, so a generator of
+    entries never has more than one alive.
+    """
+    packed = bytearray()
+    for entry in entries:
+        packed += entry.pack()
+    if len(packed) != INDEX_FILE_SIZE:
+        raise ValueError(f"expected {GROUP_COUNT} entries, got {len(packed) // ENTRY_WIDTH}")
+    return packed
 
 
 class ComputedIndex(Closeable):
@@ -98,9 +107,16 @@ class ComputedIndex(Closeable):
         self.counters = records.counters
 
     @classmethod
-    def create(cls, path: str | Path, entries: list[GroupEntry] | None = None) -> "ComputedIndex":
+    def create(cls, path: str | Path, entries: Iterable[GroupEntry] | None = None) -> "ComputedIndex":
         """Create the index holding ``entries`` (every group empty if omitted) in one write."""
-        records = GroupEntry(0, 0).pack() * GROUP_COUNT if entries is None else _pack_all(entries)
+        records = GroupEntry(0, 0).pack() * GROUP_COUNT if entries is None else pack_entries(entries)
+        return cls.create_packed(path, records)
+
+    @classmethod
+    def create_packed(cls, path: str | Path, records) -> "ComputedIndex":
+        """Create the index from the bytes ``pack_entries`` returned, in one write."""
+        if len(records) != INDEX_FILE_SIZE:
+            raise ValueError(f"an index is {INDEX_FILE_SIZE} bytes, got {len(records)}")
         return cls(RecordStore.create_fixed(path, ENTRY_WIDTH, records))
 
     @classmethod
@@ -114,9 +130,9 @@ class ComputedIndex(Closeable):
         """Fetch one entry with a single positioned read; no scan."""
         return GroupEntry.unpack(self.records.read_records(ordinal, 1))
 
-    def write_all(self, entries: list[GroupEntry]) -> None:
+    def write_all(self, entries: Iterable[GroupEntry]) -> None:
         """Replace every entry in ordinal order (single write)."""
-        self.records.write_records(0, _pack_all(entries))
+        self.records.write_records(0, pack_entries(entries))
 
     def read_all(self) -> list[GroupEntry]:
         """All entries in ordinal order (one full-file read; for builds and audits)."""

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .errors import NotFoundError
 from .serial_index import SerialIndex, SerialIndexEntry, file_signature
-from .store import Library, RecordStore, closed_on_error
+from .store import Library, RecordStore, closed_on_error, removed_on_error
 
 COORD_BOUND = 999  # 3-digit encoding per axis
 COORD_RECORD_SIZE = 16
@@ -35,6 +35,7 @@ DATA_FILE = "voxels.raclib"
 INDEX_FILE = "regions.index"
 
 _COORD_RE = re.compile(r"([pn])(\d{1,3})([pn])(\d{1,3})([pn])(\d{1,3})")
+_INTEGER_RE = re.compile(r"-?[0-9]+")
 
 
 class Voxel(NamedTuple):
@@ -124,6 +125,20 @@ def _load_regions(path: Path) -> _RegionTable:
     return _RegionTable(signature, {name: tuple(map(tuple, r)) for name, r in runs.items()})
 
 
+def _blocks(region: str, voxels: Iterable[Voxel]) -> dict[str, list[Voxel]]:
+    """A region's voxels grouped by block in first-use order; a repeated voxel raises."""
+    seen: set[Voxel] = set()
+    grouped: dict[str, list[Voxel]] = {}
+    for voxel in voxels:
+        if type(voxel) is not Voxel:  # a Voxel is immutable, so it is kept, not copied
+            voxel = Voxel(*voxel)
+        if voxel in seen:
+            raise ValueError(f"duplicate voxel {voxel} in region {region}")
+        seen.add(voxel)
+        grouped.setdefault(block_of(voxel), []).append(voxel)
+    return grouped
+
+
 class RegionLibrary(Library):
     """Voxel store grouped region-by-region, block-by-block."""
 
@@ -138,22 +153,15 @@ class RegionLibrary(Library):
 
         Blocks of a region stay contiguous and appear in first-use order;
         voxels keep input order within their block. A voxel may appear only
-        once per region. The index is written last, in one write, once the
-        voxels are in the library.
+        once per region. The voxels are held once, as their packed records,
+        which are appended with no copy; the index is written last, in one
+        write, once the voxels are in the library.
         """
         blob = bytearray()
         entries = []
         start = 0
         for region, voxels in regions.items():
-            seen: set[Voxel] = set()
-            grouped: dict[str, list[Voxel]] = {}
-            for voxel in voxels:
-                voxel = Voxel(*voxel)
-                if voxel in seen:
-                    raise ValueError(f"duplicate voxel {voxel} in region {region}")
-                seen.add(voxel)
-                grouped.setdefault(block_of(voxel), []).append(voxel)
-            for block, members in grouped.items():
+            for block, members in _blocks(region, voxels).items():
                 assert len(members) <= BLOCK_CAPACITY
                 for voxel in members:
                     blob += _pack_coord(voxel)
@@ -164,8 +172,9 @@ class RegionLibrary(Library):
         out_dir.mkdir(parents=True, exist_ok=True)
         if (out_dir / INDEX_FILE).exists():
             raise FileExistsError(f"index already exists: {out_dir / INDEX_FILE}")
-        with closed_on_error(RecordStore.create(out_dir / DATA_FILE, COORD_RECORD_SIZE)) as store:
-            store.append_payload(bytes(blob))
+        with removed_on_error(RecordStore.create(out_dir / DATA_FILE, COORD_RECORD_SIZE)) as store:
+            store.append_payload(blob)
+            del blob  # on disk now; not held while the index text is built
             return cls(store, SerialIndex.create(out_dir / INDEX_FILE, entries))
 
     @classmethod
@@ -217,7 +226,16 @@ class RegionLibrary(Library):
 
 
 def read_atlas_tsv(path: str | Path) -> dict[str, list[Voxel]]:
-    """Parse region/x/y/z TSV lines into a region -> voxels map (file order)."""
+    """Parse region/x/y/z TSV lines into a region -> voxels map (file order).
+
+    A component is exactly ``-?[0-9]+``; signs, spaces and underscores that
+    ``int()`` would accept raise ``ValueError("path:line: ...")``. Components
+    in range share one int object per value.
+    """
+    # Canonical text of every in-range component -> one int object. Built per
+    # call: held by the module, it would cost every raclib process ~0.4 MB of
+    # RSS that only an atlas parse uses.
+    shared = {str(value): value for value in range(-COORD_BOUND, COORD_BOUND + 1)}
     regions: dict[str, list[Voxel]] = {}
     with open(path, "r", encoding="ascii") as f:
         for lineno, line in enumerate(f, 1):
@@ -227,5 +245,11 @@ def read_atlas_tsv(path: str | Path) -> dict[str, list[Voxel]]:
             fields = line.split("\t")
             if len(fields) != 4:
                 raise ValueError(f"{path}:{lineno}: expected region<TAB>x<TAB>y<TAB>z")
-            regions.setdefault(fields[0], []).append(Voxel(*map(int, fields[1:])))
+            try:
+                voxel = Voxel(shared[fields[1]], shared[fields[2]], shared[fields[3]])
+            except KeyError:  # leading zeros, out of range (build rejects it) or not an integer
+                if not all(map(_INTEGER_RE.fullmatch, fields[1:])):
+                    raise ValueError(f"{path}:{lineno}: coordinates must match -?[0-9]+: {line!r}") from None
+                voxel = Voxel(*[shared[text] if text in shared else int(text) for text in fields[1:]])
+            regions.setdefault(fields[0], []).append(voxel)
     return regions

@@ -8,7 +8,10 @@ with their exact byte length, so a fetch returns the original file
 byte-for-byte.
 
 Every (name, key) is checked before any file is created, and the index is
-written last, whole, in one write, once every payload is in the library.
+written last, whole, in one write, once every payload is in the library. A
+pack that fails after creating the library (a member file that cannot be
+read) deletes the library and sidecar it created, and nothing else, so the
+directory stays loadable and a rerun can succeed.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from pathlib import Path
 
 from .errors import DuplicateKeyError, NotFoundError
 from .serial_index import SerialIndex, SerialIndexEntry
-from .store import DEFAULT_RECORD_SIZE, Closeable, Library, RecordStore, closed_on_error
+from .store import DEFAULT_RECORD_SIZE, Closeable, Library, RecordStore, closed_on_error, removed_on_error
 
 LIBRARY_SUFFIX = ".raclib"
 INDEX_SUFFIX = ".index"
@@ -100,7 +103,7 @@ def pack_directory(
     index_path = out_dir / (collection + INDEX_SUFFIX)
     if index_path.exists():
         raise FileExistsError(f"index already exists: {index_path}")
-    with closed_on_error(RecordStore.create(out_dir / (collection + LIBRARY_SUFFIX), record_size)) as store:
+    with removed_on_error(RecordStore.create(out_dir / (collection + LIBRARY_SUFFIX), record_size)) as store:
         entries = []
         for (name, key), path in sorted(seen.items()):
             ref = store.append_payload(path.read_bytes())

@@ -22,8 +22,16 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .computed_index import GROUP_COUNT, ComputedIndex, GroupEntry, key_ordinal, letters_only, trigram_of
-from .store import Library, RecordStore, closed_on_error
+from .computed_index import (
+    GROUP_COUNT,
+    ComputedIndex,
+    GroupEntry,
+    key_ordinal,
+    letters_only,
+    pack_entries,
+    trigram_of,
+)
+from .store import Library, RecordStore, closed_on_error, removed_on_error
 
 RECORD_SIZE = 64
 SURNAME_WIDTH = 24
@@ -143,24 +151,28 @@ class SsdiLibrary(Library):
         Record order within a group is input order. Every one of the 17,576
         group entries is written; empty groups carry count 0 at their tiling
         position, so starts are always the prefix sums of counts.
+
+        ``records`` is read once, in one pass. Each record is validated as a
+        ``DeathRecord`` and held only as its packed 64 bytes, in one buffer
+        per non-empty group: about 64-70 B per record plus a fixed ~5 MB.
+        Every record and index entry is checked before the first byte is
+        written; the groups are then streamed to the store in ordinal order,
+        each dropped once written, and the index is written last.
         """
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        groups: dict[int, list[bytes]] = {}
+        groups: list[bytearray | None] = [None] * GROUP_COUNT
         for record in records:
             ordinal = key_ordinal(trigram_of(record.surname, record.given))
-            groups.setdefault(ordinal, []).append(record.pack())
+            group = groups[ordinal]
+            if group is None:
+                group = groups[ordinal] = bytearray()
+            group += record.pack()
+        index_records = pack_entries(_tiling(len(group) // RECORD_SIZE if group else 0 for group in groups))
 
-        entries = []
-        start = 0
-        for ordinal in range(GROUP_COUNT):
-            count = len(groups.get(ordinal, ()))
-            entries.append(GroupEntry(start=start, count=count))
-            start += count
-
-        with closed_on_error(RecordStore.create(out_dir / DATA_FILE, record_size=RECORD_SIZE)) as store:
-            store.append_payload(b"".join(b"".join(groups[o]) for o in sorted(groups)))
-            with closed_on_error(ComputedIndex.create(out_dir / INDEX_FILE, entries)) as index:
+        with removed_on_error(RecordStore.create(out_dir / DATA_FILE, record_size=RECORD_SIZE)) as store:
+            store.append_records(_drained(groups))
+            with closed_on_error(ComputedIndex.create_packed(out_dir / INDEX_FILE, index_records)) as index:
                 index.sync()
         return cls(store, index)
 
@@ -182,6 +194,22 @@ class SsdiLibrary(Library):
             if matches(query, record):
                 results.append(record)
         return results
+
+
+def _tiling(counts):
+    """Group entries whose starts are the prefix sums of ``counts``."""
+    start = 0
+    for count in counts:
+        yield GroupEntry(start=start, count=count)
+        start += count
+
+
+def _drained(groups: list):
+    """The non-empty groups in ordinal order, each released from ``groups`` as it is yielded."""
+    for ordinal, group in enumerate(groups):
+        if group is not None:
+            groups[ordinal] = None
+            yield group
 
 
 def read_records_tsv(path: str | Path):

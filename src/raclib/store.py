@@ -13,6 +13,11 @@ one ``pread`` of exactly the member's own bytes: the padding after it is
 never read. The sidecar is rewritten only after appended bytes are fsync'd,
 so a crash never leaves the record count pointing into unwritten data.
 
+Appends copy nothing: ``append_payload`` writes the caller's buffer and then
+its padding, and ``append_records`` streams whole-record buffers one after
+another under a single fsync and sidecar update, so a builder holds each
+record once, as the bytes it hands over.
+
 A file whose format fixes its geometry, such as the computed index, is a
 store with no sidecar: ``open_fixed`` checks its exact size and opens it
 read-only unless asked, and ``write_records`` rewrites it in place.
@@ -62,6 +67,18 @@ def closed_on_error(resource):
         raise
 
 
+@contextmanager
+def removed_on_error(store: "RecordStore"):
+    """Yield a store this build just created; if the block raises, close it and delete its files."""
+    try:
+        yield store
+    except BaseException:
+        store.close()
+        store.path.unlink(missing_ok=True)
+        _meta_path(store.path).unlink(missing_ok=True)
+        raise
+
+
 class IOCounters:
     """Read instrumentation: logical read calls and bytes returned."""
 
@@ -76,8 +93,8 @@ class IOCounters:
         self.bytes_read = 0
 
 
-def _pwrite_all(fd: int, data: bytes, offset: int) -> None:
-    view = memoryview(data)
+def _pwrite_all(fd: int, data, offset: int) -> None:
+    view = memoryview(data).cast("B")
     while view:
         n = os.pwrite(fd, view, offset)
         view = view[n:]
@@ -191,24 +208,59 @@ class RecordStore(Closeable):
     def record_count(self) -> int:
         return self._record_count
 
-    def append_payload(self, payload: bytes) -> RecordSetRef:
-        """Append one member, NUL-padded to the next record boundary.
+    def append_payload(self, payload) -> RecordSetRef:
+        """Append one member, any bytes-like object, NUL-padded to the next record boundary.
 
-        The sidecar is updated only after the payload bytes are fsync'd.
+        The payload is written from the caller's buffer and its padding by a
+        second write, so nothing is copied. The sidecar is updated only after
+        the bytes are fsync'd.
         """
-        if not self._writable:
-            raise PermissionError(f"store {self.path} opened read-only")
+        self._check_writable()
+        nbytes = memoryview(payload).nbytes
         start = self._record_count
-        if not payload:
+        if not nbytes:
             return RecordSetRef(start=start, count=0, byte_length=0)
         rsize = self._record_size
-        count = -(-len(payload) // rsize)
-        pad = count * rsize - len(payload)
-        _pwrite_all(self._fd, payload + b"\x00" * pad, start * rsize)
+        count = -(-nbytes // rsize)
+        offset = start * rsize
+        _pwrite_all(self._fd, payload, offset)
+        if count * rsize > nbytes:
+            _pwrite_all(self._fd, bytes(count * rsize - nbytes), offset + nbytes)
+        self._commit(start + count)
+        return RecordSetRef(start=start, count=count, byte_length=nbytes)
+
+    def append_records(self, chunks) -> RecordSetRef:
+        """Append whole-record buffers from ``chunks``, in order, as one member.
+
+        Each buffer is written as it comes, so a caller that yields and drops
+        them holds one at a time. One fsync and one sidecar update follow the
+        last buffer. A buffer that is not a whole number of records raises
+        before it is written, and the sidecar keeps its old count: the state
+        a crashed append leaves, whose tail ``open(mode="a")`` truncates.
+        Returns the ref covering every appended record.
+        """
+        self._check_writable()
+        rsize = self._record_size
+        start = end = self._record_count
+        for chunk in chunks:
+            nbytes = memoryview(chunk).nbytes
+            count, partial = divmod(nbytes, rsize)
+            if partial:
+                raise ValueError(f"{nbytes} bytes are not whole records of {rsize} bytes")
+            _pwrite_all(self._fd, chunk, end * rsize)
+            end += count
+        if end > start:
+            self._commit(end)
+        return RecordSetRef(start=start, count=end - start, byte_length=(end - start) * rsize)
+
+    def _commit(self, record_count: int) -> None:
         os.fsync(self._fd)
-        _write_meta(_meta_path(self.path), rsize, start + count)
-        self._record_count = start + count
-        return RecordSetRef(start=start, count=count, byte_length=len(payload))
+        _write_meta(_meta_path(self.path), self._record_size, record_count)
+        self._record_count = record_count
+
+    def _check_writable(self) -> None:
+        if not self._writable:
+            raise PermissionError(f"store {self.path} opened read-only")
 
     def read_records(self, start: int, count: int, nbytes: int | None = None) -> bytes:
         """Return ``count`` whole records beginning at record ``start``.
@@ -231,8 +283,7 @@ class RecordStore(Closeable):
 
     def write_records(self, start: int, data: bytes) -> None:
         """Overwrite whole records in place from record ``start``; no fsync."""
-        if not self._writable:
-            raise PermissionError(f"store {self.path} opened read-only")
+        self._check_writable()
         count, partial = divmod(len(data), self._record_size)
         if partial:
             raise ValueError(f"{len(data)} bytes are not whole records of {self._record_size} bytes")

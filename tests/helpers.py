@@ -2,6 +2,7 @@
 
 import os
 import random
+import tracemalloc
 
 SURNAMES = [
     "JOHNSON", "JONES", "JONAS", "KENNEDY", "KENNER", "KENT", "SMITH", "SMYTHE",
@@ -40,3 +41,19 @@ def random_death_fields(rng: random.Random, n: int):
 def open_fd_count() -> int:
     """File descriptors this process holds (raw fds raise no ResourceWarning)."""
     return len(os.listdir("/proc/self/fd"))
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes Python allocated while ``fn()`` ran, above what was live when it began.
+
+    Starts and stops tracing itself, so what the caller built before the call
+    (an input already parsed, say) is not counted.
+    """
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()

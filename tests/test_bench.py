@@ -1,8 +1,10 @@
 import hashlib
+import os
 import random
 
 import pytest
 
+from raclib import bench, store
 from raclib.bench import (
     build_scan_archive,
     compare_offsets,
@@ -38,6 +40,19 @@ def test_synth_library_empty(tmp_path):
     store = synth_library(tmp_path / "a", 0, record_size=64, seed=1)
     assert store.record_count == 0
     assert (tmp_path / "a").stat().st_size == 0
+
+
+def test_synth_library_is_one_fsync_and_one_sidecar_update(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench, "SYNTH_CHUNK_BYTES", 1024)  # 16 records of 64 B a chunk: 7 chunks
+    fsyncs, sidecars = [], []
+    real_fsync, real_write_meta = os.fsync, store._write_meta
+    monkeypatch.setattr(os, "fsync", lambda fd: fsyncs.append(fd) or real_fsync(fd))
+    monkeypatch.setattr(store, "_write_meta", lambda *args: sidecars.append(args) or real_write_meta(*args))
+    with synth_library(tmp_path / "a", 100, record_size=64, seed=7) as synth:
+        assert synth.record_count == 100
+    assert len(fsyncs) == 1
+    assert [count for _, _, count in sidecars] == [0, 100]  # create, then the one update
+    assert (tmp_path / "a").stat().st_size == 100 * 64
 
 
 def test_measure_fetch_counts_exact_bytes(tmp_path):

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import sys
 import tempfile
 import threading
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import traced_peak
 
 from raclib import neuro
 from raclib.errors import NotFoundError
@@ -208,6 +210,44 @@ def test_atlas_tsv_round_trip(tmp_path):
         read_atlas_tsv_path = tmp_path / "bad.tsv"
         read_atlas_tsv_path.write_text("rA\t1\t2\n")
         read_atlas_tsv(read_atlas_tsv_path)
+
+
+@pytest.mark.parametrize("component", ["1_0", "+5", " 5", "5 ", "", "1.0", "--1", "0x1"])
+def test_atlas_tsv_accepts_only_plain_integers(tmp_path, component):
+    path = tmp_path / "atlas.tsv"
+    path.write_text(f"rA\t1\t2\t3\nrA\t4\t{component}\t6\n")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}:2: ")):
+        read_atlas_tsv(path)
+
+
+def test_atlas_tsv_reads_leading_zeros_and_shares_components(tmp_path):
+    path = tmp_path / "atlas.tsv"
+    path.write_text("rA\t007\t-0\t-041\nrA\t-999\t999\t1000\nrB\t-999\t999\t12\n")
+    atlas = read_atlas_tsv(path)
+    assert atlas == {"rA": [Voxel(7, 0, -41), Voxel(-999, 999, 1000)], "rB": [Voxel(-999, 999, 12)]}
+    assert atlas["rA"][1].x is atlas["rB"][0].x and atlas["rA"][1].y is atlas["rB"][0].y
+
+
+def compact_atlas(seed: int, regions: int, voxels: int) -> dict[str, list[Voxel]]:
+    """Regions of distinct voxels, each inside a 30 mm box: a few dozen cm^3 blocks apiece."""
+    rng = random.Random(seed)
+    atlas = {}
+    for r in range(regions):
+        low = rng.randrange(-70, 40)
+        cells = rng.sample(range(30**3), voxels)
+        atlas[f"region_{r}"] = [Voxel(low + c % 30, low + c // 30 % 30, low + c // 900) for c in cells]
+    return atlas
+
+
+def test_build_holds_voxels_once_as_records(tmp_path):
+    path = tmp_path / "atlas.tsv"
+    path.write_text("".join(
+        f"{region}\t{v.x}\t{v.y}\t{v.z}\n" for region, voxels in compact_atlas(3, 20, 3000).items() for v in voxels
+    ))
+    regions = read_atlas_tsv(path)
+    # Above the parsed input: the 960,000 B of packed records, the index, one region's grouping.
+    assert traced_peak(lambda: RegionLibrary.build(regions, tmp_path / "lib").close()) <= 1_500_000
+    assert (tmp_path / "lib" / "voxels.raclib").stat().st_size == 60_000 * COORD_RECORD_SIZE
 
 
 def test_reopen_library(tmp_path):

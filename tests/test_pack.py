@@ -158,6 +158,25 @@ def test_failed_pack_leaves_no_fd(tmp_path):
     assert open_fd_count() == before
 
 
+def test_failed_pack_removes_only_the_files_it_created(tmp_path):
+    out = tmp_path / "out"
+    make_pages(tmp_path / "other", 2, seed=1)
+    pack_directory(tmp_path / "other", "other", out).close()
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    make_pages(tmp_path / "in", 2)
+    manifest = tmp_path / "members.tsv"
+    manifest.write_text("TallyHo1965_0001.jpg\tA\t1\nmissing.jpg\tB\t2\n")
+    with pytest.raises(FileNotFoundError):
+        pack_directory(tmp_path / "in", "c", out, manifest=manifest)
+    assert not list(out.glob("c.*"))
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    with CollectionSet.load_dir(out) as group:
+        assert group.fetch("TallyHo1965", "0001") == (tmp_path / "other" / "TallyHo1965_0001.jpg").read_bytes()
+    (tmp_path / "in" / "missing.jpg").write_bytes(b"late page")
+    with pack_directory(tmp_path / "in", "c", out, manifest=manifest) as collection:
+        assert collection.fetch("B", "2") == b"late page"
+
+
 def test_collection_open_requires_index(tmp_path):
     make_pages(tmp_path / "in", 1)
     pack_directory(tmp_path / "in", "c", tmp_path / "out")

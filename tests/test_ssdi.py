@@ -1,8 +1,14 @@
+import itertools
 import random
 import re
+import tempfile
+from collections import Counter
+from pathlib import Path
 
 import pytest
-from helpers import open_fd_count, random_death_fields
+from helpers import open_fd_count, random_death_fields, traced_peak
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from raclib.computed_index import GROUP_COUNT
 from raclib.ssdi import (
@@ -261,3 +267,52 @@ def test_failed_open_leaves_no_fd(tmp_path):
         with pytest.raises(ValueError):
             SsdiLibrary.open(tmp_path / "lib")
     assert open_fd_count() == before
+
+
+# -- memory and output oracles of the build -----------------------------------
+
+def build_peak(tmp_path, n: int) -> int:
+    """Traced peak of building ``n`` records drawn in turn from a pool of 5,000.
+
+    The build holds each record as its packed bytes whatever object it came
+    from, so a pool measures the same memory as ``n`` distinct records, and
+    it keeps record generation out of the traced time.
+    """
+    pool = [DeathRecord(*fields) for fields in random_death_fields(random.Random(17), 5_000)]
+    records = itertools.islice(itertools.cycle(pool), n)
+    return traced_peak(lambda: SsdiLibrary.build(records, tmp_path / f"lib{n}").close())
+
+
+def test_build_holds_each_record_once(tmp_path):
+    peak_100k = build_peak(tmp_path, 100_000)
+    peak_200k = build_peak(tmp_path, 200_000)
+    assert peak_100k <= 10_000_000
+    assert peak_200k - peak_100k <= 8_000_000  # at most 80 B per added record
+
+
+names = st.text(st.sampled_from("ABKZ '-"), max_size=8)
+dates = st.builds("{:04d}{:02d}{:02d}".format, st.integers(1800, 2020), st.integers(0, 12), st.integers(0, 31))
+death_records = st.builds(
+    DeathRecord, names, names, st.from_regex(r"[0-9]{9}", fullmatch=True), dates, dates
+)
+
+
+def _oracle_ordinal(record):
+    c1, c2, c3 = _oracle_trigram(record.surname, record.given)
+    return 676 * c1 + 26 * c2 + c3
+
+
+@settings(max_examples=50)
+@given(st.lists(death_records, max_size=40))
+def test_build_output_is_sorted_records_and_prefix_sums(records):
+    """The data file is the packed records stably sorted by group; the index, their prefix sums."""
+    with tempfile.TemporaryDirectory() as tmp:
+        SsdiLibrary.build(iter(records), Path(tmp, "lib")).close()
+        data = Path(tmp, "lib", DATA_FILE).read_bytes()
+        index = Path(tmp, "lib", INDEX_FILE).read_bytes()
+    assert data == b"".join(r.pack() for r in sorted(records, key=_oracle_ordinal))
+    counts = Counter(map(_oracle_ordinal, records))
+    starts = itertools.accumulate((counts[o] for o in range(GROUP_COUNT)), initial=0)
+    assert index == b"".join(
+        f"{start:010d} {counts[o]:08d}\n".encode() for o, start in zip(range(GROUP_COUNT), starts)
+    )

@@ -2,7 +2,7 @@ import os
 import random
 
 import pytest
-from helpers import open_fd_count
+from helpers import open_fd_count, traced_peak
 
 from raclib.serial_index import SerialIndexEntry
 from raclib.store import RecordSetRef, RecordStore
@@ -258,3 +258,56 @@ def test_open_fixed_checks_exact_size_and_closes_on_mismatch(tmp_path):
         with pytest.raises(ValueError):
             RecordStore.open_fixed(tmp_path / "fixed", 4, record_count)
     assert open_fd_count() == before
+
+
+def test_append_payload_takes_any_buffer_and_copies_nothing(tmp_path):
+    store = RecordStore.create(tmp_path / "lib", record_size=1024)
+    payload = bytes(range(256)) * (1 << 14) + b"tail"  # 4 MiB and 4 B: the last record is padded
+    assert traced_peak(lambda: store.append_payload(payload)) < 64 * 1024
+    refs = [store.append_payload(kind(b"abc")) for kind in (bytearray, memoryview)]
+    assert store.read_payload(RecordSetRef(0, 4097, len(payload))) == payload
+    assert [store.read_payload(ref) for ref in refs] == [b"abc", b"abc"]
+    assert (tmp_path / "lib").stat().st_size == 4099 * 1024
+
+
+def count_fsyncs(monkeypatch) -> list:
+    calls = []
+    real_fsync = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: calls.append(fd) or real_fsync(fd))
+    return calls
+
+
+def test_append_records_streams_buffers_under_one_fsync(tmp_path, monkeypatch):
+    store = RecordStore.create(tmp_path / "lib", record_size=16)
+    store.append_payload(b"head")
+    fsyncs = count_fsyncs(monkeypatch)
+    chunks = [b"a" * 32, bytearray(b"b" * 16), b"", memoryview(b"c" * 48)]
+    assert store.append_records(iter(chunks)) == RecordSetRef(start=1, count=6, byte_length=96)
+    assert len(fsyncs) == 1
+    assert (tmp_path / "lib.meta").read_text() == "record_size=16\nrecord_count=7\n"
+    assert store.read_records(1, 6) == b"a" * 32 + b"b" * 16 + b"c" * 48
+    assert store.append_records([]) == RecordSetRef(start=7, count=0, byte_length=0)
+    assert len(fsyncs) == 1  # nothing appended, nothing synced
+
+
+def test_append_records_rejects_a_partial_record_and_keeps_the_count(tmp_path):
+    store = RecordStore.create(tmp_path / "lib", record_size=16)
+    store.append_payload(b"x" * 16)
+    with pytest.raises(ValueError, match="not whole records"):
+        store.append_records([b"a" * 32, b"b" * 20, b"c" * 16])
+    assert store.record_count == 1
+    assert (tmp_path / "lib.meta").read_text() == "record_size=16\nrecord_count=1\n"
+    assert (tmp_path / "lib").stat().st_size == 48  # the chunk before it, written, not counted
+    store.close()
+    again = RecordStore.open(tmp_path / "lib", mode="a")
+    assert (tmp_path / "lib").stat().st_size == 16
+    assert again.append_records([b"d" * 16]) == RecordSetRef(start=1, count=1, byte_length=16)
+    assert again.read_records(0, 2) == b"x" * 16 + b"d" * 16
+
+
+def test_append_records_on_read_only_store_writes_nothing(tmp_path):
+    RecordStore.create(tmp_path / "lib", record_size=16).close()
+    store = RecordStore.open(tmp_path / "lib")
+    with pytest.raises(PermissionError):
+        store.append_records([b"a" * 16])
+    assert (tmp_path / "lib").stat().st_size == 0
