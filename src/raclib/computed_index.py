@@ -11,7 +11,7 @@ Entry layout: ten-digit start, space, eight-digit count, newline.
 
 from __future__ import annotations
 
-import string
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -26,10 +26,12 @@ INDEX_FILE_SIZE = GROUP_COUNT * ENTRY_WIDTH  # 351,520 bytes
 _MAX_START = 10**10 - 1
 _MAX_COUNT = 10**8 - 1
 
+_NON_LETTERS = re.compile(r"[^A-Za-z]+")
+
 
 def letters_only(text: str) -> str:
     """Uppercase ASCII letters of ``text``; everything else is discarded."""
-    return "".join(c.upper() for c in text if c in string.ascii_letters)
+    return _NON_LETTERS.sub("", text).upper()
 
 
 @dataclass(frozen=True)
@@ -70,18 +72,23 @@ class GroupEntry:
 
 def trigram_of(surname: str, given: str) -> TrigramKey:
     """Key letters of a name; missing positions map to ordinal 0 ('A')."""
-    s = letters_only(surname)
-    g = letters_only(given)
-    return TrigramKey(
-        c1=ord(s[0]) - ord("A") if len(s) > 0 else 0,
-        c2=ord(s[1]) - ord("A") if len(s) > 1 else 0,
-        c3=ord(g[0]) - ord("A") if g else 0,
-    )
+    c1, rest = divmod(name_ordinal(surname, given), ALPHABET_SIZE**2)
+    return TrigramKey(c1, *divmod(rest, ALPHABET_SIZE))
 
 
 def key_ordinal(key: TrigramKey) -> int:
     """Index record number for a key: c3 + 26*c2 + 676*c1."""
     return key.c3 + ALPHABET_SIZE * key.c2 + ALPHABET_SIZE**2 * key.c1
+
+
+def name_ordinal(surname: str, given: str) -> int:
+    """``key_ordinal(trigram_of(surname, given))``, with no key built on the way."""
+    s = letters_only(surname)
+    g = letters_only(given)
+    c1 = ord(s[0]) - 65 if s else 0
+    c2 = ord(s[1]) - 65 if len(s) > 1 else 0
+    c3 = ord(g[0]) - 65 if g else 0
+    return c3 + ALPHABET_SIZE * c2 + ALPHABET_SIZE**2 * c1
 
 
 def pack_entries(entries: Iterable[GroupEntry]) -> bytearray:

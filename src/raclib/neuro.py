@@ -46,12 +46,18 @@ class Voxel(NamedTuple):
 
 def _check_bounds(v: Voxel) -> None:
     for component in v:
+        if type(component) is not int:
+            raise ValueError(f"coordinate components must be ints: {v}")
         if not -COORD_BOUND <= component <= COORD_BOUND:
             raise ValueError(f"coordinate component out of range [-999, 999]: {v}")
 
 
 def _axis_code(value: int) -> str:
     return ("p" if value >= 0 else "n") + str(abs(value))
+
+
+def _decade_code(value: int) -> str:
+    return ("p" if value >= 0 else "n") + str(abs(value) // 10)
 
 
 def encode_coord(v: Voxel) -> str:
@@ -86,13 +92,21 @@ def block_of(v: Voxel) -> str:
     """
     v = Voxel(*v)
     _check_bounds(v)
-    return "".join(
-        f"{'p' if c >= 0 else 'n'}{abs(c) // 10}_{axis}" for c, axis in zip(v, "xyz")
-    )
+    return "".join(f"{_decade_code(c)}_{axis}" for c, axis in zip(v, "xyz"))
 
 
-def _pack_coord(v: Voxel) -> bytes:
-    return encode_coord(v).encode("ascii").ljust(COORD_RECORD_SIZE, b"\x00")
+class _ComponentCodes(dict):
+    """One build's memo: component -> (axis code as ASCII, block decade), -41 -> (b"n41", "n4").
+
+    An entry is made on first use, which checks the bounds. Lookups do not
+    check the type, so callers pass only ints: 1.0 must not find 1's entry.
+    """
+
+    def __missing__(self, value: int) -> tuple[bytes, str]:
+        if not -COORD_BOUND <= value <= COORD_BOUND:
+            raise ValueError(f"coordinate component out of range [-999, 999]: {value}")
+        codes = self[value] = (_axis_code(value).encode("ascii"), _decade_code(value))
+        return codes
 
 
 def _unpack_coord(raw: bytes) -> Voxel:
@@ -125,17 +139,20 @@ def _load_regions(path: Path) -> _RegionTable:
     return _RegionTable(signature, {name: tuple(map(tuple, r)) for name, r in runs.items()})
 
 
-def _blocks(region: str, voxels: Iterable[Voxel]) -> dict[str, list[Voxel]]:
-    """A region's voxels grouped by block in first-use order; a repeated voxel raises."""
+def _blocks(region: str, voxels: Iterable[Voxel], codes: _ComponentCodes) -> dict[str, list[Voxel]]:
+    """A region's voxels grouped by block in first-use order; a repeated or invalid voxel raises."""
     seen: set[Voxel] = set()
     grouped: dict[str, list[Voxel]] = {}
     for voxel in voxels:
         if type(voxel) is not Voxel:  # a Voxel is immutable, so it is kept, not copied
             voxel = Voxel(*voxel)
+        x, y, z = voxel
+        if type(x) is not int or type(y) is not int or type(z) is not int:
+            raise ValueError(f"coordinate components must be ints: {voxel}")
         if voxel in seen:
             raise ValueError(f"duplicate voxel {voxel} in region {region}")
         seen.add(voxel)
-        grouped.setdefault(block_of(voxel), []).append(voxel)
+        grouped.setdefault(f"{codes[x][1]}_x{codes[y][1]}_y{codes[z][1]}_z", []).append(voxel)
     return grouped
 
 
@@ -153,18 +170,21 @@ class RegionLibrary(Library):
 
         Blocks of a region stay contiguous and appear in first-use order;
         voxels keep input order within their block. A voxel may appear only
-        once per region. The voxels are held once, as their packed records,
-        which are appended with no copy; the index is written last, in one
-        write, once the voxels are in the library.
+        once per region, and its components must be ints in [-999, 999].
+        Every voxel is checked before any file is created. The voxels are
+        held once, as their packed records, which are appended with no copy;
+        the index is written last, in one write, once the voxels are in the
+        library. Each distinct component is encoded once per build.
         """
+        codes = _ComponentCodes()
         blob = bytearray()
         entries = []
         start = 0
         for region, voxels in regions.items():
-            for block, members in _blocks(region, voxels).items():
+            for block, members in _blocks(region, voxels, codes).items():
                 assert len(members) <= BLOCK_CAPACITY
-                for voxel in members:
-                    blob += _pack_coord(voxel)
+                for x, y, z in members:
+                    blob += (codes[x][0] + codes[y][0] + codes[z][0]).ljust(COORD_RECORD_SIZE, b"\x00")
                 entries.append(SerialIndexEntry(region, block, start, len(members)))
                 start += len(members)
 

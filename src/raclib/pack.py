@@ -7,10 +7,13 @@ convention. Members are appended in sorted (name, key) order and indexed
 with their exact byte length, so a fetch returns the original file
 byte-for-byte.
 
-Every (name, key) is checked before any file is created, and the index is
-written last, whole, in one write, once every payload is in the library. A
-pack that fails after creating the library (a member file that cannot be
-read) deletes the library and sidecar it created, and nothing else, so the
+Every (name, key) is checked before any file is created. The member files
+are read one at a time and appended under one fsync and one sidecar update
+for the whole pack, not one per member; the index is written last, whole,
+in one write, once every payload is in the library and synced. Until then
+no member is reachable, so a crash mid-pack leaves no index. A pack that
+fails after creating the library (a member file that cannot be read)
+deletes the library and sidecar it created, and nothing else, so the
 directory stays loadable and a rerun can succeed.
 """
 
@@ -103,11 +106,13 @@ def pack_directory(
     index_path = out_dir / (collection + INDEX_SUFFIX)
     if index_path.exists():
         raise FileExistsError(f"index already exists: {index_path}")
+    members = sorted(seen.items())
     with removed_on_error(RecordStore.create(out_dir / (collection + LIBRARY_SUFFIX), record_size)) as store:
-        entries = []
-        for (name, key), path in sorted(seen.items()):
-            ref = store.append_payload(path.read_bytes())
-            entries.append(SerialIndexEntry(name, key, ref.start, ref.count, ref.byte_length))
+        refs = store.append_payloads(path.read_bytes() for _, path in members)
+        entries = [
+            SerialIndexEntry(name, key, ref.start, ref.count, ref.byte_length)
+            for ((name, key), _), ref in zip(members, refs)
+        ]
         return Collection(store, SerialIndex.create(index_path, entries))
 
 

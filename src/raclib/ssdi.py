@@ -26,10 +26,9 @@ from .computed_index import (
     GROUP_COUNT,
     ComputedIndex,
     GroupEntry,
-    key_ordinal,
     letters_only,
+    name_ordinal,
     pack_entries,
-    trigram_of,
 )
 from .store import Library, RecordStore, closed_on_error, removed_on_error
 
@@ -40,7 +39,10 @@ GIVEN_WIDTH = 12
 DATA_FILE = "records.raclib"
 INDEX_FILE = "groups.index"
 
-_DATE_RE = re.compile(r"\d{8}")
+_DATE_RE = re.compile(r"[0-9]{8}")
+_SSN_RE = re.compile(r"[0-9]{9}")
+# ssn, birth and death concatenated, when all three are well formed.
+_NUMBERS_RE = re.compile(r"[0-9]{9}(?:[0-9]{4}(?:0[0-9]|1[0-2])(?:[0-2][0-9]|3[01])){2}")
 
 
 def _check_date(field: str, value: str) -> None:
@@ -54,7 +56,7 @@ def _check_date(field: str, value: str) -> None:
 def _check_name(field: str, value: str, width: int) -> None:
     if len(value) > width:
         raise ValueError(f"{field} longer than {width} characters: {value!r}")
-    if not value.isascii() or any(c in "\n\x00" for c in value):
+    if not value.isascii() or "\n" in value or "\x00" in value:
         raise ValueError(f"{field} must be plain ASCII text: {value!r}")
 
 
@@ -73,10 +75,14 @@ class DeathRecord:
         object.__setattr__(self, "given", self.given.upper().strip())
         _check_name("surname", self.surname, SURNAME_WIDTH)
         _check_name("given", self.given, GIVEN_WIDTH)
-        if not (len(self.ssn) == 9 and self.ssn.isdigit()):
-            raise ValueError(f"ssn must be 9 digits, got {self.ssn!r}")
-        _check_date("birth_date", self.birth_date)
-        _check_date("death_date", self.death_date)
+        ssn, birth, death = self.ssn, self.birth_date, self.death_date
+        if len(ssn) == 9 and len(birth) == 8 and len(death) == 8 and _NUMBERS_RE.fullmatch(ssn + birth + death):
+            return
+        # Not all well formed: the first check to fail names the field.
+        if not _SSN_RE.fullmatch(ssn):
+            raise ValueError(f"ssn must be 9 digits, got {ssn!r}")
+        _check_date("birth_date", birth)
+        _check_date("death_date", death)
 
     @property
     def birth_year(self) -> int:
@@ -128,9 +134,14 @@ class SearchQuery:
 
 def matches(query: SearchQuery, record: DeathRecord) -> bool:
     """Name tokens match by normalized prefix; years by equality/range."""
-    if not letters_only(record.surname).startswith(letters_only(query.surname)):
+    return _matches(query, letters_only(query.surname), letters_only(query.given), record)
+
+
+def _matches(query: SearchQuery, surname: str, given: str, record: DeathRecord) -> bool:
+    """``matches``, given the query's names already normalized by ``letters_only``."""
+    if not letters_only(record.surname).startswith(surname):
         return False
-    if not letters_only(record.given).startswith(letters_only(query.given)):
+    if not letters_only(record.given).startswith(given):
         return False
     if query.birth_year is not None and record.birth_year != query.birth_year:
         return False
@@ -163,7 +174,7 @@ class SsdiLibrary(Library):
         out_dir.mkdir(parents=True, exist_ok=True)
         groups: list[bytearray | None] = [None] * GROUP_COUNT
         for record in records:
-            ordinal = key_ordinal(trigram_of(record.surname, record.given))
+            ordinal = name_ordinal(record.surname, record.given)
             group = groups[ordinal]
             if group is None:
                 group = groups[ordinal] = bytearray()
@@ -184,14 +195,15 @@ class SsdiLibrary(Library):
 
     def search(self, query: SearchQuery) -> list[DeathRecord]:
         """One index fetch, one contiguous group read, then a serial filter."""
-        if not letters_only(query.surname) and not letters_only(query.given):
+        surname, given = letters_only(query.surname), letters_only(query.given)
+        if not surname and not given:
             raise ValueError("search needs at least one name letter to derive key letters")
-        entry = self.index.read_group_entry(key_ordinal(trigram_of(query.surname, query.given)))
+        entry = self.index.read_group_entry(name_ordinal(surname, given))
         data = self.store.read_records(entry.start, entry.count)
         results = []
         for i in range(entry.count):
             record = DeathRecord.unpack(data[i * RECORD_SIZE : (i + 1) * RECORD_SIZE])
-            if matches(query, record):
+            if _matches(query, surname, given, record):
                 results.append(record)
         return results
 

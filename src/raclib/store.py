@@ -13,10 +13,12 @@ one ``pread`` of exactly the member's own bytes: the padding after it is
 never read. The sidecar is rewritten only after appended bytes are fsync'd,
 so a crash never leaves the record count pointing into unwritten data.
 
-Appends copy nothing: ``append_payload`` writes the caller's buffer and then
-its padding, and ``append_records`` streams whole-record buffers one after
-another under a single fsync and sidecar update, so a builder holds each
-record once, as the bytes it hands over.
+Appends copy nothing and flush once per call: ``append_payloads`` writes
+each member from the caller's buffer and then its padding, and
+``append_records`` streams whole-record buffers one after another; either
+makes one fsync and one sidecar update after its last buffer, however many
+it wrote. A builder so holds each record once, as the bytes it hands over,
+and a pack of any number of members costs one fsync.
 
 A file whose format fixes its geometry, such as the computed index, is a
 store with no sidecar: ``open_fixed`` checks its exact size and opens it
@@ -209,25 +211,37 @@ class RecordStore(Closeable):
         return self._record_count
 
     def append_payload(self, payload) -> RecordSetRef:
-        """Append one member, any bytes-like object, NUL-padded to the next record boundary.
+        """Append one member, any bytes-like object, NUL-padded to the next record boundary."""
+        return self.append_payloads((payload,))[0]
 
-        The payload is written from the caller's buffer and its padding by a
-        second write, so nothing is copied. The sidecar is updated only after
-        the bytes are fsync'd.
+    def append_payloads(self, payloads) -> list[RecordSetRef]:
+        """Append members from ``payloads``, in order, each NUL-padded to a record boundary.
+
+        Each payload, any bytes-like object, is written from the caller's
+        buffer and its padding by a second write, so nothing is copied, and
+        a caller that yields and drops payloads holds one at a time. One
+        fsync and one sidecar update follow the last payload. If drawing a
+        payload raises, the sidecar keeps its old count: the state a crashed
+        append leaves, whose tail ``open(mode="a")`` truncates. An empty
+        payload takes no records. Returns one ref per payload.
         """
         self._check_writable()
-        nbytes = memoryview(payload).nbytes
-        start = self._record_count
-        if not nbytes:
-            return RecordSetRef(start=start, count=0, byte_length=0)
         rsize = self._record_size
-        count = -(-nbytes // rsize)
-        offset = start * rsize
-        _pwrite_all(self._fd, payload, offset)
-        if count * rsize > nbytes:
-            _pwrite_all(self._fd, bytes(count * rsize - nbytes), offset + nbytes)
-        self._commit(start + count)
-        return RecordSetRef(start=start, count=count, byte_length=nbytes)
+        start = end = self._record_count
+        refs = []
+        for payload in payloads:
+            nbytes = memoryview(payload).nbytes
+            count = -(-nbytes // rsize)
+            offset = end * rsize
+            _pwrite_all(self._fd, payload, offset)
+            if count * rsize > nbytes:
+                _pwrite_all(self._fd, bytes(count * rsize - nbytes), offset + nbytes)
+            del payload  # dropped before the next one is drawn
+            refs.append(RecordSetRef(start=end, count=count, byte_length=nbytes))
+            end += count
+        if end > start:
+            self._commit(end)
+        return refs
 
     def append_records(self, chunks) -> RecordSetRef:
         """Append whole-record buffers from ``chunks``, in order, as one member.

@@ -175,8 +175,8 @@ def test_criterion_4b_http_last_vs_first_member(tmp_path):
         rng = random.Random(404)
         payloads = [b"\xff\xd8\xff" + rng.randbytes(rng.randrange(40, record_size - 2))
                     for _ in range(n_members)]
-        # One append and one index write, as a bulk loader would; packing
-        # 100k files would cost one fsync each.
+        # One append and one index write, as a bulk loader would: writing
+        # 100k member files first and packing them would only slow the test.
         with RecordStore.create(tmp_path / "big.raclib", record_size) as store:
             store.append_payload(b"".join(p.ljust(record_size, b"\x00") for p in payloads))
         (tmp_path / "big.index").write_text("".join(

@@ -1,8 +1,11 @@
 import fcntl
 import os
 import random
+import string
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from raclib.computed_index import (
     ENTRY_WIDTH,
@@ -12,6 +15,8 @@ from raclib.computed_index import (
     GroupEntry,
     TrigramKey,
     key_ordinal,
+    letters_only,
+    name_ordinal,
     trigram_of,
 )
 
@@ -20,6 +25,33 @@ def test_worked_example_kennedy_robert():
     key = trigram_of("Kennedy", "Robert")
     assert key == TrigramKey(10, 4, 17)
     assert key_ordinal(key) == 6881
+
+
+def per_character_letters_only(text):
+    return "".join(c.upper() for c in text if c in string.ascii_letters)
+
+
+def per_character_key(surname, given):
+    s, g = per_character_letters_only(surname), per_character_letters_only(given)
+    return TrigramKey(
+        c1=ord(s[0]) - ord("A") if len(s) > 0 else 0,
+        c2=ord(s[1]) - ord("A") if len(s) > 1 else 0,
+        c3=ord(g[0]) - ord("A") if g else 0,
+    )
+
+
+# ASCII letters among look-alikes: letters outside ASCII (the Kelvin sign and
+# long s fold to K and S under case-insensitive matching, ß upper-cases to SS),
+# digits outside ASCII, punctuation and whitespace, plus any character at all.
+names = st.text(st.sampled_from("aZkK\u212a\u017fßÅıé²１0-'. \t\n") | st.characters(), max_size=30)
+
+
+@given(names, names)
+def test_letters_and_ordinal_match_a_per_character_scan(surname, given_name):
+    assert letters_only(surname) == per_character_letters_only(surname)
+    key = per_character_key(surname, given_name)
+    assert trigram_of(surname, given_name) == key
+    assert name_ordinal(surname, given_name) == key_ordinal(key)
 
 
 def test_missing_letters_map_to_a():

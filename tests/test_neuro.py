@@ -132,6 +132,21 @@ def test_build_rejects_duplicate_voxel(tmp_path):
         RegionLibrary.build({"r": [Voxel(1, 2, 3), Voxel(1, 2, 3)]}, tmp_path / "lib")
 
 
+@pytest.mark.parametrize(
+    "voxels",
+    [[(1.5, 2, 3)], [(1, 2, 3), (1.0, 5, 6)], [(1, 2, "3")], [(True, 2, 3)]],
+)
+def test_build_rejects_components_that_are_not_ints(tmp_path, voxels):
+    # (1.0, 5, 6) follows (1, 2, 3) so that 1.0 would find 1's encoding if it were looked up.
+    with pytest.raises(ValueError, match="must be ints"):
+        RegionLibrary.build({"r": voxels}, tmp_path / "lib")
+    assert not (tmp_path / "lib").exists()
+    with pytest.raises(ValueError, match="must be ints"):
+        encode_coord(voxels[-1])
+    with pytest.raises(ValueError, match="must be ints"):
+        block_of(voxels[-1])
+
+
 def test_records_are_fixed_width_null_padded(tmp_path):
     RegionLibrary.build({"r": [Voxel(-41, 12, -35)]}, tmp_path / "lib")
     raw = (tmp_path / "lib" / "voxels.raclib").read_bytes()

@@ -4,7 +4,7 @@ import random
 import pytest
 from helpers import open_fd_count
 
-from raclib import serial_index
+from raclib import serial_index, store
 from raclib.errors import DuplicateKeyError, NotFoundError
 from raclib.pack import (
     Collection,
@@ -239,3 +239,17 @@ def test_collection_set_reads_one_index_line_per_hit_and_none_per_miss(tmp_path)
     with pytest.raises(NotFoundError):
         group.fetch("Book3", "9999")
     assert sum(index.counters.reads for index in indexes) == 0
+
+
+def test_pack_is_one_fsync_and_one_sidecar_update(tmp_path, monkeypatch):
+    pages = make_pages(tmp_path / "in", 5)
+    fsyncs, sidecars = [], []
+    real_fsync, real_write_meta = os.fsync, store._write_meta
+    monkeypatch.setattr(os, "fsync", lambda fd: fsyncs.append(fd) or real_fsync(fd))
+    monkeypatch.setattr(store, "_write_meta", lambda *args: sidecars.append(args) or real_write_meta(*args))
+    with pack_directory(tmp_path / "in", "c", tmp_path / "out", record_size=512) as collection:
+        records = sum(-(-len(body) // 512) for body in pages.values())
+        assert collection.store.record_count == records
+        assert all(collection.fetch(*member) == body for member, body in pages.items())
+    assert len(fsyncs) == 1
+    assert [count for _, _, count in sidecars] == [0, records]  # create, then the one update

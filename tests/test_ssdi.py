@@ -54,6 +54,8 @@ def test_record_round_trip():
         ("A", "B", "123456789", "19001301", "19500101"),  # month 13
         ("A", "B", "123456789", "19000101", "19500132"),  # day 32
         ("Åke", "B", "123456789", "19000101", "19500101"),  # non-ascii
+        ("SMITH", "JOHN", "²²²²²²²²²", "19500101", "19600101"),  # digits, but not ASCII
+        ("SMITH", "JOHN", "123456789", "１９５００１０１", "19600101"),  # full-width digits
     ],
 )
 def test_record_validation_rejects(fields):

@@ -1,8 +1,12 @@
 import os
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from helpers import open_fd_count, traced_peak
+from hypothesis import given
+from hypothesis import strategies as st
 
 from raclib.serial_index import SerialIndexEntry
 from raclib.store import RecordSetRef, RecordStore
@@ -311,3 +315,48 @@ def test_append_records_on_read_only_store_writes_nothing(tmp_path):
     with pytest.raises(PermissionError):
         store.append_records([b"a" * 16])
     assert (tmp_path / "lib").stat().st_size == 0
+
+
+def record_size_and_payloads(record_size):
+    """Payloads of any length, empty ones and exact record multiples among them."""
+    exact = st.integers(0, 3).map(lambda n: b"r" * (n * record_size))
+    return st.tuples(st.just(record_size), st.lists(st.binary(max_size=3 * record_size) | exact, max_size=8))
+
+
+@given(st.integers(1, 16).flatmap(record_size_and_payloads))
+def test_append_payloads_equals_one_append_payload_each(case):
+    record_size, payloads = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        with RecordStore.create(tmp / "one", record_size) as one, RecordStore.create(tmp / "all", record_size) as all_:
+            one.append_payload(b"head")
+            all_.append_payload(b"head")
+            refs = [one.append_payload(payload) for payload in payloads]
+            assert all_.append_payloads(iter(payloads)) == refs
+            assert [all_.read_payload(ref) for ref in refs] == payloads
+        padded = b"".join(p + bytes(-len(p) % record_size) for p in [b"head", *payloads])
+        assert (tmp / "one").read_bytes() == (tmp / "all").read_bytes() == padded
+        assert (tmp / "one.meta").read_text() == (tmp / "all.meta").read_text()
+
+
+def test_append_payloads_that_fail_partway_keep_the_count(tmp_path, monkeypatch):
+    store = RecordStore.create(tmp_path / "lib", record_size=16)
+    store.append_payload(b"x" * 16)
+    fsyncs = count_fsyncs(monkeypatch)
+
+    def payloads():
+        yield b"a" * 20
+        yield b"b" * 5
+        raise OSError("member unreadable")
+
+    with pytest.raises(OSError, match="member unreadable"):
+        store.append_payloads(payloads())
+    assert fsyncs == []
+    assert store.record_count == 1
+    assert (tmp_path / "lib.meta").read_text() == "record_size=16\nrecord_count=1\n"
+    assert (tmp_path / "lib").stat().st_size == 64  # the two payloads before it, written, not counted
+    store.close()
+    again = RecordStore.open(tmp_path / "lib", mode="a")
+    assert (tmp_path / "lib").stat().st_size == 16
+    assert again.append_payloads([b"d"]) == [RecordSetRef(start=1, count=1, byte_length=1)]
+    assert again.read_records(0, 2) == b"x" * 16 + b"d" + bytes(15)
