@@ -75,7 +75,7 @@ def synth_library(
             remaining -= n
 
     with closed_on_error(RecordStore.create(path, record_size)) as store:
-        store.append_records(chunks())
+        store.append_payloads(chunks())  # whole records, so no padding
     return store
 
 

@@ -115,13 +115,13 @@ class ComputedIndex(Closeable):
 
     @classmethod
     def create(cls, path: str | Path, entries: Iterable[GroupEntry] | None = None) -> "ComputedIndex":
-        """Create the index holding ``entries`` (every group empty if omitted) in one write."""
+        """Create the index holding ``entries`` (every group empty if omitted) in one write and one fsync."""
         records = GroupEntry(0, 0).pack() * GROUP_COUNT if entries is None else pack_entries(entries)
         return cls.create_packed(path, records)
 
     @classmethod
     def create_packed(cls, path: str | Path, records) -> "ComputedIndex":
-        """Create the index from the bytes ``pack_entries`` returned, in one write."""
+        """Create the index from the bytes ``pack_entries`` returned, in one write and one fsync."""
         if len(records) != INDEX_FILE_SIZE:
             raise ValueError(f"an index is {INDEX_FILE_SIZE} bytes, got {len(records)}")
         return cls(RecordStore.create_fixed(path, ENTRY_WIDTH, records))

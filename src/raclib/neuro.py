@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .errors import NotFoundError
 from .serial_index import SerialIndex, SerialIndexEntry, file_signature
-from .store import Library, RecordStore, closed_on_error, removed_on_error
+from .store import Library, RecordStore
 
 COORD_BOUND = 999  # 3-digit encoding per axis
 COORD_RECORD_SIZE = 16
@@ -172,9 +172,10 @@ class RegionLibrary(Library):
         voxels keep input order within their block. A voxel may appear only
         once per region, and its components must be ints in [-999, 999].
         Every voxel is checked before any file is created. The voxels are
-        held once, as their packed records, which are appended with no copy;
-        the index is written last, in one write, once the voxels are in the
-        library. Each distinct component is encoded once per build.
+        held once, as their packed records, which ``Library._build`` appends
+        with no copy and drops; the index is written last, in one write and
+        one fsync, once the voxels are in the library. Each distinct
+        component is encoded once per build.
         """
         codes = _ComponentCodes()
         blob = bytearray()
@@ -190,18 +191,17 @@ class RegionLibrary(Library):
 
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if (out_dir / INDEX_FILE).exists():
-            raise FileExistsError(f"index already exists: {out_dir / INDEX_FILE}")
-        with removed_on_error(RecordStore.create(out_dir / DATA_FILE, COORD_RECORD_SIZE)) as store:
-            store.append_payload(blob)
-            del blob  # on disk now; not held while the index text is built
-            return cls(store, SerialIndex.create(out_dir / INDEX_FILE, entries))
+        payloads = iter([blob])
+        del blob  # held by the iterator alone, so dropped once on disk, before the index text is built
+        return cls._build(
+            out_dir / DATA_FILE, COORD_RECORD_SIZE, payloads,
+            out_dir / INDEX_FILE, lambda path, refs: SerialIndex.create(path, entries),
+        )
 
     @classmethod
     def open(cls, directory: str | Path) -> "RegionLibrary":
         directory = Path(directory)
-        with closed_on_error(RecordStore.open(directory / DATA_FILE)) as store:
-            return cls(store, SerialIndex(directory / INDEX_FILE))
+        return cls._open(directory / DATA_FILE, directory / INDEX_FILE, SerialIndex)
 
     def _read_run(self, start: int, count: int) -> list[Voxel]:
         data = self.store.read_records(start, count)

@@ -7,14 +7,14 @@ convention. Members are appended in sorted (name, key) order and indexed
 with their exact byte length, so a fetch returns the original file
 byte-for-byte.
 
-Every (name, key) is checked before any file is created. The member files
-are read one at a time and appended under one fsync and one sidecar update
-for the whole pack, not one per member; the index is written last, whole,
-in one write, once every payload is in the library and synced. Until then
-no member is reachable, so a crash mid-pack leaves no index. A pack that
-fails after creating the library (a member file that cannot be read)
-deletes the library and sidecar it created, and nothing else, so the
-directory stays loadable and a rerun can succeed.
+Every (name, key) is checked before any file is created. ``Library._build``
+then reads the member files one at a time and appends them under one fsync
+and one sidecar update for the whole pack, not one per member, and writes
+and fsyncs the index last, whole, in one write. Until then no member is
+reachable, so a crash mid-pack leaves no index. A pack that fails (a member
+file that cannot be read, an index that cannot be written) deletes the
+library, sidecar and index it created, and nothing else, so the directory
+stays loadable and a rerun can succeed.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .errors import DuplicateKeyError, NotFoundError
 from .serial_index import SerialIndex, SerialIndexEntry
-from .store import DEFAULT_RECORD_SIZE, Closeable, Library, RecordStore, closed_on_error, removed_on_error
+from .store import DEFAULT_RECORD_SIZE, Closeable, Library, closed_on_error
 
 LIBRARY_SUFFIX = ".raclib"
 INDEX_SUFFIX = ".index"
@@ -59,13 +59,8 @@ class Collection(Library):
     @classmethod
     def open(cls, library_path: str | Path, index_path: str | Path | None = None) -> "Collection":
         library_path = Path(library_path)
-        if index_path is None:
-            index_path = library_path.with_suffix(INDEX_SUFFIX)
-        index_path = Path(index_path)
-        if not index_path.exists():
-            raise FileNotFoundError(f"no serial index at {index_path}")
-        with closed_on_error(RecordStore.open(library_path)) as store:
-            return cls(store, SerialIndex(index_path))
+        index_path = library_path.with_suffix(INDEX_SUFFIX) if index_path is None else Path(index_path)
+        return cls._open(library_path, index_path, SerialIndex)
 
     def fetch(self, name: str, key: str) -> bytes:
         entry = self.index.lookup(name, key)
@@ -103,17 +98,17 @@ def pack_directory(
         seen[member] = path
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    index_path = out_dir / (collection + INDEX_SUFFIX)
-    if index_path.exists():
-        raise FileExistsError(f"index already exists: {index_path}")
     members = sorted(seen.items())
-    with removed_on_error(RecordStore.create(out_dir / (collection + LIBRARY_SUFFIX), record_size)) as store:
-        refs = store.append_payloads(path.read_bytes() for _, path in members)
-        entries = [
+
+    def create_index(index_path, refs):
+        return SerialIndex.create(index_path, (
             SerialIndexEntry(name, key, ref.start, ref.count, ref.byte_length)
             for ((name, key), _), ref in zip(members, refs)
-        ]
-        return Collection(store, SerialIndex.create(index_path, entries))
+        ))
+
+    payloads = (path.read_bytes() for _, path in members)
+    return Collection._build(out_dir / (collection + LIBRARY_SUFFIX), record_size, payloads,
+                             out_dir / (collection + INDEX_SUFFIX), create_index)
 
 
 class CollectionSet(Closeable):

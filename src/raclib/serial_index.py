@@ -16,9 +16,10 @@ the lines its probe points at (normally exactly one, none for a miss), then
 matches the name and key tokens of that line exactly, never by substring, so
 "040" does not hit "0404". When a file holds the same (name, key) twice, the
 first line wins. Writers only append to an index or replace it by rename:
-``create`` writes a whole index in one write, and ``append`` one line, which
-it adds to the table in place while the table is under MAX_FILL; past that
-the next lookup reloads, once per ~20% growth, so O(1) per append amortised.
+``create`` writes a whole index in one write and one fsync, and ``append``
+one line, which it adds to the table in place while the table is under
+MAX_FILL; past that the next lookup reloads, once per ~20% growth, so O(1)
+per append amortised.
 """
 
 from __future__ import annotations
@@ -181,11 +182,13 @@ class SerialIndex(Closeable):
 
     @classmethod
     def create(cls, path: str | Path, entries: Iterable[SerialIndexEntry] = ()) -> "SerialIndex":
-        """Create the index holding ``entries``, in order, in one write; fails if it exists.
+        """Create the index holding ``entries``, in order, in one write and one fsync; fails if it exists.
 
         No (name, key) may repeat: unlike ``append``, this does not check."""
         with open(path, "xb") as f:
             f.write("".join(entry.line() for entry in entries).encode("ascii"))
+            f.flush()
+            os.fsync(f.fileno())
         return cls(path)
 
     def _fresh(self) -> _Table:

@@ -30,7 +30,7 @@ from .computed_index import (
     name_ordinal,
     pack_entries,
 )
-from .store import Library, RecordStore, closed_on_error, removed_on_error
+from .store import Library
 
 RECORD_SIZE = 64
 SURNAME_WIDTH = 24
@@ -163,35 +163,42 @@ class SsdiLibrary(Library):
         group entries is written; empty groups carry count 0 at their tiling
         position, so starts are always the prefix sums of counts.
 
-        ``records`` is read once, in one pass. Each record is validated as a
-        ``DeathRecord`` and held only as its packed 64 bytes, in one buffer
-        per non-empty group: about 64-70 B per record plus a fixed ~5 MB.
-        Every record and index entry is checked before the first byte is
-        written; the groups are then streamed to the store in ordinal order,
-        each dropped once written, and the index is written last.
+        ``Library._build`` refuses an existing index before ``records`` is
+        read, then reads it once. Each record is validated as a ``DeathRecord``
+        and held only as its packed 64 bytes, in one buffer per non-empty
+        group: about 64-70 B per record plus a fixed ~5 MB. Every record and
+        index entry is checked before the first byte is written; the groups
+        are then streamed to the store in ordinal order, each dropped once
+        written, and the index is written and fsync'd last.
         """
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        groups: list[bytearray | None] = [None] * GROUP_COUNT
-        for record in records:
-            ordinal = name_ordinal(record.surname, record.given)
-            group = groups[ordinal]
-            if group is None:
-                group = groups[ordinal] = bytearray()
-            group += record.pack()
-        index_records = pack_entries(_tiling(len(group) // RECORD_SIZE if group else 0 for group in groups))
+        index_records = None
 
-        with removed_on_error(RecordStore.create(out_dir / DATA_FILE, record_size=RECORD_SIZE)) as store:
-            store.append_records(_drained(groups))
-            with closed_on_error(ComputedIndex.create_packed(out_dir / INDEX_FILE, index_records)) as index:
-                index.sync()
-        return cls(store, index)
+        def group_payloads():
+            nonlocal index_records
+            groups: list[bytearray | None] = [None] * GROUP_COUNT
+            for record in records:
+                ordinal = name_ordinal(record.surname, record.given)
+                group = groups[ordinal]
+                if group is None:
+                    group = groups[ordinal] = bytearray()
+                group += record.pack()
+            index_records = pack_entries(_tiling(len(group) // RECORD_SIZE if group else 0 for group in groups))
+            for ordinal, group in enumerate(groups):
+                if group is not None:
+                    groups[ordinal] = None  # so each group is released once it is written
+                    yield group
+
+        return cls._build(
+            out_dir / DATA_FILE, RECORD_SIZE, group_payloads(),
+            out_dir / INDEX_FILE, lambda path, refs: ComputedIndex.create_packed(path, index_records),
+        )
 
     @classmethod
     def open(cls, directory: str | Path) -> "SsdiLibrary":
         directory = Path(directory)
-        with closed_on_error(RecordStore.open(directory / DATA_FILE)) as store:
-            return cls(store, ComputedIndex.open(directory / INDEX_FILE))
+        return cls._open(directory / DATA_FILE, directory / INDEX_FILE, ComputedIndex.open)
 
     def search(self, query: SearchQuery) -> list[DeathRecord]:
         """One index fetch, one contiguous group read, then a serial filter."""
@@ -214,14 +221,6 @@ def _tiling(counts):
     for count in counts:
         yield GroupEntry(start=start, count=count)
         start += count
-
-
-def _drained(groups: list):
-    """The non-empty groups in ordinal order, each released from ``groups`` as it is yielded."""
-    for ordinal, group in enumerate(groups):
-        if group is not None:
-            groups[ordinal] = None
-            yield group
 
 
 def read_records_tsv(path: str | Path):

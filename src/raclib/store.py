@@ -14,15 +14,15 @@ never read. The sidecar is rewritten only after appended bytes are fsync'd,
 so a crash never leaves the record count pointing into unwritten data.
 
 Appends copy nothing and flush once per call: ``append_payloads`` writes
-each member from the caller's buffer and then its padding, and
-``append_records`` streams whole-record buffers one after another; either
-makes one fsync and one sidecar update after its last buffer, however many
+each member from the caller's buffer and then its padding, if any, and
+makes one fsync and one sidecar update after its last payload, however many
 it wrote. A builder so holds each record once, as the bytes it hands over,
 and a pack of any number of members costs one fsync.
 
 A file whose format fixes its geometry, such as the computed index, is a
-store with no sidecar: ``open_fixed`` checks its exact size and opens it
-read-only unless asked, and ``write_records`` rewrites it in place.
+store with no sidecar: ``create_fixed`` writes and fsyncs it whole,
+``open_fixed`` checks its exact size and opens it read-only unless asked,
+and ``write_records`` rewrites it in place.
 """
 
 from __future__ import annotations
@@ -66,18 +66,6 @@ def closed_on_error(resource):
         yield resource
     except BaseException:
         resource.close()
-        raise
-
-
-@contextmanager
-def removed_on_error(store: "RecordStore"):
-    """Yield a store this build just created; if the block raises, close it and delete its files."""
-    try:
-        yield store
-    except BaseException:
-        store.close()
-        store.path.unlink(missing_ok=True)
-        _meta_path(store.path).unlink(missing_ok=True)
         raise
 
 
@@ -180,9 +168,11 @@ class RecordStore(Closeable):
 
     @classmethod
     def create_fixed(cls, path: str | Path, record_size: int, records: bytes) -> "RecordStore":
-        """Create a sidecar-less store holding exactly ``records``, open for writes."""
+        """Create a sidecar-less store holding exactly ``records``, fsync'd, open for writes."""
         with open(path, "xb") as f:
             f.write(records)
+            f.flush()
+            os.fsync(f.fileno())
         return cls.open_fixed(path, record_size, len(records) // record_size, writable=True)
 
     @classmethod
@@ -242,30 +232,6 @@ class RecordStore(Closeable):
         if end > start:
             self._commit(end)
         return refs
-
-    def append_records(self, chunks) -> RecordSetRef:
-        """Append whole-record buffers from ``chunks``, in order, as one member.
-
-        Each buffer is written as it comes, so a caller that yields and drops
-        them holds one at a time. One fsync and one sidecar update follow the
-        last buffer. A buffer that is not a whole number of records raises
-        before it is written, and the sidecar keeps its old count: the state
-        a crashed append leaves, whose tail ``open(mode="a")`` truncates.
-        Returns the ref covering every appended record.
-        """
-        self._check_writable()
-        rsize = self._record_size
-        start = end = self._record_count
-        for chunk in chunks:
-            nbytes = memoryview(chunk).nbytes
-            count, partial = divmod(nbytes, rsize)
-            if partial:
-                raise ValueError(f"{nbytes} bytes are not whole records of {rsize} bytes")
-            _pwrite_all(self._fd, chunk, end * rsize)
-            end += count
-        if end > start:
-            self._commit(end)
-        return RecordSetRef(start=start, count=end - start, byte_length=(end - start) * rsize)
 
     def _commit(self, record_count: int) -> None:
         os.fsync(self._fd)
@@ -337,11 +303,41 @@ class RecordStore(Closeable):
 
 
 class Library(Closeable):
-    """A record store and the index that addresses it: opened all or nothing, closed together."""
+    """A record store and the index that addresses it: built and opened all or nothing, closed together."""
 
     def __init__(self, store: RecordStore, index):
         self.store = store
         self.index = index
+
+    @classmethod
+    def _build(cls, store_path: Path, record_size: int, payloads, index_path: Path, create_index):
+        """The one build order: payloads first and durable, then the index.
+
+        An existing index is refused before any file is created or payload
+        drawn. ``payloads`` go to a new store under one fsync, then
+        ``create_index(index_path, refs)``, given one ref per payload,
+        writes and fsyncs the index. If any step raises, the store is closed
+        and the store, its sidecar and the index, as far as they got, are
+        deleted, and nothing else, so a rerun can succeed.
+        """
+        if index_path.exists():
+            raise FileExistsError(f"index already exists: {index_path}")
+        store = RecordStore.create(store_path, record_size)
+        try:
+            return cls(store, create_index(index_path, store.append_payloads(payloads)))
+        except BaseException:
+            store.close()
+            for path in (store_path, _meta_path(store_path), index_path):
+                path.unlink(missing_ok=True)
+            raise
+
+    @classmethod
+    def _open(cls, store_path: Path, index_path: Path, open_index):
+        """The one open order: a missing index raises before the store is opened; any failure leaves no fd."""
+        if not index_path.exists():
+            raise FileNotFoundError(f"no index at {index_path}")
+        with closed_on_error(RecordStore.open(store_path)) as store:
+            return cls(store, open_index(index_path))
 
     def close(self) -> None:
         self.store.close()

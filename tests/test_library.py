@@ -1,0 +1,51 @@
+"""The build order every store-and-index library shares."""
+
+import errno
+import os
+
+import pytest
+from helpers import open_fd_count
+
+from raclib.neuro import RegionLibrary, Voxel
+from raclib.pack import pack_directory
+from raclib.ssdi import DeathRecord, SsdiLibrary
+
+
+def pack_one_page(tmp_path):
+    (tmp_path / "in").mkdir(exist_ok=True)
+    (tmp_path / "in" / "TallyHo1965_0001.jpg").write_bytes(b"page")
+    return pack_directory(tmp_path / "in", "c", tmp_path / "out")
+
+
+def build_ssdi(tmp_path):
+    kennedy = DeathRecord("Kennedy", "Robert", "123456789", "19251120", "19680600")
+    return SsdiLibrary.build([kennedy], tmp_path / "out")
+
+
+def build_atlas(tmp_path):
+    return RegionLibrary.build({"r": [Voxel(-41, 12, -35)]}, tmp_path / "out")
+
+
+@pytest.mark.parametrize(
+    "build, index_name",
+    [(pack_one_page, "c.index"), (build_ssdi, "groups.index"), (build_atlas, "regions.index")],
+)
+def test_failed_index_fsync_leaves_no_file_and_a_rerun_succeeds(tmp_path, monkeypatch, build, index_name):
+    real_fsync = os.fsync
+
+    def fsync_failing_on_the_index(fd):
+        if os.readlink(f"/proc/self/fd/{fd}").endswith("/" + index_name):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync_failing_on_the_index)
+    before = open_fd_count()
+    with pytest.raises(OSError) as failure:
+        build(tmp_path)
+    assert failure.value.errno == errno.ENOSPC
+    assert list((tmp_path / "out").iterdir()) == []
+    assert open_fd_count() == before
+    monkeypatch.undo()
+    with build(tmp_path) as library:
+        assert (tmp_path / "out" / index_name).exists()
+        assert library.store.record_count == 1

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import traced_peak
+from helpers import open_fd_count, traced_peak
 
 from raclib import neuro
 from raclib.errors import NotFoundError
@@ -269,6 +269,16 @@ def test_reopen_library(tmp_path):
     RegionLibrary.build({"r": [Voxel(-41, 12, -35)]}, tmp_path / "lib")
     lib = RegionLibrary.open(tmp_path / "lib")
     assert lib.region_voxels("r") == [Voxel(-41, 12, -35)]
+
+
+def test_open_without_index_raises_and_leaves_no_fd(tmp_path):
+    RegionLibrary.build({"r": [Voxel(-41, 12, -35)]}, tmp_path / "lib").close()
+    (tmp_path / "lib" / "regions.index").unlink()
+    before = open_fd_count()
+    for _ in range(5):
+        with pytest.raises(FileNotFoundError):
+            RegionLibrary.open(tmp_path / "lib")
+    assert open_fd_count() == before
 
 
 def test_region_query_is_one_read_of_its_records(tmp_path):

@@ -245,11 +245,16 @@ def test_pack_is_one_fsync_and_one_sidecar_update(tmp_path, monkeypatch):
     pages = make_pages(tmp_path / "in", 5)
     fsyncs, sidecars = [], []
     real_fsync, real_write_meta = os.fsync, store._write_meta
-    monkeypatch.setattr(os, "fsync", lambda fd: fsyncs.append(fd) or real_fsync(fd))
+
+    def fsync_naming_the_file(fd):
+        fsyncs.append(os.path.basename(os.readlink(f"/proc/self/fd/{fd}")))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync_naming_the_file)
     monkeypatch.setattr(store, "_write_meta", lambda *args: sidecars.append(args) or real_write_meta(*args))
     with pack_directory(tmp_path / "in", "c", tmp_path / "out", record_size=512) as collection:
         records = sum(-(-len(body) // 512) for body in pages.values())
         assert collection.store.record_count == records
         assert all(collection.fetch(*member) == body for member, body in pages.items())
-    assert len(fsyncs) == 1
+    assert sorted(fsyncs) == ["c.index", "c.raclib"]  # one each, not one per member
     assert [count for _, _, count in sidecars] == [0, records]  # create, then the one update

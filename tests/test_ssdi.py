@@ -1,4 +1,5 @@
 import itertools
+import os
 import random
 import re
 import tempfile
@@ -269,6 +270,21 @@ def test_failed_open_leaves_no_fd(tmp_path):
         with pytest.raises(ValueError):
             SsdiLibrary.open(tmp_path / "lib")
     assert open_fd_count() == before
+
+
+def test_build_refuses_an_existing_index_before_reading_or_writing(tmp_path, monkeypatch):
+    (tmp_path / "lib").mkdir()
+    (tmp_path / "lib" / INDEX_FILE).write_bytes(b"kept")
+    fsyncs = []
+    real_fsync = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: fsyncs.append(fd) or real_fsync(fd))
+    records = iter([KENNEDY])
+    with pytest.raises(FileExistsError):
+        SsdiLibrary.build(records, tmp_path / "lib")
+    assert fsyncs == []
+    assert not (tmp_path / "lib" / DATA_FILE).exists()
+    assert next(records) is KENNEDY  # nothing drawn
+    assert (tmp_path / "lib" / INDEX_FILE).read_bytes() == b"kept"
 
 
 # -- memory and output oracles of the build -----------------------------------

@@ -199,6 +199,7 @@ def test_read_only_handle_rejects_append(tmp_path):
     store = RecordStore.open(tmp_path / "lib", mode="r")
     with pytest.raises(PermissionError):
         store.append_payload(b"y")
+    assert (tmp_path / "lib").stat().st_size == 1024  # nothing written
 
 
 def test_open_for_append_truncates_orphan_tail(tmp_path):
@@ -281,40 +282,19 @@ def count_fsyncs(monkeypatch) -> list:
     return calls
 
 
-def test_append_records_streams_buffers_under_one_fsync(tmp_path, monkeypatch):
+def test_append_payloads_streams_buffers_under_one_fsync(tmp_path, monkeypatch):
     store = RecordStore.create(tmp_path / "lib", record_size=16)
     store.append_payload(b"head")
     fsyncs = count_fsyncs(monkeypatch)
     chunks = [b"a" * 32, bytearray(b"b" * 16), b"", memoryview(b"c" * 48)]
-    assert store.append_records(iter(chunks)) == RecordSetRef(start=1, count=6, byte_length=96)
+    refs = [RecordSetRef(1, 2, 32), RecordSetRef(3, 1, 16), RecordSetRef(4, 0, 0), RecordSetRef(4, 3, 48)]
+    assert store.append_payloads(iter(chunks)) == refs
     assert len(fsyncs) == 1
     assert (tmp_path / "lib.meta").read_text() == "record_size=16\nrecord_count=7\n"
     assert store.read_records(1, 6) == b"a" * 32 + b"b" * 16 + b"c" * 48
-    assert store.append_records([]) == RecordSetRef(start=7, count=0, byte_length=0)
+    assert store.append_payloads([]) == []
+    assert store.append_payloads([b"", bytearray()]) == [RecordSetRef(7, 0, 0)] * 2
     assert len(fsyncs) == 1  # nothing appended, nothing synced
-
-
-def test_append_records_rejects_a_partial_record_and_keeps_the_count(tmp_path):
-    store = RecordStore.create(tmp_path / "lib", record_size=16)
-    store.append_payload(b"x" * 16)
-    with pytest.raises(ValueError, match="not whole records"):
-        store.append_records([b"a" * 32, b"b" * 20, b"c" * 16])
-    assert store.record_count == 1
-    assert (tmp_path / "lib.meta").read_text() == "record_size=16\nrecord_count=1\n"
-    assert (tmp_path / "lib").stat().st_size == 48  # the chunk before it, written, not counted
-    store.close()
-    again = RecordStore.open(tmp_path / "lib", mode="a")
-    assert (tmp_path / "lib").stat().st_size == 16
-    assert again.append_records([b"d" * 16]) == RecordSetRef(start=1, count=1, byte_length=16)
-    assert again.read_records(0, 2) == b"x" * 16 + b"d" * 16
-
-
-def test_append_records_on_read_only_store_writes_nothing(tmp_path):
-    RecordStore.create(tmp_path / "lib", record_size=16).close()
-    store = RecordStore.open(tmp_path / "lib")
-    with pytest.raises(PermissionError):
-        store.append_records([b"a" * 16])
-    assert (tmp_path / "lib").stat().st_size == 0
 
 
 def record_size_and_payloads(record_size):
