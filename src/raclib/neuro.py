@@ -7,25 +7,22 @@ covers (-4[0-9], 1[0-9], -3[0-9]). Coordinates of one (region, block) group
 are stored as consecutive fixed-width records, one serial-index line per
 group, so a block query is one index lookup plus one contiguous read.
 
-A region query reads the region's lines through a region table: each
-region's (start, count) record runs in index order, adjacent groups merged
-into one run. One pass over the index builds it, kept until the index
-file's size, mtime or inode changes, so a region query is a stat, a dict
-probe and one contiguous read per run; a built library stores each region's
-groups back to back, so that is one read.
+A region query reads the region's lines as the serial index's ``runs``:
+its (start, count) record runs in index order, adjacent groups merged into
+one run, kept by the index until its file changes. So a region query is a
+stat, a dict probe and one contiguous read per run; a built library stores
+each region's groups back to back, so that is one read. This module never
+opens or parses an index file itself.
 """
 
 from __future__ import annotations
 
-import os
 import re
-import threading
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import NotFoundError
-from .serial_index import SerialIndex, SerialIndexEntry, file_signature
-from .store import Library, RecordStore
+from .serial_index import SerialIndex, SerialIndexEntry
+from .store import Library
 
 COORD_BOUND = 999  # 3-digit encoding per axis
 COORD_RECORD_SIZE = 16
@@ -113,32 +110,6 @@ def _unpack_coord(raw: bytes) -> Voxel:
     return decode_coord(raw.rstrip(b"\x00").decode("ascii"))
 
 
-class _RegionTable(NamedTuple):
-    signature: tuple[int, int, int]  # (st_size, st_mtime_ns, st_ino) the table covers
-    runs: dict[str, tuple[tuple[int, int], ...]]  # region -> (start, count) runs
-
-
-def _load_regions(path: Path) -> _RegionTable:
-    """One pass over the index: every region's record runs in line order.
-
-    A line whose records follow on from the region's previous run extends
-    that run, so reading the runs returns exactly the lines' records
-    concatenated; lines appended after the signature was taken are left out.
-    """
-    with open(path, "rb") as f:
-        signature = file_signature(os.fstat(f.fileno()))
-        data = f.read(signature[0])
-    runs: dict[str, list[list[int]]] = {}
-    for line in data.decode("ascii").splitlines():
-        entry = SerialIndexEntry.parse(line)
-        region = runs.setdefault(entry.name, [])
-        if region and region[-1][0] + region[-1][1] == entry.start:
-            region[-1][1] += entry.count
-        elif entry.count:
-            region.append([entry.start, entry.count])
-    return _RegionTable(signature, {name: tuple(map(tuple, r)) for name, r in runs.items()})
-
-
 def _blocks(region: str, voxels: Iterable[Voxel], codes: _ComponentCodes) -> dict[str, list[Voxel]]:
     """A region's voxels grouped by block in first-use order; a repeated or invalid voxel raises."""
     seen: set[Voxel] = set()
@@ -158,11 +129,6 @@ def _blocks(region: str, voxels: Iterable[Voxel], codes: _ComponentCodes) -> dic
 
 class RegionLibrary(Library):
     """Voxel store grouped region-by-region, block-by-block."""
-
-    def __init__(self, store: RecordStore, index: SerialIndex):
-        super().__init__(store, index)
-        self._regions: _RegionTable | None = None
-        self._regions_lock = threading.Lock()
 
     @classmethod
     def build(cls, regions: Mapping[str, Iterable[Voxel]], out_dir: str | Path) -> "RegionLibrary":
@@ -210,15 +176,6 @@ class RegionLibrary(Library):
             for i in range(count)
         ]
 
-    def _region_runs(self) -> dict[str, tuple[tuple[int, int], ...]]:
-        table = self._regions
-        if table is None or table.signature != file_signature(os.stat(self.index.path)):
-            with self._regions_lock:
-                table = self._regions
-                if table is None or table.signature != file_signature(os.stat(self.index.path)):
-                    table = self._regions = _load_regions(self.index.path)
-        return table.runs
-
     def block_voxels(self, region: str, block: str) -> list[Voxel]:
         """One index lookup plus one contiguous read."""
         entry = self.index.lookup(region, block)
@@ -228,21 +185,14 @@ class RegionLibrary(Library):
         """The records of every index line named for the region, in file order.
 
         Duplicate lines are read as often as they appear. The cost is one
-        stat of the index, a region-table probe and one contiguous read per
+        stat of the index, a probe of its runs and one contiguous read per
         run of adjacent groups: one read for a library written by ``build``.
         An unknown region raises NotFoundError without reading the store.
         """
-        runs = self._region_runs().get(region)
-        if runs is None:
-            raise NotFoundError(f"no region {region!r} in index")
         voxels = []
-        for start, count in runs:
+        for start, count in self.index.runs(region):
             voxels.extend(self._read_run(start, count))
         return voxels
-
-    def close(self) -> None:
-        super().close()
-        self._regions = None
 
 
 def read_atlas_tsv(path: str | Path) -> dict[str, list[Voxel]]:

@@ -123,7 +123,9 @@ class CollectionSet(Closeable):
         if not library_dir.is_dir():
             raise FileNotFoundError(f"library directory {library_dir} does not exist")
         with closed_on_error(cls([])) as collection_set:
-            for path in sorted(library_dir.glob("*" + LIBRARY_SUFFIX)):
+            # The index is a build's commit point: a store without one is a build that did not finish.
+            libraries = (index.with_suffix(LIBRARY_SUFFIX) for index in library_dir.glob("*" + INDEX_SUFFIX))
+            for path in sorted(libraries):
                 collection_set.collections.append(Collection.open(path))
             return collection_set
 

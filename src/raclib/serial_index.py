@@ -20,6 +20,10 @@ first line wins. Writers only append to an index or replace it by rename:
 one line, which it adds to the table in place while the table is under
 MAX_FILL; past that the next lookup reloads, once per ~20% growth, so O(1)
 per append amortised.
+
+``runs(name)`` gives the record runs of every line named ``name``. One pass
+over the table's bytes builds the runs of all names, kept until the table's
+signature changes, so a query sees appends and renames as a lookup does.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from .errors import DuplicateKeyError, NotFoundError
-from .store import Closeable, IOCounters, RecordSetRef
+from .store import Closeable, IOCounters, RecordSetRef, _pread_all
 
 # A slot is one 64-bit word, tag | line offset | line length, zero when empty.
 # Tag and home slot are disjoint bits of the per-process salted hash((name,
@@ -167,6 +171,19 @@ def _load(path: Path) -> _Table:
     return _Table(file, signature, slots, lines, unterminated)
 
 
+def _load_runs(table: _Table) -> dict[str, tuple[tuple[int, int], ...]]:
+    """Each name's (start, count) runs in line order; a line that follows on from its name's last run extends it."""
+    runs: dict[str, list[list[int]]] = {}
+    for line in _pread_all(table.file.fd, table.signature[0], 0).decode("ascii").splitlines():
+        entry = SerialIndexEntry.parse(line)
+        named = runs.setdefault(entry.name, [])
+        if named and named[-1][0] + named[-1][1] == entry.start:
+            named[-1][1] += entry.count
+        elif entry.count:
+            named.append([entry.start, entry.count])
+    return {name: tuple(map(tuple, named)) for name, named in runs.items()}
+
+
 class SerialIndex(Closeable):
     """Append-only index file with flat, table-driven lookup.
 
@@ -178,6 +195,7 @@ class SerialIndex(Closeable):
         self.path = Path(path)
         self.counters = IOCounters()
         self._table: _Table | None = None
+        self._runs: tuple[tuple[int, int, int], dict] | None = None  # (table signature, _load_runs of it)
         self._lock = threading.Lock()
 
     @classmethod
@@ -271,6 +289,21 @@ class SerialIndex(Closeable):
             raise NotFoundError(f"no index entry for ({name}, {key})")
         return entry
 
+    def runs(self, name: str) -> tuple[tuple[int, int], ...]:
+        """The (start, count) record runs of every line named ``name``, in file order.
+
+        Adjacent lines are merged; a repeated line gives a run each time it
+        appears. Raises NotFoundError if no line is named ``name``."""
+        with self._lock:
+            table = self._fresh()
+            runs = self._runs
+            if runs is None or runs[0] != table.signature:
+                runs = self._runs = (table.signature, _load_runs(table))
+        found = runs[1].get(name)
+        if found is None:
+            raise NotFoundError(f"no index entry named {name!r}")
+        return found
+
     def entries(self):
         """Yield all entries in file (append) order."""
         with open(self.path, "r", encoding="ascii") as f:
@@ -283,4 +316,4 @@ class SerialIndex(Closeable):
 
     def close(self) -> None:
         # The fd closes once no lookup still holds the table.
-        self._table = None
+        self._table = self._runs = None

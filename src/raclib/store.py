@@ -11,7 +11,10 @@ Reads go through ``pread``, so any number of threads or processes may read
 one store concurrently; at most one appender may be active. A member read is
 one ``pread`` of exactly the member's own bytes: the padding after it is
 never read. The sidecar is rewritten only after appended bytes are fsync'd,
-so a crash never leaves the record count pointing into unwritten data.
+so a crash never leaves the record count pointing into unwritten data. A
+read-only store opened with its sidecar reads that commit record again when
+asked for records past its count, so it serves what another appender has
+committed since; a repack renamed into place is not followed.
 
 Appends copy nothing and flush once per call: ``append_payloads`` writes
 each member from the caller's buffer and then its padding, if any, and
@@ -132,12 +135,14 @@ def _write_meta(meta_path: Path, record_size: int, record_count: int) -> None:
 class RecordStore(Closeable):
     """One library file plus its sidecar metadata, or a fixed-geometry file."""
 
-    def __init__(self, path: Path, fd: int, record_size: int, record_count: int, writable: bool):
+    def __init__(self, path: Path, fd: int, record_size: int, record_count: int, writable: bool,
+                 follows_sidecar: bool = False):
         self.path = path
         self._fd = fd
         self._record_size = record_size
         self._record_count = record_count
         self._writable = writable
+        self._follows_sidecar = follows_sidecar
         self.counters = IOCounters()
 
     @classmethod
@@ -150,7 +155,12 @@ class RecordStore(Closeable):
         if meta.exists():
             raise FileExistsError(f"store already exists: {path}")
         fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o644)
-        _write_meta(meta, record_size, 0)
+        try:
+            _write_meta(meta, record_size, 0)
+        except BaseException:
+            os.close(fd)
+            path.unlink()
+            raise
         return cls(path, fd, record_size, 0, writable=True)
 
     @classmethod
@@ -190,7 +200,7 @@ class RecordStore(Closeable):
             raise ValueError(f"store {path} is {size} B, but its geometry covers {covered} B")
         if writable and size > covered:
             os.ftruncate(fd, covered)
-        return cls(path, fd, record_size, record_count, writable)
+        return cls(path, fd, record_size, record_count, writable, follows_sidecar=not (writable or exact))
 
     @property
     def record_size(self) -> int:
@@ -271,6 +281,9 @@ class RecordStore(Closeable):
         _pwrite_all(self._fd, data, start * self._record_size)
 
     def _check_range(self, start: int, count: int) -> None:
+        if start + count > self._record_count and self._follows_sidecar:
+            held = os.fstat(self._fd).st_size // self._record_size  # a commit counts as far as this file holds it
+            self._record_count = max(self._record_count, min(_read_meta(_meta_path(self.path))[1], held))
         if start < 0 or count < 0 or start + count > self._record_count:
             raise IndexError(
                 f"record range [{start}, {start + count}) outside store of {self._record_count} records"
@@ -317,8 +330,9 @@ class Library(Closeable):
         drawn. ``payloads`` go to a new store under one fsync, then
         ``create_index(index_path, refs)``, given one ref per payload,
         writes and fsyncs the index. If any step raises, the store is closed
-        and the store, its sidecar and the index, as far as they got, are
-        deleted, and nothing else, so a rerun can succeed.
+        and the index, then the store and its sidecar, as far as they got,
+        are deleted, and nothing else: a rerun can succeed, and a kill midway
+        through leaves no index without its store.
         """
         if index_path.exists():
             raise FileExistsError(f"index already exists: {index_path}")
@@ -327,7 +341,7 @@ class Library(Closeable):
             return cls(store, create_index(index_path, store.append_payloads(payloads)))
         except BaseException:
             store.close()
-            for path in (store_path, _meta_path(store_path), index_path):
+            for path in (index_path, store_path, _meta_path(store_path)):  # the commit point first
                 path.unlink(missing_ok=True)
             raise
 

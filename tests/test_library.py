@@ -2,10 +2,12 @@
 
 import errno
 import os
+from pathlib import Path
 
 import pytest
 from helpers import open_fd_count
 
+from raclib import store
 from raclib.neuro import RegionLibrary, Voxel
 from raclib.pack import pack_directory
 from raclib.ssdi import DeathRecord, SsdiLibrary
@@ -49,3 +51,41 @@ def test_failed_index_fsync_leaves_no_file_and_a_rerun_succeeds(tmp_path, monkey
     with build(tmp_path) as library:
         assert (tmp_path / "out" / index_name).exists()
         assert library.store.record_count == 1
+
+
+@pytest.mark.parametrize("build", [pack_one_page, build_ssdi, build_atlas])
+def test_failed_sidecar_write_leaves_no_fd_or_file_and_a_rerun_succeeds(tmp_path, monkeypatch, build):
+    def no_space(*args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(store, "_write_meta", no_space)
+    before = open_fd_count()
+    with pytest.raises(OSError) as failure:
+        build(tmp_path)
+    assert failure.value.errno == errno.ENOSPC
+    assert open_fd_count() == before
+    assert list((tmp_path / "out").iterdir()) == []
+    monkeypatch.undo()
+    with build(tmp_path) as library:
+        assert library.store.record_count == 1
+
+
+def test_failed_build_deletes_its_index_before_its_store(tmp_path, monkeypatch):
+    """A kill midway through the clean-up then leaves a store no loader sees, never an index without its store."""
+    real_fsync, real_unlink = os.fsync, Path.unlink
+    deleted = []
+
+    def fsync_failing_on_the_index(fd):
+        if os.readlink(f"/proc/self/fd/{fd}").endswith("/c.index"):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        real_fsync(fd)
+
+    def unlink(path, missing_ok=False):
+        deleted.append(path.name)
+        real_unlink(path, missing_ok=missing_ok)
+
+    monkeypatch.setattr(os, "fsync", fsync_failing_on_the_index)
+    monkeypatch.setattr(Path, "unlink", unlink)
+    with pytest.raises(OSError):
+        pack_one_page(tmp_path)
+    assert deleted == ["c.index", "c.raclib", "c.raclib.meta"]

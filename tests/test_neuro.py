@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import open_fd_count, traced_peak
 
-from raclib import neuro
+from raclib import serial_index
 from raclib.errors import NotFoundError
 from raclib.neuro import (
     COORD_RECORD_SIZE,
@@ -294,13 +294,13 @@ def test_region_query_is_one_read_of_its_records(tmp_path):
 
 def count_index_passes(monkeypatch):
     passes = []
-    real_load = neuro._load_regions
+    real_load = serial_index._load_runs
 
     def counting_load(path):
         passes.append(path)
         return real_load(path)
 
-    monkeypatch.setattr(neuro, "_load_regions", counting_load)
+    monkeypatch.setattr(serial_index, "_load_runs", counting_load)
     return passes
 
 
@@ -319,6 +319,35 @@ def test_region_table_built_once_and_again_after_second_writer_appends(tmp_path,
         for _ in range(10):
             assert lib.region_voxels("b") == b
         assert len(passes) == 2
+
+
+def test_region_runs_rebuilt_once_after_the_librarys_own_append(tmp_path, monkeypatch):
+    passes = count_index_passes(monkeypatch)
+    a = [Voxel(1, 2, 3), Voxel(15, 2, 3)]
+    b = [Voxel(-41, 12, -35), Voxel(-42, 13, -36)]
+    with RegionLibrary.build({"a": a, "b": b}, tmp_path / "lib") as lib:
+        assert lib.region_voxels("a") == a
+        slots = lib.index._table.slots
+        lib.index.append(SerialIndexEntry("a", "n4_xp1_yn3_z", 2, 2))
+        for _ in range(10):
+            assert lib.region_voxels("a") == a + b
+            assert lib.region_voxels("b") == b
+        assert lib.index._table.slots is slots  # the append filled a slot in place: no reload
+        assert len(passes) == 2
+
+
+def test_region_and_block_queries_read_voxels_another_writer_appends(tmp_path):
+    a = [Voxel(1, 2, 3)]
+    c = Voxel(-41, 12, -35)
+    RegionLibrary.build({"a": a}, tmp_path / "lib").close()
+    with RegionLibrary.open(tmp_path / "lib") as lib:
+        assert lib.region_voxels("a") == a
+        with RecordStore.open(tmp_path / "lib" / "voxels.raclib", mode="a") as writer, \
+                SerialIndex(tmp_path / "lib" / "regions.index") as index:
+            ref = writer.append_payload(encode_coord(c).encode("ascii").ljust(COORD_RECORD_SIZE, b"\0"))
+            index.append(SerialIndexEntry("c", block_of(c), ref.start, ref.count))
+        assert lib.region_voxels("c") == [c]
+        assert lib.block_voxels("c", block_of(c)) == [c]
 
 
 def test_region_table_sees_index_replaced_by_rename(tmp_path):

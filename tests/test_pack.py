@@ -207,12 +207,56 @@ def test_collection_set_failed_load_leaves_no_fd(tmp_path):
     for name in ("a", "b", "c"):
         make_pages(tmp_path / name, 2)
         pack_directory(tmp_path / name, name, out).close()
-    (out / "c.index").unlink()  # a and b open before c fails
+    (out / "c.raclib.meta").unlink()  # a and b open before c fails
     before = open_fd_count()
     for _ in range(5):
         with pytest.raises(FileNotFoundError):
             CollectionSet.load_dir(out)
     assert open_fd_count() == before
+
+
+def pack_one_member_each(tmp_path, names):
+    out = tmp_path / "lib"
+    for name in names:
+        (tmp_path / name).mkdir()
+        (tmp_path / name / f"{name}_0001.jpg").write_bytes(name.encode() * 100)
+        pack_directory(tmp_path / name, name, out).close()
+    return out
+
+
+def test_collection_set_loads_around_a_store_whose_build_left_no_index(tmp_path):
+    out = pack_one_member_each(tmp_path, ("a", "b", "c"))
+    (out / "b.index").unlink()  # a build killed between its store and its index
+    with CollectionSet.load_dir(out) as collections:
+        assert [c.store.path.name for c in collections.collections] == ["a.raclib", "c.raclib"]
+        assert collections.fetch("a", "0001") == b"a" * 100
+        assert collections.fetch("c", "0001") == b"c" * 100
+        with pytest.raises(NotFoundError):
+            collections.fetch("b", "0001")
+
+
+def test_open_collection_set_serves_a_member_another_writer_appends(tmp_path):
+    out = pack_one_member_each(tmp_path, ("c",))
+    body = random.Random(5).randbytes(3000)
+    with CollectionSet.load_dir(out) as collections:
+        assert collections.fetch("c", "0001") == b"c" * 100
+        with store.RecordStore.open(out / "c.raclib", mode="a") as writer, \
+                serial_index.SerialIndex(out / "c.index") as index:
+            ref = writer.append_payload(body)
+            index.append(SerialIndexEntry("c", "0002", ref.start, ref.count, ref.byte_length))
+        assert collections.fetch("c", "0002") == body
+        reader = collections.collections[0].store
+        assert reader.record_count == 4
+        with open(out / "c.raclib", "ab") as f:
+            f.write(bytes(2 * 1024))  # two records that no sidecar update commits
+        with pytest.raises(IndexError):
+            reader.read_records(4, 1)
+        # A sidecar counting past the end of the file commits only what the file holds.
+        store._write_meta(out / "c.raclib.meta", 1024, 10)
+        assert reader.read_records(5, 1) == bytes(1024)
+        with pytest.raises(IndexError):
+            reader.read_records(6, 1)
+        assert reader.record_count == 6
 
 
 def test_collection_set_missing_dir(tmp_path):

@@ -11,6 +11,8 @@ import pytest
 from raclib.cache import BucketCache, DeliveryRequest, ImageResolver
 from raclib.config import Config
 from raclib.pack import pack_directory
+from raclib.serial_index import SerialIndex, SerialIndexEntry
+from raclib.store import RecordStore
 from raclib.server import IDLE_TIMEOUT_S, DeliveryHandler, DeliveryServer, build_resolver, sniff_content_type
 
 from test_pack import make_pages
@@ -69,6 +71,17 @@ def test_image_library_then_cache(service):
     status, headers, body2 = get(url)
     assert headers["X-RacLib-Source"] == "cache"
     assert body2 == body
+
+
+def test_member_appended_by_another_writer_is_served(service, tmp_path):
+    base, _ = service
+    body = b"\xff\xd8\xff" + bytes(range(256)) * 9
+    lib = tmp_path / "lib"
+    with RecordStore.open(lib / "yearbooks.raclib", mode="a") as writer, SerialIndex(lib / "yearbooks.index") as index:
+        ref = writer.append_payload(body)
+        index.append(SerialIndexEntry("TallyHo1965", "0004", ref.start, ref.count, ref.byte_length))
+    status, _, served = get(base + "/image?title=TallyHo1965&page=0004")
+    assert (status, served) == (200, body)
 
 
 def test_unknown_image_404(service):
