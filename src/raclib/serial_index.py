@@ -57,7 +57,7 @@ BLOCK_BYTES = 1 << 16
 def _check_token(field: str, value: str) -> None:
     if not value:
         raise ValueError(f"{field} must be non-empty")
-    if not value.isascii() or any(c.isspace() for c in value):
+    if not value.isascii() or value.split() != [value]:  # split() cuts at every isspace() character
         raise ValueError(f"{field} must be ASCII without whitespace: {value!r}")
 
 

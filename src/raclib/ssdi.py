@@ -5,6 +5,12 @@ surname letter, first given-name letter) and concatenated group by group
 into one library, so a search touches exactly one computed-index entry and
 one contiguous run of records, whatever the library size.
 
+A search checks every record it reads once, with one compiled pattern per
+record that accepts exactly what ``DeathRecord.unpack`` accepts (a record
+the pattern refuses goes through ``unpack``, which raises naming the field).
+A non-hit is rejected on its fixed-width name bytes, without decoding; the
+remaining candidates are built once each and filtered by ``matches``.
+
 Record layout (64 bytes, one line of plain ASCII per person):
 
     surname   24 bytes, upper-case, space-padded
@@ -43,6 +49,15 @@ _DATE_RE = re.compile(r"[0-9]{8}")
 _SSN_RE = re.compile(r"[0-9]{9}")
 # ssn, birth and death concatenated, when all three are well formed.
 _NUMBERS_RE = re.compile(r"[0-9]{9}(?:[0-9]{4}(?:0[0-9]|1[0-2])(?:[0-2][0-9]|3[01])){2}")
+# A packed record that ``DeathRecord.unpack`` accepts, for ``fullmatch(data, o, o + 64)``: ASCII
+# names with no NUL or newline, then what _NUMBERS_RE accepts, two ASCII bytes and a newline.
+# Stricter than ``unpack`` only on a name field with a newline that strip() would remove;
+# such a record takes ``unpack``'s path. Never run over a whole group: ``(?:...)*`` makes sre
+# keep state for every record it repeats over, megabytes for a large group.
+_RECORD_RE = re.compile(
+    rb"[\x01-\x09\x0b-\x7f]{36}" + _NUMBERS_RE.pattern.encode("ascii") + rb"[\x00-\x7f]{2}\n"
+)
+_UPPER_RE = re.compile(rb"[A-Z]+")
 
 
 def _check_date(field: str, value: str) -> None:
@@ -100,6 +115,19 @@ class DeathRecord:
         return line.encode("ascii")
 
     @classmethod
+    def _from_checked(cls, text: str) -> "DeathRecord":
+        """``unpack`` of a record ``_RECORD_RE`` accepted: the same fields, not checked again."""
+        record = object.__new__(cls)
+        # Set as __init__ sets them: touching __dict__ would give each record a dict of its own.
+        set_field = object.__setattr__
+        set_field(record, "surname", text[:24].rstrip().upper().strip())
+        set_field(record, "given", text[24:36].rstrip().upper().strip())
+        set_field(record, "ssn", text[36:45])
+        set_field(record, "birth_date", text[45:53])
+        set_field(record, "death_date", text[53:61])
+        return record
+
+    @classmethod
     def unpack(cls, raw: bytes) -> "DeathRecord":
         if len(raw) != RECORD_SIZE or raw[-1:] != b"\n":
             raise ValueError(f"malformed 64-byte record: {raw!r}")
@@ -139,9 +167,10 @@ def matches(query: SearchQuery, record: DeathRecord) -> bool:
 
 def _matches(query: SearchQuery, surname: str, given: str, record: DeathRecord) -> bool:
     """``matches``, given the query's names already normalized by ``letters_only``."""
-    if not letters_only(record.surname).startswith(surname):
+    # A stored name that starts with the query's letters needs no normalizing to match them.
+    if not (record.surname.startswith(surname) or letters_only(record.surname).startswith(surname)):
         return False
-    if not letters_only(record.given).startswith(given):
+    if not (record.given.startswith(given) or letters_only(record.given).startswith(given)):
         return False
     if query.birth_year is not None and record.birth_year != query.birth_year:
         return False
@@ -201,15 +230,36 @@ class SsdiLibrary(Library):
         return cls._open(directory / DATA_FILE, directory / INDEX_FILE, ComputedIndex.open)
 
     def search(self, query: SearchQuery) -> list[DeathRecord]:
-        """One index fetch, one contiguous group read, then a serial filter."""
+        """One index fetch, one contiguous group read, then one pass over the group's bytes.
+
+        A checked record whose name bytes are upper-case letters other than
+        the query's prefix is rejected on those bytes, where ``matches``
+        would reject it; the others are built once and go through ``matches``.
+        """
         surname, given = letters_only(query.surname), letters_only(query.given)
         if not surname and not given:
             raise ValueError("search needs at least one name letter to derive key letters")
         entry = self.index.read_group_entry(name_ordinal(surname, given))
         data = self.store.read_records(entry.start, entry.count)
+        # A field's letters start with its first bytes when those are all letters, so a prefix
+        # no longer than its field can be compared with them; a longer one is left to ``matches``.
+        surname_b = surname.encode("ascii") if len(surname) <= SURNAME_WIDTH else b""
+        given_b = given.encode("ascii") if len(given) <= GIVEN_WIDTH else b""
+        surname_end, given_end = len(surname_b), SURNAME_WIDTH + len(given_b)
+        checked, upper = _RECORD_RE.fullmatch, _UPPER_RE.fullmatch
         results = []
-        for i in range(entry.count):
-            record = DeathRecord.unpack(data[i * RECORD_SIZE : (i + 1) * RECORD_SIZE])
+        for o in range(0, len(data), RECORD_SIZE):
+            end = o + RECORD_SIZE
+            if not checked(data, o, end):
+                record = DeathRecord.unpack(data[o:end])
+            elif (
+                surname_b and not data.startswith(surname_b, o) and upper(data, o, o + surname_end)
+                or given_b and not data.startswith(given_b, o + SURNAME_WIDTH)
+                and upper(data, o + SURNAME_WIDTH, o + given_end)
+            ):
+                continue
+            else:
+                record = DeathRecord._from_checked(data[o:end].decode("ascii"))
             if _matches(query, surname, given, record):
                 results.append(record)
         return results

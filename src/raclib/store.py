@@ -12,9 +12,9 @@ one store concurrently; at most one appender may be active. A member read is
 one ``pread`` of exactly the member's own bytes: the padding after it is
 never read. The sidecar is rewritten only after appended bytes are fsync'd,
 so a crash never leaves the record count pointing into unwritten data. A
-read-only store opened with its sidecar reads that commit record again when
-asked for records past its count, so it serves what another appender has
-committed since; a repack renamed into place is not followed.
+store with a sidecar, read-only or writable, reads that commit record again
+when asked for records past its count, so it serves what another appender
+has committed since; a repack renamed into place is not followed.
 
 Appends copy nothing and flush once per call: ``append_payloads`` writes
 each member from the caller's buffer and then its padding, if any, and
@@ -136,7 +136,7 @@ class RecordStore(Closeable):
     """One library file plus its sidecar metadata, or a fixed-geometry file."""
 
     def __init__(self, path: Path, fd: int, record_size: int, record_count: int, writable: bool,
-                 follows_sidecar: bool = False):
+                 follows_sidecar: bool):
         self.path = path
         self._fd = fd
         self._record_size = record_size
@@ -161,7 +161,7 @@ class RecordStore(Closeable):
             os.close(fd)
             path.unlink()
             raise
-        return cls(path, fd, record_size, 0, writable=True)
+        return cls(path, fd, record_size, 0, writable=True, follows_sidecar=True)
 
     @classmethod
     def open(cls, path: str | Path, mode: str = "r") -> "RecordStore":
@@ -200,7 +200,7 @@ class RecordStore(Closeable):
             raise ValueError(f"store {path} is {size} B, but its geometry covers {covered} B")
         if writable and size > covered:
             os.ftruncate(fd, covered)
-        return cls(path, fd, record_size, record_count, writable, follows_sidecar=not (writable or exact))
+        return cls(path, fd, record_size, record_count, writable, follows_sidecar=not exact)
 
     @property
     def record_size(self) -> int:

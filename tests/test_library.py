@@ -11,6 +11,7 @@ from raclib import store
 from raclib.neuro import RegionLibrary, Voxel
 from raclib.pack import pack_directory
 from raclib.ssdi import DeathRecord, SsdiLibrary
+from raclib.store import RecordStore
 
 
 def pack_one_page(tmp_path):
@@ -89,3 +90,12 @@ def test_failed_build_deletes_its_index_before_its_store(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         pack_one_page(tmp_path)
     assert deleted == ["c.index", "c.raclib", "c.raclib.meta"]
+
+
+@pytest.mark.parametrize("build", [pack_one_page, build_ssdi, build_atlas])
+def test_builder_handle_reads_records_another_writer_appends(tmp_path, build):
+    with build(tmp_path) as library:
+        record = b"x" * library.store.record_size
+        with RecordStore.open(library.store.path, mode="a") as writer:
+            ref = writer.append_payload(record)
+        assert library.store.read_records(ref.start, 1) == record

@@ -20,6 +20,7 @@ from raclib.neuro import (
     block_of,
     decode_coord,
     encode_coord,
+    _unpack_run,
     read_atlas_tsv,
 )
 from raclib.serial_index import SerialIndex, SerialIndexEntry
@@ -47,10 +48,10 @@ def test_decode_known_coordinate():
     assert decode_coord("p0p0p0") == Voxel(0, 0, 0)
 
 
-@pytest.mark.parametrize(
-    "bad",
-    ["x41p12", "p1p2", "n41p12n35junk", "p01p0p0", "n0p0p0", "", "p1p2p3p4", "pp1p2", "n-1p2p3"],
-)
+MALFORMED = ["x41p12", "p1p2", "n41p12n35junk", "p01p0p0", "n0p0p0", "", "p1p2p3p4", "pp1p2", "n-1p2p3"]
+
+
+@pytest.mark.parametrize("bad", MALFORMED)
 def test_decode_rejects_malformed(bad):
     with pytest.raises(ValueError):
         decode_coord(bad)
@@ -336,18 +337,46 @@ def test_region_runs_rebuilt_once_after_the_librarys_own_append(tmp_path, monkey
         assert len(passes) == 2
 
 
+def append_voxel(lib_dir: Path, region: str, voxel: Voxel) -> None:
+    """Append one voxel and its index line as a second writer would."""
+    with RecordStore.open(lib_dir / "voxels.raclib", mode="a") as writer, SerialIndex(lib_dir / "regions.index") as index:
+        ref = writer.append_payload(encode_coord(voxel).encode("ascii").ljust(COORD_RECORD_SIZE, b"\0"))
+        index.append(SerialIndexEntry(region, block_of(voxel), ref.start, ref.count))
+
+
 def test_region_and_block_queries_read_voxels_another_writer_appends(tmp_path):
     a = [Voxel(1, 2, 3)]
     c = Voxel(-41, 12, -35)
     RegionLibrary.build({"a": a}, tmp_path / "lib").close()
     with RegionLibrary.open(tmp_path / "lib") as lib:
         assert lib.region_voxels("a") == a
-        with RecordStore.open(tmp_path / "lib" / "voxels.raclib", mode="a") as writer, \
-                SerialIndex(tmp_path / "lib" / "regions.index") as index:
-            ref = writer.append_payload(encode_coord(c).encode("ascii").ljust(COORD_RECORD_SIZE, b"\0"))
-            index.append(SerialIndexEntry("c", block_of(c), ref.start, ref.count))
+        append_voxel(tmp_path / "lib", "c", c)
         assert lib.region_voxels("c") == [c]
         assert lib.block_voxels("c", block_of(c)) == [c]
+
+
+def test_build_handle_serves_voxels_another_writer_appends(tmp_path):
+    a = [Voxel(1, 2, 3)]
+    c = Voxel(-41, 12, -35)
+    with RegionLibrary.build({"a": a}, tmp_path / "lib") as lib:
+        assert lib.region_voxels("a") == a
+        append_voxel(tmp_path / "lib", "c", c)
+        assert lib.region_voxels("c") == [c]
+        assert lib.block_voxels("c", block_of(c)) == [c]
+
+
+@pytest.mark.parametrize("bad", MALFORMED)
+def test_malformed_record_in_the_store_fails_block_and_region_queries(tmp_path, bad):
+    voxels = [Voxel(1, 2, 3), Voxel(4, 5, 6), Voxel(7, 8, 9)]
+    RegionLibrary.build({"r": voxels}, tmp_path / "lib").close()
+    with open(tmp_path / "lib" / "voxels.raclib", "r+b") as f:
+        f.seek(COORD_RECORD_SIZE)  # the middle record
+        f.write(bad.encode("ascii").ljust(COORD_RECORD_SIZE, b"\0"))
+    with RegionLibrary.open(tmp_path / "lib") as lib:
+        with pytest.raises(ValueError):
+            lib.block_voxels("r", block_of(voxels[0]))
+        with pytest.raises(ValueError):
+            lib.region_voxels("r")
 
 
 def test_region_table_sees_index_replaced_by_rename(tmp_path):
@@ -470,3 +499,34 @@ def test_region_voxels_matches_a_scan_of_the_index(lines):
                 else:
                     with pytest.raises(NotFoundError):
                         lib.region_voxels(region)
+
+
+def _unpack_each(data: bytes) -> list[Voxel]:
+    """The reference: ``decode_coord`` of each record on its own."""
+    return [
+        decode_coord(data[o : o + COORD_RECORD_SIZE].rstrip(b"\0").decode("ascii"))
+        for o in range(0, len(data), COORD_RECORD_SIZE)
+    ]
+
+
+axis = st.integers(-999, 999)
+stored_records = st.one_of(
+    st.builds(lambda *v: encode_coord(Voxel(*v)).encode("ascii"), axis, axis, axis),
+    st.sampled_from(MALFORMED).map(str.encode),
+    st.binary(max_size=COORD_RECORD_SIZE),
+    st.text(st.sampled_from("pn0129\0"), max_size=COORD_RECORD_SIZE).map(str.encode),
+).map(lambda raw: raw.ljust(COORD_RECORD_SIZE, b"\0"))
+
+
+@settings(max_examples=300)
+@given(st.lists(stored_records, max_size=12))
+def test_unpack_run_equals_decode_coord_per_record(records):
+    data = b"".join(records)
+    try:
+        expected = _unpack_each(data)
+    except ValueError:
+        with pytest.raises(ValueError):
+            _unpack_run(data)
+    else:
+        assert _unpack_run(data) == expected
+        assert all(type(v) is Voxel for v in _unpack_run(data))

@@ -26,6 +26,30 @@ def test_index_line_round_trips(name, key, start, count, byte_length):
     assert SerialIndexEntry.parse(line) == entry
 
 
+def per_character_check(value: str) -> bool:
+    """The token check as first written: one ``isspace`` call per character."""
+    return value.isascii() and not any(c.isspace() for c in value)
+
+
+def token_accepted(value: str) -> bool:
+    try:
+        serial_index._check_token("name", value)
+    except ValueError:
+        return False
+    return True
+
+
+def test_token_check_equals_a_per_character_check_on_every_ascii_character():
+    for c in map(chr, range(128)):
+        for value in (c, "a" + c, c + "a", "a" + c + "b"):
+            assert token_accepted(value) == per_character_check(value), repr(value)
+
+
+@given(st.text(st.characters(max_codepoint=0x7F) | st.sampled_from("\x85\xa0\u2003é"), min_size=1, max_size=8))
+def test_token_check_equals_a_per_character_check(value):
+    assert token_accepted(value) == per_character_check(value)
+
+
 @given(st.integers(0, 10**10 - 1), st.integers(0, 10**8 - 1))
 def test_group_entry_round_trips(start, count):
     entry = GroupEntry(start, count)

@@ -11,7 +11,7 @@ from helpers import open_fd_count, random_death_fields, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from raclib.computed_index import GROUP_COUNT
+from raclib.computed_index import GROUP_COUNT, name_ordinal
 from raclib.ssdi import (
     DATA_FILE,
     INDEX_FILE,
@@ -19,6 +19,7 @@ from raclib.ssdi import (
     DeathRecord,
     SearchQuery,
     SsdiLibrary,
+    matches,
     read_records_tsv,
     record_tsv_line,
 )
@@ -285,6 +286,115 @@ def test_build_refuses_an_existing_index_before_reading_or_writing(tmp_path, mon
     assert not (tmp_path / "lib" / DATA_FILE).exists()
     assert next(records) is KENNEDY  # nothing drawn
     assert (tmp_path / "lib" / INDEX_FILE).read_bytes() == b"kept"
+
+
+# -- search against decoding every record of the group -------------------------
+
+def group_search(lib, query):
+    """The reference: ``DeathRecord.unpack`` of every record in the query's group, then ``matches``."""
+    entry = lib.index.read_group_entry(name_ordinal(query.surname, query.given))
+    raw = lib.store.read_records(entry.start, entry.count)
+    records = [DeathRecord.unpack(raw[o : o + RECORD_SIZE]) for o in range(0, len(raw), RECORD_SIZE)]
+    return [r for r in records if matches(query, r)]
+
+
+def restyle(raw: bytes, style: int) -> bytes:
+    """A stored record as another writer may have written it; ``unpack`` reads it as the same person.
+
+    1: lower-case names; 2 and 3: the surname after a leading space or newline.
+    """
+    if style == 1:
+        return raw[:36].lower() + raw[36:]
+    if style in (2, 3) and raw[23:24] == b" ":
+        return (b" " if style == 2 else b"\n") + raw[:23] + raw[24:]
+    return raw
+
+
+years = st.integers(1890, 1893)
+name_tail = st.text(st.sampled_from("JON '-"), max_size=6)
+group_records = st.builds(
+    lambda s1, s2, g1, g2, ssn, birth, death: DeathRecord(
+        (s1 + s2)[:24], (g1 + g2)[:12], ssn, f"{birth}0101", f"{death}1200"
+    ),
+    st.sampled_from(["JO", "J-O", "J'O", "JO ", "JA"]), name_tail,  # mostly one group
+    st.sampled_from(["J", "J-", "J R", "R"]), name_tail,
+    st.from_regex(r"[0-9]{9}", fullmatch=True), years, years,
+)
+
+
+@st.composite
+def search_queries(draw, records):
+    """A query built around one stored record, so that many queries have hits."""
+    record = draw(st.sampled_from(records))
+
+    def name(stored, width):
+        prefix = stored[: draw(st.integers(0, len(stored)))]
+        return draw(st.sampled_from([
+            prefix, prefix, prefix, prefix.lower().replace(" ", "-"),
+            draw(name_tail),
+            draw(st.text(st.sampled_from("JO"), min_size=width + 1, max_size=width + 2)),  # longer than the field
+        ]))
+
+    surname, given = name(record.surname, 24), name(record.given, 12)
+    death_from = draw(st.sampled_from([None, None, record.death_year, 1891]))
+    death_to = draw(st.sampled_from([None, None, record.death_year, 1892]))
+    if death_from is not None and death_to is not None and death_from > death_to:
+        death_from, death_to = death_to, death_from
+    return SearchQuery(given=given, surname=surname, birth_year=draw(st.sampled_from([None, None, record.birth_year, 1890])),
+                       death_year_from=death_from, death_year_to=death_to)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(group_records, min_size=1, max_size=40), st.lists(st.integers(0, 3), max_size=40), st.data())
+def test_search_equals_matches_over_every_record_of_the_group(records, styles, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        with SsdiLibrary.build(records, Path(tmp, "lib")) as lib:
+            for i, style in enumerate(styles[: len(records)]):
+                lib.store.write_records(i, restyle(lib.store.read_records(i, 1), style))
+            for query in data.draw(st.lists(search_queries(records), max_size=6)):
+                if re.search("[A-Za-z]", query.surname + query.given):
+                    assert lib.search(query) == group_search(lib, query), query
+
+
+# Each corrupts KENNER RALPH, the non-hit that shares KENNEDY ROBERT's group.
+CORRUPTIONS = {
+    "ssn digit": (40, b"X", "ssn"),
+    "month 13": (49, b"13", "birth_date"),
+    "day 32": (59, b"32", "death_date"),
+    "no final newline": (63, b" ", "malformed 64-byte record"),
+    "non-ASCII byte": (30, b"\xc3", "ascii"),
+    "NUL in a name": (3, b"\x00", "surname"),
+}
+
+
+@pytest.mark.parametrize("offset, planted, message", CORRUPTIONS.values(), ids=list(CORRUPTIONS))
+def test_corrupt_non_hit_in_the_searched_group_fails_the_search(tmp_path, offset, planted, message):
+    kenner = DeathRecord("KENNER", "RALPH", "000000011", "19251010", "19600101")
+    query = SearchQuery(surname="Kennedy", given="Robert")
+    with SsdiLibrary.build([KENNEDY, kenner], tmp_path / "lib") as lib:
+        assert lib.search(query) == [KENNEDY]
+    with open(tmp_path / "lib" / DATA_FILE, "r+b") as f:
+        f.seek(RECORD_SIZE + offset)  # KENNER is the group's second record
+        f.write(planted)
+    with SsdiLibrary.open(tmp_path / "lib") as lib:
+        with pytest.raises(ValueError, match=message):
+            lib.search(query)
+
+
+def test_search_peak_stays_within_twice_the_group_bytes(tmp_path):
+    """The group is checked record by record: sre keeps state per repetition of one whole-buffer pattern."""
+    rng = random.Random(13)
+    records = [
+        DeathRecord("JO" + "".join(rng.choices("ABCDEFGHIKLMNPQRSTUVWXYZ", k=6)), "JAMES", f"{i:09d}", "19000101", "19700101")
+        for i in range(3_000)
+    ]
+    hit = DeathRecord("JOHNSON", "JAMES", "999999999", "19000101", "19700101")
+    with SsdiLibrary.build(records + [hit], tmp_path / "lib") as lib:
+        query = SearchQuery(surname="Johnson", given="James")
+        group = lib.index.read_group_entry(name_ordinal("JOHNSON", "JAMES"))
+        assert group.count >= 2_900
+        assert lib.search(query) == [hit]
+        assert traced_peak(lambda: lib.search(query)) <= 2 * group.count * RECORD_SIZE
 
 
 # -- memory and output oracles of the build -----------------------------------
