@@ -3,11 +3,13 @@
 Cache directories are named by epoch seconds with the last three digits
 removed, so a new bucket starts every 1000 seconds and an image persists for
 2000 seconds (current plus previous bucket); lookups search exactly the
-buckets the sweep keeps. Handlers that find the current bucket missing race
-for an exclusively created token file; the winner makes the directory and
-sweeps expired buckets, losers sleep one second and re-check. A token that
-survives two such waits is presumed stale (its owner died) and is forcibly
-replaced, so no handler ever hangs on a crashed peer.
+buckets the sweep keeps. A hit is one check that the current bucket exists
+and one open of the cached file, newest bucket first: the open is the lookup.
+Handlers that find the current bucket missing race for an exclusively
+created token file; the winner makes the directory and sweeps expired
+buckets, losers sleep one second and re-check. A token that survives two
+such waits is presumed stale (its owner died) and is forcibly replaced, so
+no handler ever hangs on a crashed peer.
 
 Handlers may live in different processes: the token file is the only
 exclusion mechanism, and cached files become visible only via rename, so a
@@ -65,7 +67,7 @@ class DeliveryRequest:
             if not value:
                 raise ValueError(f"{field} must be non-empty")
             # '/' would let a request name escape the cache directory.
-            if any(c.isspace() for c in value) or "/" in value or "\x00" in value:
+            if value.split() != [value] or "/" in value or "\x00" in value:
                 raise ValueError(f"{field} contains forbidden characters: {value!r}")
 
     def cache_filename(self) -> str:
@@ -98,20 +100,14 @@ class BucketCache:
     def now(self) -> float:
         return self._clock()
 
-    def bucket_id(self, now: float) -> str:
-        return bucket_name(now, self.bucket_width)
-
     def live_bucket_ids(self, now: float) -> range:
         """Ids of the ``ttl // width`` buckets still served at ``now``, newest first."""
-        current = int(self.bucket_id(now))
+        current = int(bucket_name(now, self.bucket_width))
         return range(current, current - self.bucket_ttl // self.bucket_width, -1)
 
     # Per-request paths are plain strings: pathlib interns every component,
     # and each interned string that dies leaves a slot in the process-wide
     # intern table, which then grows with the number of requests served.
-
-    def bucket_dir(self, bucket_id: str) -> str:
-        return os.path.join(self.root, bucket_id)
 
     # -- token protocol -----------------------------------------------------
 
@@ -143,7 +139,7 @@ class BucketCache:
         """
         if now is None:
             now = self.now()
-        bucket = self.bucket_dir(self.bucket_id(now))
+        bucket = os.path.join(self.root, bucket_name(now, self.bucket_width))
         if os.path.isdir(bucket):
             return BucketOutcome.EXISTED
         for _ in range(TOKEN_WAIT_ROUNDS):
@@ -179,21 +175,27 @@ class BucketCache:
 
     # -- cached files ---------------------------------------------------------
 
-    def find_cached(self, filename: str, now: float | None = None) -> str | None:
-        """Look for a cached file in each live bucket, newest first."""
+    def find_cached(self, filename: str, now: float | None = None) -> bytes | None:
+        """The bytes of the cached file in the newest live bucket that holds it, or None.
+
+        The open is the lookup: no stat precedes it, and a file swept away
+        before the open is a miss in its bucket, not an error.
+        """
         if now is None:
             now = self.now()
-        for bucket_id in self.live_bucket_ids(now):
-            path = os.path.join(self.root, str(bucket_id), filename)
-            if os.path.isfile(path):
-                return path
+        for bucket in self.live_bucket_ids(now):
+            try:
+                with open(os.path.join(self.root, str(bucket), filename), "rb") as f:
+                    return f.read()
+            except FileNotFoundError:
+                continue
         return None
 
     def store_file(self, filename: str, payload: bytes, now: float | None = None) -> str:
         """Write into the current bucket atomically (temp name, then rename)."""
         if now is None:
             now = self.now()
-        bucket = self.bucket_dir(self.bucket_id(now))
+        bucket = os.path.join(self.root, bucket_name(now, self.bucket_width))
         target = os.path.join(bucket, filename)
         tmp = os.path.join(bucket, f".{filename}.{os.getpid()}.{threading.get_ident()}.tmp")
         with open(tmp, "wb") as f:
@@ -213,9 +215,9 @@ class ImageResolver:
     """Resolve (title, page) requests through the cache, falling back to fetch.
 
     ``fetch_payload(title, page)`` supplies the library bytes and raises
-    NotFoundError for unknown members. Caching is best-effort: a failed cache
-    write degrades to serving the fetched bytes directly. ``close``, if given,
-    releases what ``fetch_payload`` reads from.
+    NotFoundError for unknown members. Caching is best-effort: a cache that
+    cannot be read or written degrades to serving the fetched bytes.
+    ``close``, if given, releases what ``fetch_payload`` reads from.
     """
 
     def __init__(self, fetch_payload, cache: BucketCache, close=None):
@@ -227,29 +229,22 @@ class ImageResolver:
         if self._close is not None:
             self._close()
 
-    def resolve(self, request: DeliveryRequest, now: float | None = None) -> DeliveryResult:
-        if now is None:
-            now = self.cache.now()
+    def resolve(self, request: DeliveryRequest) -> DeliveryResult:
+        now = self.cache.now()
         started = time.perf_counter()
         filename = request.cache_filename()
-        cache_usable = True
         try:
             self.cache.ensure_bucket(now)
+            cached = self.cache.find_cached(filename, now)
         except OSError as exc:
             logger.warning("cache unusable, serving without it: %s", exc)
-            cache_usable = False
-        cached = self.cache.find_cached(filename, now) if cache_usable else None
+            return DeliveryResult(self._fetch(request.title, request.page), "library",
+                                  (time.perf_counter() - started) * 1000)
         if cached is not None:
-            try:
-                with open(cached, "rb") as f:
-                    payload = f.read()
-                return DeliveryResult(payload, "cache", (time.perf_counter() - started) * 1000)
-            except OSError:
-                pass  # swept between lookup and read; fall through to the library
+            return DeliveryResult(cached, "cache", (time.perf_counter() - started) * 1000)
         payload = self._fetch(request.title, request.page)
-        if cache_usable:
-            try:
-                self.cache.store_file(filename, payload, now)
-            except OSError as exc:
-                logger.warning("cache write failed for %s: %s", filename, exc)
+        try:
+            self.cache.store_file(filename, payload, now)
+        except OSError as exc:
+            logger.warning("cache write failed for %s: %s", filename, exc)
         return DeliveryResult(payload, "library", (time.perf_counter() - started) * 1000)

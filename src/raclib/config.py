@@ -10,20 +10,20 @@ import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-ENV_PREFIX = "RACLIB_"
+from .cache import DEFAULT_BUCKET_TTL, DEFAULT_BUCKET_WIDTH
+from .store import DEFAULT_RECORD_SIZE
 
-_INT_KEYS = {"record_size", "port", "bucket_ttl_seconds", "bucket_width_seconds"}
-_PATH_KEYS = {"library_dir", "cache_root"}
+ENV_PREFIX = "RACLIB_"
 
 
 @dataclass
 class Config:
     library_dir: Path = Path("library")
     cache_root: Path = Path("cache")
-    record_size: int = 1024
+    record_size: int = DEFAULT_RECORD_SIZE
     port: int = 8080
-    bucket_ttl_seconds: int = 2000
-    bucket_width_seconds: int = 1000
+    bucket_ttl_seconds: int = DEFAULT_BUCKET_TTL
+    bucket_width_seconds: int = DEFAULT_BUCKET_WIDTH
 
     def validate(self) -> "Config":
         if self.record_size < 1:
@@ -39,10 +39,9 @@ class Config:
 
 
 def _coerce(key: str, value) -> object:
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _PATH_KEYS:
-        return Path(value)
+    for field in fields(Config):
+        if field.name == key:
+            return type(field.default)(value)
     raise ValueError(f"unknown config key: {key}")
 
 

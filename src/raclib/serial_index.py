@@ -16,10 +16,11 @@ the lines its probe points at (normally exactly one, none for a miss), then
 matches the name and key tokens of that line exactly, never by substring, so
 "040" does not hit "0404". When a file holds the same (name, key) twice, the
 first line wins. Writers only append to an index or replace it by rename:
-``create`` writes a whole index in one write and one fsync, and ``append``
-one line, which it adds to the table in place while the table is under
-MAX_FILL; past that the next lookup reloads, once per ~20% growth, so O(1)
-per append amortised.
+``create`` writes a whole index under a temp name in one write and one
+fsync, and only then links it to its own name, so no reader sees a prefix;
+``append`` writes one line, which it adds to the table in place while the
+table is under MAX_FILL; past that the next lookup reloads, once per ~20%
+growth, so O(1) per append amortised.
 
 ``runs(name)`` gives the record runs of every line named ``name``. One pass
 over the table's bytes builds the runs of all names, kept until the table's
@@ -36,7 +37,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from .errors import DuplicateKeyError, NotFoundError
-from .store import Closeable, IOCounters, RecordSetRef, _pread_all
+from .store import Closeable, IOCounters, RecordSetRef, _pread_all, publish_file
 
 # A slot is one 64-bit word, tag | line offset | line length, zero when empty.
 # Tag and home slot are disjoint bits of the per-process salted hash((name,
@@ -203,10 +204,7 @@ class SerialIndex(Closeable):
         """Create the index holding ``entries``, in order, in one write and one fsync; fails if it exists.
 
         No (name, key) may repeat: unlike ``append``, this does not check."""
-        with open(path, "xb") as f:
-            f.write("".join(entry.line() for entry in entries).encode("ascii"))
-            f.flush()
-            os.fsync(f.fileno())
+        publish_file(path, "".join(entry.line() for entry in entries).encode("ascii"))
         return cls(path)
 
     def _fresh(self) -> _Table:

@@ -11,19 +11,22 @@ Reads go through ``pread``, so any number of threads or processes may read
 one store concurrently; at most one appender may be active. A member read is
 one ``pread`` of exactly the member's own bytes: the padding after it is
 never read. The sidecar is rewritten only after appended bytes are fsync'd,
-so a crash never leaves the record count pointing into unwritten data. A
-store with a sidecar, read-only or writable, reads that commit record again
-when asked for records past its count, so it serves what another appender
-has committed since; a repack renamed into place is not followed.
+so a crash never leaves the record count pointing into unwritten data, and
+each rewrite is a temp fsync'd before its rename, so a crash never leaves
+an empty sidecar. A store with a sidecar, read-only or writable, reads that
+commit record again when asked for records past its count, so it serves
+what another appender has committed since; a repack renamed into place is
+not followed.
 
 Appends copy nothing and flush once per call: ``append_payloads`` writes
 each member from the caller's buffer and then its padding, if any, and
 makes one fsync and one sidecar update after its last payload, however many
 it wrote. A builder so holds each record once, as the bytes it hands over,
-and a pack of any number of members costs one fsync.
+and a pack of any number of members costs one data fsync.
 
 A file whose format fixes its geometry, such as the computed index, is a
-store with no sidecar: ``create_fixed`` writes and fsyncs it whole,
+store with no sidecar: ``create_fixed`` publishes it whole and fsync'd
+(``publish_file``: a temp, then a hard link, so it is never seen partial),
 ``open_fixed`` checks its exact size and opens it read-only unless asked,
 and ``write_records`` rewrites it in place.
 """
@@ -31,7 +34,8 @@ and ``write_records`` rewrites it in place.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
+import threading
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -125,11 +129,41 @@ def _read_meta(meta_path: Path) -> tuple[int, int]:
     return record_size, record_count
 
 
+def publish_file(path: str | Path, data, replace: bool = False) -> None:
+    """Make ``path`` hold ``data``, whole and fsync'd, or leave it as it was.
+
+    The bytes go to a temp sibling that no other writer uses and no
+    ``*.index`` glob matches (``.<name>.<pid>.<thread>.tmp``), are fsync'd
+    there, and only then appear at ``path``: through ``os.link``, which
+    raises FileExistsError if ``path`` exists, or with ``replace`` through
+    ``os.replace``. The temp is removed whatever happens, and no fd is left.
+    """
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+        try:
+            _pwrite_all(fd, data, 0)
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+        (os.replace if replace else os.link)(tmp, path)
+    finally:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+
+
+def _fsync_dir(path: Path) -> None:
+    fd = os.open(path, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def _write_meta(meta_path: Path, record_size: int, record_count: int) -> None:
-    # Temp-and-rename so a crash mid-update leaves the old, consistent sidecar.
-    tmp = meta_path.with_name(meta_path.name + ".tmp")
-    tmp.write_text(f"record_size={record_size}\nrecord_count={record_count}\n", "ascii")
-    os.replace(tmp, meta_path)
+    # Replaced whole, so a crash mid-update leaves the old sidecar or the new one.
+    publish_file(meta_path, f"record_size={record_size}\nrecord_count={record_count}\n".encode("ascii"), replace=True)
 
 
 class RecordStore(Closeable):
@@ -179,10 +213,7 @@ class RecordStore(Closeable):
     @classmethod
     def create_fixed(cls, path: str | Path, record_size: int, records: bytes) -> "RecordStore":
         """Create a sidecar-less store holding exactly ``records``, fsync'd, open for writes."""
-        with open(path, "xb") as f:
-            f.write(records)
-            f.flush()
-            os.fsync(f.fileno())
+        publish_file(path, records)
         return cls.open_fixed(path, record_size, len(records) // record_size, writable=True)
 
     @classmethod
@@ -329,16 +360,19 @@ class Library(Closeable):
         An existing index is refused before any file is created or payload
         drawn. ``payloads`` go to a new store under one fsync, then
         ``create_index(index_path, refs)``, given one ref per payload,
-        writes and fsyncs the index. If any step raises, the store is closed
-        and the index, then the store and its sidecar, as far as they got,
-        are deleted, and nothing else: a rerun can succeed, and a kill midway
-        through leaves no index without its store.
+        publishes the index whole and fsync'd, and one fsync of its directory
+        makes that name survive a crash. If any step raises, the store and
+        index are closed and the index, then the store and its sidecar, as
+        far as they got, are deleted, and nothing else: a rerun can succeed,
+        and a kill midway through leaves no index without its store.
         """
         if index_path.exists():
             raise FileExistsError(f"index already exists: {index_path}")
         store = RecordStore.create(store_path, record_size)
         try:
-            return cls(store, create_index(index_path, store.append_payloads(payloads)))
+            with closed_on_error(cls(store, create_index(index_path, store.append_payloads(payloads)))) as library:
+                _fsync_dir(index_path.parent)
+                return library
         except BaseException:
             store.close()
             for path in (index_path, store_path, _meta_path(store_path)):  # the commit point first

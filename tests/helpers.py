@@ -2,6 +2,7 @@
 
 import os
 import random
+import re
 import tracemalloc
 
 SURNAMES = [
@@ -36,6 +37,22 @@ def random_death_fields(rng: random.Random, n: int):
             f"{birth_year:04d}{month:02d}{day:02d}",
             f"{death_year:04d}{rng.randrange(0, 13):02d}{rng.randrange(0, 29):02d}",
         )
+
+
+_TEMP_SUFFIX = re.compile(r"\.\d+\.\d+\.tmp$")
+
+
+def fd_name(fd: int) -> str:
+    """The base name ``fd`` was opened by; a writer's temp ``.<name>.<pid>.<thread>.tmp`` reads ``.<name>.tmp``."""
+    return _TEMP_SUFFIX.sub(".tmp", os.path.basename(os.readlink(f"/proc/self/fd/{fd}")))
+
+
+def record_fsyncs(monkeypatch) -> list[str]:
+    """Patch ``os.fsync`` to log the ``fd_name`` of every fd it syncs; returns the log."""
+    names = []
+    real_fsync = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: names.append(fd_name(fd)) or real_fsync(fd))
+    return names
 
 
 def open_fd_count() -> int:

@@ -1,6 +1,8 @@
+import builtins
+import inspect
+import os
 import threading
 import time
-from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -128,6 +130,32 @@ def test_request_validation():
             DeliveryRequest(title, page)
 
 
+def per_character_request_check(value: str) -> bool:
+    """DeliveryRequest's field check as first written: one ``isspace`` call per character."""
+    return bool(value) and not any(c.isspace() for c in value) and "/" not in value and "\x00" not in value
+
+
+def request_accepted(title: str, page: str) -> bool:
+    try:
+        DeliveryRequest(title, page)
+    except ValueError:
+        return False
+    return True
+
+
+@given(st.text(st.characters() | st.sampled_from(" \t\n\x0b\x0c\r\x1c\x85\xa0\u1680\u2003\u2028\u3000/\x00"),
+               max_size=8))
+def test_request_check_equals_a_per_character_check(value):
+    assert request_accepted(value, "0001") == per_character_request_check(value)
+    assert request_accepted("TallyHo1965", value) == per_character_request_check(value)
+
+
+def test_request_check_equals_a_per_character_check_on_every_code_point():
+    for c in map(chr, range(0x110000)):
+        value = "a" + c + "b"
+        assert request_accepted(value, "0001") == per_character_request_check(value), repr(value)
+
+
 # Any non-empty text DeliveryRequest accepts: no whitespace, '/' or NUL.
 request_parts = st.text(
     st.characters(blacklist_characters="/\x00", blacklist_categories=("Cs",)), min_size=1
@@ -185,6 +213,67 @@ def test_underscore_members_resolve_to_their_own_bytes(tmp_path):
         for (title, page), payload in pages.items():
             result = res.resolve(DeliveryRequest(title, page))
             assert (result.source, result.payload) == (source, payload)
+
+
+def test_resolve_takes_only_the_request():
+    assert list(inspect.signature(ImageResolver.resolve).parameters) == ["self", "request"]
+
+
+def test_cache_hit_is_one_stat_and_one_open(resolver, monkeypatch):
+    res, _, _, root = resolver
+    req = DeliveryRequest("TallyHo1965", "0404")
+    res.resolve(req)
+    stats, opens = [], []
+    real_stat, real_open = os.stat, builtins.open
+    monkeypatch.setattr(os, "stat", lambda path, *args, **kw: stats.append(path) or real_stat(path, *args, **kw))
+    monkeypatch.setattr(builtins, "open", lambda file, *args, **kw: opens.append(file) or real_open(file, *args, **kw))
+    result = res.resolve(req)
+    monkeypatch.undo()
+    assert (result.source, result.payload) == ("cache", b"\xff\xd8\xff jpeg bytes")
+    assert stats == [str(root / "1650000")]  # ensure_bucket's check of the current bucket
+    assert opens == [str(root / "1650000" / "TallyHo1965_0404.jpg")]
+
+
+def test_find_cached_returns_the_newest_live_copy(tmp_path):
+    cache = make_cache(tmp_path)
+    assert cache.find_cached("img.jpg") is None
+    for bucket, body in (("1649998", b"expired"), ("1649999", b"previous"), ("1650000", b"current")):
+        (tmp_path / bucket).mkdir()
+        (tmp_path / bucket / "img.jpg").write_bytes(body)
+        assert cache.find_cached("img.jpg") == (None if body == b"expired" else body)
+
+
+def test_resolve_refetches_a_file_swept_before_its_open(resolver, monkeypatch):
+    res, library, _, root = resolver
+    req = DeliveryRequest("TallyHo1965", "0404")
+    res.resolve(req)
+    cached = root / "1650000" / "TallyHo1965_0404.jpg"
+    real_ensure_bucket = res.cache.ensure_bucket
+
+    def ensure_bucket_then_sweep(now=None):
+        outcome = real_ensure_bucket(now)
+        cached.unlink()  # a peer's sweep, between the bucket check and the open
+        return outcome
+
+    monkeypatch.setattr(res.cache, "ensure_bucket", ensure_bucket_then_sweep)
+    result = res.resolve(req)
+    assert (result.source, result.payload) == ("library", b"\xff\xd8\xff jpeg bytes")
+    assert library.fetches == 2
+    assert cached.read_bytes() == result.payload  # cached again
+
+
+def test_unreadable_cache_serves_the_library_uncached(resolver, monkeypatch):
+    res, library, _, _ = resolver
+    stored = []
+
+    def boom(*args, **kwargs):
+        raise PermissionError("permission denied")
+
+    monkeypatch.setattr(res.cache, "find_cached", boom)
+    monkeypatch.setattr(res.cache, "store_file", lambda *args: stored.append(args))
+    result = res.resolve(DeliveryRequest("TallyHo1965", "0404"))
+    assert (result.source, result.payload) == ("library", b"\xff\xd8\xff jpeg bytes")
+    assert stored == []
 
 
 def test_resolve_unknown_page(resolver):
@@ -270,10 +359,9 @@ def test_concurrent_readers_never_see_partial_files(tmp_path):
 
     def reader():
         while not stop.is_set():
-            path = cache.find_cached("img.jpg")
-            if path is None:
+            data = cache.find_cached("img.jpg")
+            if data is None:
                 continue
-            data = Path(path).read_bytes()
             if data not in bodies:
                 bad.append(len(data))
 

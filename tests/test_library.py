@@ -5,11 +5,13 @@ import os
 from pathlib import Path
 
 import pytest
-from helpers import open_fd_count
+from helpers import fd_name, open_fd_count
 
 from raclib import store
+from raclib.computed_index import ComputedIndex
 from raclib.neuro import RegionLibrary, Voxel
 from raclib.pack import pack_directory
+from raclib.serial_index import SerialIndex, SerialIndexEntry
 from raclib.ssdi import DeathRecord, SsdiLibrary
 from raclib.store import RecordStore
 
@@ -37,7 +39,7 @@ def test_failed_index_fsync_leaves_no_file_and_a_rerun_succeeds(tmp_path, monkey
     real_fsync = os.fsync
 
     def fsync_failing_on_the_index(fd):
-        if os.readlink(f"/proc/self/fd/{fd}").endswith("/" + index_name):
+        if fd_name(fd) == f".{index_name}.tmp":
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
         real_fsync(fd)
 
@@ -77,7 +79,7 @@ def test_failed_build_deletes_its_index_before_its_store(tmp_path, monkeypatch):
     deleted = []
 
     def fsync_failing_on_the_index(fd):
-        if os.readlink(f"/proc/self/fd/{fd}").endswith("/c.index"):
+        if fd_name(fd) == ".c.index.tmp":
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
         real_fsync(fd)
 
@@ -99,3 +101,48 @@ def test_builder_handle_reads_records_another_writer_appends(tmp_path, build):
         with RecordStore.open(library.store.path, mode="a") as writer:
             ref = writer.append_payload(record)
         assert library.store.read_records(ref.start, 1) == record
+
+
+def create_serial_index(out):
+    return SerialIndex.create(out / "c.index", [SerialIndexEntry("TallyHo1965", "0001", 0, 1, 4)])
+
+
+def create_computed_index(out):
+    return ComputedIndex.create(out / "groups.index")
+
+
+def pack_into(out):
+    return pack_one_page(out.parent)
+
+
+@pytest.mark.parametrize(
+    "create, index_name",
+    [(create_serial_index, "c.index"), (create_computed_index, "groups.index"), (pack_into, "c.index")],
+)
+def test_index_appears_at_its_name_only_once_whole_and_fsynced(tmp_path, monkeypatch, create, index_name):
+    """A reader that finds the index, a loader or a cold fetch, never finds a prefix of it."""
+    index = tmp_path / "out" / index_name
+    index.parent.mkdir()
+    real_fsync = os.fsync
+    synced = []
+
+    def fsync(fd):
+        real_fsync(fd)
+        if fd_name(fd) == f".{index_name}.tmp":
+            synced.append((os.fstat(fd).st_size, index.exists()))
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    create(index.parent).close()
+    assert synced == [(index.stat().st_size, False)]
+    assert [path.name for path in index.parent.iterdir() if path.name.startswith(".")] == []  # no temp left
+
+
+@pytest.mark.parametrize("create, index_name", [(create_serial_index, "c.index"), (create_computed_index, "groups.index")])
+def test_index_create_over_an_existing_file_raises_and_leaves_no_temp(tmp_path, create, index_name):
+    (tmp_path / index_name).write_bytes(b"kept")
+    before = open_fd_count()
+    with pytest.raises(FileExistsError):
+        create(tmp_path)
+    assert open_fd_count() == before
+    assert [path.name for path in tmp_path.iterdir()] == [index_name]
+    assert (tmp_path / index_name).read_bytes() == b"kept"

@@ -2,7 +2,7 @@ import os
 import random
 
 import pytest
-from helpers import open_fd_count
+from helpers import open_fd_count, record_fsyncs
 
 from raclib import serial_index, store
 from raclib.errors import DuplicateKeyError, NotFoundError
@@ -287,18 +287,15 @@ def test_collection_set_reads_one_index_line_per_hit_and_none_per_miss(tmp_path)
 
 def test_pack_is_one_fsync_and_one_sidecar_update(tmp_path, monkeypatch):
     pages = make_pages(tmp_path / "in", 5)
-    fsyncs, sidecars = [], []
-    real_fsync, real_write_meta = os.fsync, store._write_meta
-
-    def fsync_naming_the_file(fd):
-        fsyncs.append(os.path.basename(os.readlink(f"/proc/self/fd/{fd}")))
-        real_fsync(fd)
-
-    monkeypatch.setattr(os, "fsync", fsync_naming_the_file)
+    sidecars = []
+    real_write_meta = store._write_meta
+    fsyncs = record_fsyncs(monkeypatch)
     monkeypatch.setattr(store, "_write_meta", lambda *args: sidecars.append(args) or real_write_meta(*args))
     with pack_directory(tmp_path / "in", "c", tmp_path / "out", record_size=512) as collection:
         records = sum(-(-len(body) // 512) for body in pages.values())
         assert collection.store.record_count == records
         assert all(collection.fetch(*member) == body for member, body in pages.items())
-    assert sorted(fsyncs) == ["c.index", "c.raclib"]  # one each, not one per member
+    # One data fsync, not one per member; each sidecar and the index fsync'd as a temp before
+    # its name; the directory once, so the index's name survives a crash.
+    assert fsyncs == [".c.raclib.meta.tmp", "c.raclib", ".c.raclib.meta.tmp", ".c.index.tmp", "out"]
     assert [count for _, _, count in sidecars] == [0, records]  # create, then the one update

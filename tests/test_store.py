@@ -1,15 +1,16 @@
+import errno
 import os
 import random
 import tempfile
 from pathlib import Path
 
 import pytest
-from helpers import open_fd_count, traced_peak
+from helpers import fd_name, open_fd_count, record_fsyncs, traced_peak
 from hypothesis import given
 from hypothesis import strategies as st
 
 from raclib.serial_index import SerialIndexEntry
-from raclib.store import RecordSetRef, RecordStore
+from raclib.store import RecordSetRef, RecordStore, publish_file
 
 
 def test_create_empty_store(tmp_path):
@@ -275,26 +276,19 @@ def test_append_payload_takes_any_buffer_and_copies_nothing(tmp_path):
     assert (tmp_path / "lib").stat().st_size == 4099 * 1024
 
 
-def count_fsyncs(monkeypatch) -> list:
-    calls = []
-    real_fsync = os.fsync
-    monkeypatch.setattr(os, "fsync", lambda fd: calls.append(fd) or real_fsync(fd))
-    return calls
-
-
 def test_append_payloads_streams_buffers_under_one_fsync(tmp_path, monkeypatch):
     store = RecordStore.create(tmp_path / "lib", record_size=16)
     store.append_payload(b"head")
-    fsyncs = count_fsyncs(monkeypatch)
+    fsyncs = record_fsyncs(monkeypatch)
     chunks = [b"a" * 32, bytearray(b"b" * 16), b"", memoryview(b"c" * 48)]
     refs = [RecordSetRef(1, 2, 32), RecordSetRef(3, 1, 16), RecordSetRef(4, 0, 0), RecordSetRef(4, 3, 48)]
     assert store.append_payloads(iter(chunks)) == refs
-    assert len(fsyncs) == 1
+    assert fsyncs == ["lib", ".lib.meta.tmp"]  # one data fsync, then the sidecar's temp before its rename
     assert (tmp_path / "lib.meta").read_text() == "record_size=16\nrecord_count=7\n"
     assert store.read_records(1, 6) == b"a" * 32 + b"b" * 16 + b"c" * 48
     assert store.append_payloads([]) == []
     assert store.append_payloads([b"", bytearray()]) == [RecordSetRef(7, 0, 0)] * 2
-    assert len(fsyncs) == 1  # nothing appended, nothing synced
+    assert len(fsyncs) == 2  # nothing appended, nothing synced
 
 
 def record_size_and_payloads(record_size):
@@ -322,7 +316,7 @@ def test_append_payloads_equals_one_append_payload_each(case):
 def test_append_payloads_that_fail_partway_keep_the_count(tmp_path, monkeypatch):
     store = RecordStore.create(tmp_path / "lib", record_size=16)
     store.append_payload(b"x" * 16)
-    fsyncs = count_fsyncs(monkeypatch)
+    fsyncs = record_fsyncs(monkeypatch)
 
     def payloads():
         yield b"a" * 20
@@ -340,3 +334,48 @@ def test_append_payloads_that_fail_partway_keep_the_count(tmp_path, monkeypatch)
     assert (tmp_path / "lib").stat().st_size == 16
     assert again.append_payloads([b"d"]) == [RecordSetRef(start=1, count=1, byte_length=1)]
     assert again.read_records(0, 2) == b"x" * 16 + b"d" + bytes(15)
+
+
+def test_sidecar_temp_is_fsynced_before_its_rename(tmp_path, monkeypatch):
+    """A crash between the two can leave the old sidecar or the new one, never an empty one."""
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        events.append(("fsync", fd_name(fd), Path(os.readlink(f"/proc/self/fd/{fd}")).read_bytes()))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace", os.path.basename(dst), Path(src).read_bytes()))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    with RecordStore.create(tmp_path / "lib", record_size=16) as store:
+        store.append_payload(b"x" * 20)
+    empty, two = b"record_size=16\nrecord_count=0\n", b"record_size=16\nrecord_count=2\n"
+    assert events == [
+        ("fsync", ".lib.meta.tmp", empty), ("replace", "lib.meta", empty),
+        ("fsync", "lib", b"x" * 20 + bytes(12)),
+        ("fsync", ".lib.meta.tmp", two), ("replace", "lib.meta", two),
+    ]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["lib", "lib.meta"]
+
+
+@pytest.mark.parametrize("replace, existing", [(False, None), (True, b"old")])
+def test_failed_temp_fsync_leaves_the_target_as_it_was_and_no_temp(tmp_path, monkeypatch, replace, existing):
+    target = tmp_path / "target"
+    if existing is not None:
+        target.write_bytes(existing)
+
+    def no_space(fd):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "fsync", no_space)
+    before = open_fd_count()
+    with pytest.raises(OSError, match=os.strerror(errno.ENOSPC)):
+        publish_file(target, b"new", replace=replace)
+    assert open_fd_count() == before
+    assert [path.name for path in tmp_path.iterdir()] == ([] if existing is None else ["target"])
+    if existing is not None:
+        assert target.read_bytes() == existing
