@@ -38,11 +38,15 @@ class Config:
         return self
 
 
-def _coerce(key: str, value) -> object:
+def _coerce(key: str, value, source: str = "") -> object:
+    """``value`` as config field ``key``'s type; an error starts with ``source``, where the value came from."""
     for field in fields(Config):
         if field.name == key:
-            return type(field.default)(value)
-    raise ValueError(f"unknown config key: {key}")
+            try:
+                return type(field.default)(value)
+            except ValueError as e:
+                raise ValueError(f"{source}{key}: {e}") from None
+    raise ValueError(f"{source}unknown config key: {key}")
 
 
 def _parse_file(path: Path) -> dict:
@@ -54,7 +58,7 @@ def _parse_file(path: Path) -> dict:
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"{path}:{lineno}: expected key=value")
-        values[key.strip()] = _coerce(key.strip(), value.strip())
+        values[key.strip()] = _coerce(key.strip(), value.strip(), f"{path}:{lineno}: ")
     return values
 
 
@@ -66,9 +70,9 @@ def load_config(config_file: str | Path | None = None, env=None, **overrides) ->
     if config_file is not None:
         values.update(_parse_file(Path(config_file)))
     for field in fields(Config):
-        env_value = env.get(ENV_PREFIX + field.name.upper())
-        if env_value is not None:
-            values[field.name] = _coerce(field.name, env_value)
+        variable = ENV_PREFIX + field.name.upper()
+        if variable in env:
+            values[field.name] = _coerce(field.name, env[variable], f"{variable}: ")
     for key, value in overrides.items():
         if value is not None:
             values[key] = _coerce(key, value)

@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
 from .serial_index import SerialIndex, SerialIndexEntry
-from .store import Library
+from .store import Library, read_tsv
 
 COORD_BOUND = 999  # 3-digit encoding per axis
 COORD_RECORD_SIZE = 16
@@ -194,7 +194,6 @@ class RegionLibrary(Library):
                 start += len(members)
 
         out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         payloads = iter([blob])
         del blob  # held by the iterator alone, so dropped once on disk, before the index text is built
         return cls._build(
@@ -241,19 +240,12 @@ def read_atlas_tsv(path: str | Path) -> dict[str, list[Voxel]]:
     # RSS that only an atlas parse uses.
     shared = {str(value): value for value in range(-COORD_BOUND, COORD_BOUND + 1)}
     regions: dict[str, list[Voxel]] = {}
-    with open(path, "r", encoding="ascii") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise ValueError(f"{path}:{lineno}: expected region<TAB>x<TAB>y<TAB>z")
-            try:
-                voxel = Voxel(shared[fields[1]], shared[fields[2]], shared[fields[3]])
-            except KeyError:  # leading zeros, out of range (build rejects it) or not an integer
-                if not all(map(_INTEGER_RE.fullmatch, fields[1:])):
-                    raise ValueError(f"{path}:{lineno}: coordinates must match -?[0-9]+: {line!r}") from None
-                voxel = Voxel(*[shared[text] if text in shared else int(text) for text in fields[1:]])
-            regions.setdefault(fields[0], []).append(voxel)
+    for lineno, (region, x, y, z) in read_tsv(path, 4, "region<TAB>x<TAB>y<TAB>z"):
+        try:
+            voxel = Voxel(shared[x], shared[y], shared[z])
+        except KeyError:  # leading zeros, out of range (build rejects it) or not an integer
+            if not all(map(_INTEGER_RE.fullmatch, (x, y, z))):
+                raise ValueError(f"{path}:{lineno}: coordinates must match -?[0-9]+: {x!r} {y!r} {z!r}") from None
+            voxel = Voxel(*[shared[text] if text in shared else int(text) for text in (x, y, z)])
+        regions.setdefault(region, []).append(voxel)
     return regions

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .errors import DuplicateKeyError, NotFoundError
 from .serial_index import SerialIndex, SerialIndexEntry
-from .store import DEFAULT_RECORD_SIZE, Closeable, Library, closed_on_error
+from .store import DEFAULT_RECORD_SIZE, Closeable, Library, closed_on_error, read_tsv
 
 LIBRARY_SUFFIX = ".raclib"
 INDEX_SUFFIX = ".index"
@@ -39,17 +39,12 @@ def parse_member_filename(filename: str) -> tuple[str, str]:
 
 
 def read_manifest(path: str | Path) -> dict[str, tuple[str, str]]:
-    """Parse a filename -> (name, key) manifest (three tab-separated fields)."""
+    """Parse a filename -> (name, key) manifest (three tab-separated fields); a filename may appear once."""
     members = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ValueError(f"{path}:{lineno}: expected filename<TAB>name<TAB>key")
-            members[fields[0]] = (fields[1], fields[2])
+    for lineno, (filename, name, key) in read_tsv(path, 3, "filename<TAB>name<TAB>key"):
+        if filename in members:
+            raise ValueError(f"{path}:{lineno}: {filename} is listed twice")
+        members[filename] = (name, key)
     return members
 
 
@@ -97,7 +92,6 @@ def pack_directory(
         SerialIndexEntry(*member, 0, 0)  # a name or key unfit for an index line raises here
         seen[member] = path
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     members = sorted(seen.items())
 
     def create_index(index_path, refs):

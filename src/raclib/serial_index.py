@@ -147,6 +147,14 @@ def _insert(slots: array, h: int, word: int) -> None:
     slots[i] = word
 
 
+def _count_lines(fd: int, size: int) -> tuple[int, bool]:
+    """Lines in the first ``size`` bytes of ``fd``, an unterminated last one counted, and whether there is one."""
+    unterminated = size > 0 and os.pread(fd, 1, size - 1) != b"\n"
+    blocks = range(0, size, BLOCK_BYTES)
+    lines = sum(os.pread(fd, min(BLOCK_BYTES, size - s), s).count(b"\n") for s in blocks)
+    return lines + unterminated, unterminated
+
+
 def _load(path: Path) -> _Table:
     """Count the lines, size the table for them, then one pass fills it."""
     fd = os.open(path, os.O_RDONLY)
@@ -155,9 +163,7 @@ def _load(path: Path) -> _Table:
     size = signature[0]
     if size >> OFFSET_BITS:
         raise ValueError(f"index {path} is {size} B, not under the {1 << OFFSET_BITS} B limit")
-    unterminated = size > 0 and os.pread(fd, 1, size - 1) != b"\n"
-    blocks = range(0, size, BLOCK_BYTES)
-    lines = unterminated + sum(os.pread(fd, min(BLOCK_BYTES, size - s), s).count(b"\n") for s in blocks)
+    lines, unterminated = _count_lines(fd, size)
     slots = array("Q", [0]) * max(MIN_SLOTS, int(lines * SLOTS_PER_ENTRY) + 1)
     offset = 0
     with open(fd, "rb", buffering=BLOCK_BYTES, closefd=False) as f:
@@ -309,8 +315,12 @@ class SerialIndex(Closeable):
                 yield SerialIndexEntry.parse(line)
 
     def entry_count(self) -> int:
-        """Lines in the file, counted by the load."""
-        return self._view().lines
+        """Lines in the file as it is now, counted as a load counts them, with no table built."""
+        fd = os.open(self.path, os.O_RDONLY)
+        try:
+            return _count_lines(fd, os.fstat(fd).st_size)[0]
+        finally:
+            os.close(fd)
 
     def close(self) -> None:
         # The fd closes once no lookup still holds the table.

@@ -8,8 +8,9 @@ one contiguous run of records, whatever the library size.
 A search checks every record it reads once, with one compiled pattern per
 record that accepts exactly what ``DeathRecord.unpack`` accepts (a record
 the pattern refuses goes through ``unpack``, which raises naming the field).
-A non-hit is rejected on its fixed-width name bytes, without decoding; the
-remaining candidates are built once each and filtered by ``matches``.
+A non-hit is rejected on its fixed-width name and year bytes, without
+decoding; the remaining candidates are built once each and filtered by
+``matches``.
 
 Record layout (64 bytes, one line of plain ASCII per person):
 
@@ -36,7 +37,7 @@ from .computed_index import (
     name_ordinal,
     pack_entries,
 )
-from .store import Library
+from .store import Library, read_tsv
 
 RECORD_SIZE = 64
 SURNAME_WIDTH = 24
@@ -201,7 +202,6 @@ class SsdiLibrary(Library):
         written, and the index is written and fsync'd last.
         """
         out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         index_records = None
 
         def group_payloads():
@@ -233,8 +233,9 @@ class SsdiLibrary(Library):
         """One index fetch, one contiguous group read, then one pass over the group's bytes.
 
         A checked record whose name bytes are upper-case letters other than
-        the query's prefix is rejected on those bytes, where ``matches``
-        would reject it; the others are built once and go through ``matches``.
+        the query's prefix, or whose year digits miss the query's years, is
+        rejected on those bytes, where ``matches`` would reject it; the others
+        are built once and go through ``matches``.
         """
         surname, given = letters_only(query.surname), letters_only(query.given)
         if not surname and not given:
@@ -246,6 +247,7 @@ class SsdiLibrary(Library):
         surname_b = surname.encode("ascii") if len(surname) <= SURNAME_WIDTH else b""
         given_b = given.encode("ascii") if len(given) <= GIVEN_WIDTH else b""
         surname_end, given_end = len(surname_b), SURNAME_WIDTH + len(given_b)
+        born, died_from, died_to = query.birth_year, query.death_year_from, query.death_year_to
         checked, upper = _RECORD_RE.fullmatch, _UPPER_RE.fullmatch
         results = []
         for o in range(0, len(data), RECORD_SIZE):
@@ -256,6 +258,10 @@ class SsdiLibrary(Library):
                 surname_b and not data.startswith(surname_b, o) and upper(data, o, o + surname_end)
                 or given_b and not data.startswith(given_b, o + SURNAME_WIDTH)
                 and upper(data, o + SURNAME_WIDTH, o + given_end)
+                # The birth year is bytes 45-49 of a record, the death year 53-57.
+                or born is not None and int(data[o + 45 : o + 49]) != born
+                or died_from is not None and int(data[o + 53 : o + 57]) < died_from
+                or died_to is not None and int(data[o + 53 : o + 57]) > died_to
             ):
                 continue
             else:
@@ -274,16 +280,13 @@ def _tiling(counts):
 
 
 def read_records_tsv(path: str | Path):
-    """Yield DeathRecords from a surname/given/ssn/birth/death TSV file."""
-    with open(path, "r", encoding="ascii") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 5:
-                raise ValueError(f"{path}:{lineno}: expected 5 tab-separated fields")
-            yield DeathRecord(*fields)
+    """Yield DeathRecords from a surname/given/ssn/birth/death TSV file; a bad row raises naming its line."""
+    for lineno, fields in read_tsv(path, 5, "5 tab-separated fields"):
+        try:
+            record = DeathRecord(*fields)
+        except ValueError as e:
+            raise ValueError(f"{path}:{lineno}: {e}") from None
+        yield record
 
 
 def record_tsv_line(record: DeathRecord) -> str:

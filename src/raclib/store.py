@@ -153,6 +153,19 @@ def publish_file(path: str | Path, data, replace: bool = False) -> None:
             os.unlink(tmp)
 
 
+def read_tsv(path: str | Path, width: int, expected: str):
+    """Yield ``(lineno, fields)`` for each non-empty line of a UTF-8 text file, split at tabs;
+    a line of other than ``width`` fields raises ``ValueError("<path>:<lineno>: expected <expected>")``."""
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            line = line.rstrip("\n")
+            if line:
+                fields = line.split("\t")
+                if len(fields) != width:
+                    raise ValueError(f"{path}:{lineno}: expected {expected}")
+                yield lineno, fields
+
+
 def _fsync_dir(path: Path) -> None:
     fd = os.open(path, os.O_RDONLY | os.O_DIRECTORY)
     try:
@@ -358,16 +371,18 @@ class Library(Closeable):
         """The one build order: payloads first and durable, then the index.
 
         An existing index is refused before any file is created or payload
-        drawn. ``payloads`` go to a new store under one fsync, then
-        ``create_index(index_path, refs)``, given one ref per payload,
-        publishes the index whole and fsync'd, and one fsync of its directory
-        makes that name survive a crash. If any step raises, the store and
-        index are closed and the index, then the store and its sidecar, as
-        far as they got, are deleted, and nothing else: a rerun can succeed,
-        and a kill midway through leaves no index without its store.
+        drawn, then the index's directory is made. ``payloads`` go to a new
+        store under one fsync, then ``create_index(index_path, refs)``, given
+        one ref per payload, publishes the index whole and fsync'd, and one
+        fsync of its directory makes that name survive a crash. If any step
+        raises, the store and index are closed and the index, then the store
+        and its sidecar, as far as they got, are deleted, and nothing else: a
+        rerun can succeed, and a kill midway through leaves no index without
+        its store.
         """
         if index_path.exists():
             raise FileExistsError(f"index already exists: {index_path}")
+        index_path.parent.mkdir(parents=True, exist_ok=True)
         store = RecordStore.create(store_path, record_size)
         try:
             with closed_on_error(cls(store, create_index(index_path, store.append_payloads(payloads)))) as library:

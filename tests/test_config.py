@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -53,3 +54,18 @@ def test_invariants_enforced():
         Config(port=0).validate()
     with pytest.raises(ValueError):
         load_config(env={"RACLIB_BUCKET_TTL_SECONDS": "100"})
+
+
+def test_file_errors_name_the_line(tmp_path):
+    conf = tmp_path / "raclib.conf"
+    conf.write_text("# delivery host\nport=80x\n")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{conf}:2: port: invalid literal")):
+        load_config(conf, env={})
+    conf.write_text("port=9000\n\nportt=9000\n")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{conf}:3: unknown config key: portt")):
+        load_config(conf, env={})
+
+
+def test_environment_errors_name_the_variable():
+    with pytest.raises(ValueError, match="^RACLIB_PORT: port: invalid literal"):
+        load_config(env={"RACLIB_PORT": "abc"})

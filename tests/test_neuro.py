@@ -530,3 +530,17 @@ def test_unpack_run_equals_decode_coord_per_record(records):
     else:
         assert _unpack_run(data) == expected
         assert all(type(v) is Voxel for v in _unpack_run(data))
+
+
+def test_atlas_tsv_skips_blank_lines_and_names_the_line_of_a_short_one(tmp_path):
+    path = tmp_path / "atlas.tsv"
+    path.write_text("\nrA\t1\t2\t3\n\nrA\t4\t5\t6\n")
+    assert read_atlas_tsv(path) == {"rA": [Voxel(1, 2, 3), Voxel(4, 5, 6)]}
+    path.write_text("\nrA\t1\t2\t3\n\nrA\t4\t5\n")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}:4: expected region<TAB>x<TAB>y<TAB>z")):
+        read_atlas_tsv(path)
+
+
+def test_build_into_a_new_nested_directory(tmp_path):
+    with RegionLibrary.build({"r": [Voxel(1, 2, 3)]}, tmp_path / "a" / "b" / "lib") as lib:
+        assert lib.region_voxels("r") == [Voxel(1, 2, 3)]

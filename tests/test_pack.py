@@ -1,5 +1,6 @@
 import os
 import random
+import re
 
 import pytest
 from helpers import open_fd_count, record_fsyncs
@@ -299,3 +300,28 @@ def test_pack_is_one_fsync_and_one_sidecar_update(tmp_path, monkeypatch):
     # its name; the directory once, so the index's name survives a crash.
     assert fsyncs == [".c.raclib.meta.tmp", "c.raclib", ".c.raclib.meta.tmp", ".c.index.tmp", "out"]
     assert [count for _, _, count in sidecars] == [0, records]  # create, then the one update
+
+
+def test_manifest_skips_blank_lines_and_names_the_line_of_a_short_one(tmp_path):
+    manifest = tmp_path / "members.tsv"
+    manifest.write_text("\na.jpg\tT\t1\n\nb.jpg\tT\t2\n")
+    assert read_manifest(manifest) == {"a.jpg": ("T", "1"), "b.jpg": ("T", "2")}
+    manifest.write_text("\na.jpg\tT\t1\n\nb.jpg\tT\n")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{manifest}:4: expected filename<TAB>name<TAB>key")):
+        read_manifest(manifest)
+
+
+def test_manifest_that_lists_a_file_twice_packs_nothing(tmp_path):
+    make_pages(tmp_path / "in", 1)
+    manifest = tmp_path / "members.tsv"
+    manifest.write_text("TallyHo1965_0001.jpg\tT\t1\nTallyHo1965_0001.jpg\tT\t2\n")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{manifest}:2: TallyHo1965_0001.jpg is listed twice")):
+        pack_directory(tmp_path / "in", "c", tmp_path / "out", manifest=manifest)
+    assert not (tmp_path / "out").exists()
+
+
+def test_pack_into_a_new_nested_directory(tmp_path):
+    pages = make_pages(tmp_path / "in", 3)
+    with pack_directory(tmp_path / "in", "c", tmp_path / "a" / "b" / "out") as collection:
+        for (name, key), body in pages.items():
+            assert collection.fetch(name, key) == body

@@ -138,7 +138,7 @@ def test_hit_reads_exactly_its_line(tmp_path):
 def test_misses_read_no_index_bytes(tmp_path):
     write_lines(tmp_path / "big.index", 100_000)
     index = SerialIndex(tmp_path / "big.index")
-    index.entry_count()  # build the table
+    index.entry_count()  # counts lines; the first lookup builds the table, uncounted
     for i in range(1_000):
         with pytest.raises(NotFoundError):
             index.lookup(f"title{i}", "9999")
@@ -338,3 +338,14 @@ def test_create_writes_entries_in_order_and_refuses_an_existing_file(tmp_path):
     with pytest.raises(FileExistsError):
         SerialIndex.create(tmp_path / "i", written[:1])
     assert len((tmp_path / "i").read_text().splitlines()) == 1_000
+
+
+def test_entry_count_builds_no_table(tmp_path):
+    path = tmp_path / "i"
+    path.write_text("a 1 0 1\nb 2 1 1")  # the last line unterminated
+    index = SerialIndex(path)
+    assert index.entry_count() == 2
+    with open(path, "a") as f:  # another writer
+        f.write("\nc 3 2 1\n")
+    assert index.entry_count() == 3
+    assert index._table is None
