@@ -8,9 +8,8 @@ one contiguous run of records, whatever the library size.
 A search checks every record it reads once, with one compiled pattern per
 record that accepts exactly what ``DeathRecord.unpack`` accepts (a record
 the pattern refuses goes through ``unpack``, which raises naming the field).
-A non-hit is rejected on its fixed-width name and year bytes, without
-decoding; the remaining candidates are built once each and filtered by
-``matches``.
+A non-hit is rejected on its fixed-width name bytes, without decoding; the
+remaining candidates are built once each and filtered by ``matches``.
 
 Record layout (64 bytes, one line of plain ASCII per person):
 
@@ -69,11 +68,14 @@ def _check_date(field: str, value: str) -> None:
         raise ValueError(f"{field} has impossible month/day: {value!r}")
 
 
-def _check_name(field: str, value: str, width: int) -> None:
-    if len(value) > width:
-        raise ValueError(f"{field} longer than {width} characters: {value!r}")
-    if not value.isascii() or "\n" in value or "\x00" in value:
+def _stored_name(field: str, value: str, width: int) -> str:
+    stored = value.upper().strip()
+    if len(stored) > width:
+        raise ValueError(f"{field} longer than {width} characters: {stored!r}")
+    # ``value``, not ``stored``: upper() and strip() can make other text ASCII ("ß" to "SS").
+    if not value.isascii() or "\n" in stored or "\x00" in stored:
         raise ValueError(f"{field} must be plain ASCII text: {value!r}")
+    return stored
 
 
 @dataclass(frozen=True)
@@ -87,10 +89,8 @@ class DeathRecord:
     death_date: str
 
     def __post_init__(self):
-        object.__setattr__(self, "surname", self.surname.upper().strip())
-        object.__setattr__(self, "given", self.given.upper().strip())
-        _check_name("surname", self.surname, SURNAME_WIDTH)
-        _check_name("given", self.given, GIVEN_WIDTH)
+        object.__setattr__(self, "surname", _stored_name("surname", self.surname, SURNAME_WIDTH))
+        object.__setattr__(self, "given", _stored_name("given", self.given, GIVEN_WIDTH))
         ssn, birth, death = self.ssn, self.birth_date, self.death_date
         if len(ssn) == 9 and len(birth) == 8 and len(death) == 8 and _NUMBERS_RE.fullmatch(ssn + birth + death):
             return
@@ -233,9 +233,8 @@ class SsdiLibrary(Library):
         """One index fetch, one contiguous group read, then one pass over the group's bytes.
 
         A checked record whose name bytes are upper-case letters other than
-        the query's prefix, or whose year digits miss the query's years, is
-        rejected on those bytes, where ``matches`` would reject it; the others
-        are built once and go through ``matches``.
+        the query's prefix is rejected on those bytes, where ``matches``
+        would reject it; the others are built once and go through ``matches``.
         """
         surname, given = letters_only(query.surname), letters_only(query.given)
         if not surname and not given:
@@ -247,7 +246,6 @@ class SsdiLibrary(Library):
         surname_b = surname.encode("ascii") if len(surname) <= SURNAME_WIDTH else b""
         given_b = given.encode("ascii") if len(given) <= GIVEN_WIDTH else b""
         surname_end, given_end = len(surname_b), SURNAME_WIDTH + len(given_b)
-        born, died_from, died_to = query.birth_year, query.death_year_from, query.death_year_to
         checked, upper = _RECORD_RE.fullmatch, _UPPER_RE.fullmatch
         results = []
         for o in range(0, len(data), RECORD_SIZE):
@@ -258,10 +256,6 @@ class SsdiLibrary(Library):
                 surname_b and not data.startswith(surname_b, o) and upper(data, o, o + surname_end)
                 or given_b and not data.startswith(given_b, o + SURNAME_WIDTH)
                 and upper(data, o + SURNAME_WIDTH, o + given_end)
-                # The birth year is bytes 45-49 of a record, the death year 53-57.
-                or born is not None and int(data[o + 45 : o + 49]) != born
-                or died_from is not None and int(data[o + 53 : o + 57]) < died_from
-                or died_to is not None and int(data[o + 53 : o + 57]) > died_to
             ):
                 continue
             else:

@@ -154,10 +154,16 @@ def publish_file(path: str | Path, data, replace: bool = False) -> None:
 
 
 def read_tsv(path: str | Path, width: int, expected: str):
-    """Yield ``(lineno, fields)`` for each non-empty line of a UTF-8 text file, split at tabs;
-    a line of other than ``width`` fields raises ``ValueError("<path>:<lineno>: expected <expected>")``."""
-    with open(path, "r", encoding="utf-8") as f:
+    """Yield ``(lineno, fields)`` for each non-empty line of a UTF-8 text file, split at tabs; a line that
+    is not UTF-8, or of other than ``width`` fields, raises ``ValueError("<path>:<lineno>: ...")``."""
+    # Bytes that are not UTF-8 decode to lone surrogates, which encode() refuses, line by line.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, 1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ValueError(f"{path}:{lineno}: not UTF-8") from None
             line = line.rstrip("\n")
             if line:
                 fields = line.split("\t")

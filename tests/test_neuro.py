@@ -541,6 +541,13 @@ def test_atlas_tsv_skips_blank_lines_and_names_the_line_of_a_short_one(tmp_path)
         read_atlas_tsv(path)
 
 
+def test_atlas_tsv_names_the_line_of_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "atlas.tsv"
+    path.write_bytes(b"rA\t1\t2\t3\nr\xe9\t4\t5\t6\n")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}:2: not UTF-8")):
+        read_atlas_tsv(path)
+
+
 def test_build_into_a_new_nested_directory(tmp_path):
     with RegionLibrary.build({"r": [Voxel(1, 2, 3)]}, tmp_path / "a" / "b" / "lib") as lib:
         assert lib.region_voxels("r") == [Voxel(1, 2, 3)]

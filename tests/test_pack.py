@@ -311,6 +311,15 @@ def test_manifest_skips_blank_lines_and_names_the_line_of_a_short_one(tmp_path):
         read_manifest(manifest)
 
 
+def test_manifest_reads_utf8_and_names_the_line_of_other_bytes(tmp_path):
+    manifest = tmp_path / "members.tsv"
+    manifest.write_bytes("\u00e9.jpg\tT\t1\n".encode() + b"\xe9.jpg\tT\t2\n")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{manifest}:2: not UTF-8")):
+        read_manifest(manifest)
+    manifest.write_bytes("\u00e9.jpg\tT\t1\r\n".encode())
+    assert read_manifest(manifest) == {"\u00e9.jpg": ("T", "1")}
+
+
 def test_manifest_that_lists_a_file_twice_packs_nothing(tmp_path):
     make_pages(tmp_path / "in", 1)
     manifest = tmp_path / "members.tsv"

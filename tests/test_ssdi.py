@@ -459,6 +459,10 @@ BAD_ROWS = {
     "bad ssn": (("KENNEDY", "ROBERT", "12345678X", "19251120", "19680600"), "ssn must be 9 digits"),
     "impossible date": (("KENNEDY", "ROBERT", "123456789", "19251320", "19680600"), "birth_date has impossible"),
     "non-ASCII surname": (("KENNÉDY", "ROBERT", "123456789", "19251120", "19680600"), "surname must be plain ASCII"),
+    # Non-ASCII text that upper() or strip() would turn into ASCII.
+    "sharp s": (("STRAßE", "ROBERT", "123456789", "19251120", "19680600"), "surname must be plain ASCII"),
+    "no-break space": (("KENNEDY\u00a0", "ROBERT", "123456789", "19251120", "19680600"), "surname must be plain ASCII"),
+    "dotless i": (("KENNEDY", "\u0131VAN", "123456789", "19251120", "19680600"), "given must be plain ASCII"),
 }
 
 
@@ -470,28 +474,13 @@ def test_tsv_bad_row_names_its_line(tmp_path, fields, message):
         list(read_records_tsv(tsv))
 
 
+def test_tsv_names_the_line_of_bytes_that_are_not_utf8(tmp_path):
+    tsv = tmp_path / "records.tsv"
+    tsv.write_bytes(record_tsv_line(KENNEDY).encode() + b"\nKENN\xe9DY\tROBERT\t123456789\t19251120\t19680600\n")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{tsv}:2: not UTF-8")):
+        list(read_records_tsv(tsv))
+
+
 def test_build_into_a_new_nested_directory(tmp_path):
     with SsdiLibrary.build([KENNEDY], tmp_path / "a" / "b" / "lib") as lib:
         assert lib.search(SearchQuery(surname="Kennedy", given="Robert")) == [KENNEDY]
-
-
-def test_search_builds_only_its_hits_when_only_years_tell_them_apart(tmp_path, monkeypatch):
-    records = [
-        DeathRecord("KENNEDY", "ROBERT", f"{i:09d}", f"{1900 + i % 5}0101", f"{1950 + i % 7}0101") for i in range(70)
-    ]
-    built = []
-    from_checked = DeathRecord._from_checked
-    counted = classmethod(lambda cls, text: built.append(text) or from_checked(text))
-    monkeypatch.setattr(DeathRecord, "_from_checked", counted)
-    queries = [
-        SearchQuery(surname="Kennedy", given="Robert", birth_year=1902),
-        SearchQuery(surname="Kennedy", given="R", death_year_from=1952, death_year_to=1953),
-        SearchQuery(surname="Ken", given="Rob", birth_year=1903, death_year_from=1955),
-        SearchQuery(surname="Kennedy", given="Robert", death_year_to=1950),
-    ]
-    with SsdiLibrary.build(records, tmp_path / "lib") as lib:
-        for query in queries:
-            built.clear()
-            hits = lib.search(query)
-            assert hits == [record for record in records if matches(query, record)]
-            assert hits and len(built) == len(hits), query
