@@ -9,10 +9,10 @@ group, so a block query is one index lookup plus one contiguous read.
 
 A region query reads the region's lines as the serial index's ``runs``:
 its (start, count) record runs in index order, adjacent groups merged into
-one run, kept by the index until its file changes. So a region query is a
-stat, a dict probe and one contiguous read per run; a built library stores
-each region's groups back to back, so that is one read. This module never
-opens or parses an index file itself.
+one run, built on the first query and kept while the library is open. So a
+region query is a dict probe and one contiguous read per run; a built
+library stores each region's groups back to back, so that is one read.
+This module never opens or parses an index file itself.
 
 A run is decoded in one pass over its bytes: each 16-byte record is checked
 and split into its three axis tokens by one compiled pattern, and each
@@ -217,9 +217,9 @@ class RegionLibrary(Library):
     def region_voxels(self, region: str) -> list[Voxel]:
         """The records of every index line named for the region, in file order.
 
-        Duplicate lines are read as often as they appear. The cost is one
-        stat of the index, a probe of its runs and one contiguous read per
-        run of adjacent groups: one read for a library written by ``build``.
+        Duplicate lines are read as often as they appear. The cost is a
+        probe of the index's runs and one contiguous read per run of
+        adjacent groups: one read for a library written by ``build``.
         An unknown region raises NotFoundError without reading the store.
         """
         voxels = []

@@ -7,24 +7,24 @@ Each line locates one record set in a companion library:
 The optional fifth field is the exact payload length; four-field lines (the
 legacy format) are accepted and resolve to the full padded record set.
 
-The file stays the only copy of the entries. A load reads it twice: it
-counts the lines, sizes an open-addressed table of fixed-layout words once,
-then fills it in one pass. The table is kept until the file's size, mtime or
-inode changes, so lines appended by another writer and an index replaced by
-rename are seen by the next lookup. A lookup probes the table and reads only
-the lines its probe points at (normally exactly one, none for a miss), then
-matches the name and key tokens of that line exactly, never by substring, so
-"040" does not hit "0404". When a file holds the same (name, key) twice, the
-first line wins. Writers only append to an index or replace it by rename:
-``create`` writes a whole index under a temp name in one write and one
-fsync, and only then links it to its own name, so no reader sees a prefix;
-``append`` writes one line, which it adds to the table in place while the
-table is under MAX_FILL; past that the next lookup reloads, once per ~20%
-growth, so O(1) per append amortised.
+An index is constant once published: ``create`` writes a whole index under a
+temp name in one write and one fsync, and only then links it to its own
+name, so no reader sees a prefix, and a change is a new index, published by
+rename. ``SerialIndex`` opens the file once and reads only through that fd,
+and only the bytes the file held then, so an index renamed over its path is
+not seen: the open index answers for the file it opened until it is closed.
+
+The file stays the only copy of the entries. The first lookup reads it
+twice: it counts the lines, sizes an open-addressed table of fixed-layout
+words once, then fills it in one pass. A lookup probes the table and reads
+only the lines its probe points at (normally exactly one, none for a miss),
+then matches the name and key tokens of that line exactly, never by
+substring, so "040" does not hit "0404". When a file holds the same (name,
+key) twice, the first line wins.
 
 ``runs(name)`` gives the record runs of every line named ``name``. One pass
-over the table's bytes builds the runs of all names, kept until the table's
-signature changes, so a query sees appends and renames as a lookup does.
+over the file on the first query builds the runs of all names, kept for the
+life of the index.
 """
 
 from __future__ import annotations
@@ -33,11 +33,12 @@ import os
 import threading
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator
 
-from .errors import DuplicateKeyError, NotFoundError
-from .store import Closeable, IOCounters, RecordSetRef, _pread_all, publish_file
+from .errors import NotFoundError
+from .store import Closeable, IOCounters, RecordSetRef, publish_file
 
 # A slot is one 64-bit word, tag | line offset | line length, zero when empty.
 # Tag and home slot are disjoint bits of the per-process salted hash((name,
@@ -50,7 +51,6 @@ TAG_MASK = (1 << TAG_BITS) - 1
 OFFSET_MASK = (1 << OFFSET_BITS) - 1
 LONG_LINE = (1 << LENGTH_BITS) - 1  # length field of a line this long or longer
 SLOTS_PER_ENTRY = 1.5  # a load sizes the table at this many slots per line
-MAX_FILL = 0.8  # an append fills a slot in place only below this share of slots
 MIN_SLOTS = 8
 BLOCK_BYTES = 1 << 16
 
@@ -100,43 +100,12 @@ class SerialIndexEntry:
         return RecordSetRef(start=self.start, count=self.count, byte_length=byte_length)
 
 
-class _OpenFile:
-    """A read-only fd, closed when the last table that reads through it is dropped.
-
-    Tables are replaced while other threads may still be reading through the
-    old one, so the fd is never closed explicitly.
-    """
-
-    __slots__ = ("fd",)
-
-    def __init__(self, fd: int):
-        self.fd = fd
-
-    def __del__(self, _close=os.close):
-        _close(self.fd)
-
-
-class _Table(NamedTuple):
-    """One published view of the index file; replaced whole, never edited,
-    except that ``append`` may fill an empty slot of ``slots`` in place."""
-
-    file: _OpenFile
-    signature: tuple[int, int, int]  # (st_size, st_mtime_ns, st_ino) the table covers
-    slots: array
-    lines: int
-    unterminated: bool  # the last line has no newline
-
-
 def _hash(name: bytes, key: bytes) -> int:
     return hash((name, key))
 
 
 def _word(h: int, offset: int, length: int) -> int:
     return ((h & TAG_MASK) << OFFSET_BITS | offset) << LENGTH_BITS | min(length, LONG_LINE)
-
-
-def file_signature(st: os.stat_result) -> tuple[int, int, int]:
-    return st.st_size, st.st_mtime_ns, st.st_ino
 
 
 def _insert(slots: array, h: int, word: int) -> None:
@@ -147,42 +116,46 @@ def _insert(slots: array, h: int, word: int) -> None:
     slots[i] = word
 
 
-def _count_lines(fd: int, size: int) -> tuple[int, bool]:
-    """Lines in the first ``size`` bytes of ``fd``, an unterminated last one counted, and whether there is one."""
-    unterminated = size > 0 and os.pread(fd, 1, size - 1) != b"\n"
+def _count_lines(fd: int, size: int) -> int:
+    """Lines in the first ``size`` bytes of ``fd``, an unterminated last one counted."""
     blocks = range(0, size, BLOCK_BYTES)
     lines = sum(os.pread(fd, min(BLOCK_BYTES, size - s), s).count(b"\n") for s in blocks)
-    return lines + unterminated, unterminated
+    return lines + (size > 0 and os.pread(fd, 1, size - 1) != b"\n")
 
 
-def _load(path: Path) -> _Table:
+def _lines(fd: int, size: int) -> Iterator[bytes]:
+    """Each line of the first ``size`` bytes of ``fd``, without its newline.
+
+    Reads by ``pread`` in blocks, so the fd's position is never used and
+    any number of readers may share it."""
+    def blocks():
+        rest = b""
+        for start in range(0, size, BLOCK_BYTES):
+            *lines, rest = (rest + os.pread(fd, min(BLOCK_BYTES, size - start), start)).split(b"\n")
+            yield lines
+        yield [rest] if rest else []
+
+    return chain.from_iterable(blocks())
+
+
+def _load(fd: int, size: int) -> array:
     """Count the lines, size the table for them, then one pass fills it."""
-    fd = os.open(path, os.O_RDONLY)
-    file = _OpenFile(fd)
-    signature = file_signature(os.fstat(fd))
-    size = signature[0]
-    if size >> OFFSET_BITS:
-        raise ValueError(f"index {path} is {size} B, not under the {1 << OFFSET_BITS} B limit")
-    lines, unterminated = _count_lines(fd, size)
-    slots = array("Q", [0]) * max(MIN_SLOTS, int(lines * SLOTS_PER_ENTRY) + 1)
+    slots = array("Q", [0]) * max(MIN_SLOTS, int(_count_lines(fd, size) * SLOTS_PER_ENTRY) + 1)
     offset = 0
-    with open(fd, "rb", buffering=BLOCK_BYTES, closefd=False) as f:
-        for line in f:
-            if offset >= size:
-                break  # appended after the signature was taken
-            tokens = line.split(None, 2)
-            if len(tokens) >= 2:
-                h = _hash(tokens[0], tokens[1])
-                _insert(slots, h, _word(h, offset, min(len(line), size - offset)))
-            offset += len(line)
-    return _Table(file, signature, slots, lines, unterminated)
+    for line in _lines(fd, size):
+        tokens = line.split(None, 2)
+        if len(tokens) >= 2:
+            h = _hash(tokens[0], tokens[1])
+            _insert(slots, h, _word(h, offset, min(len(line) + 1, size - offset)))
+        offset += len(line) + 1
+    return slots
 
 
-def _load_runs(table: _Table) -> dict[str, tuple[tuple[int, int], ...]]:
+def _load_runs(fd: int, size: int) -> dict[str, tuple[tuple[int, int], ...]]:
     """Each name's (start, count) runs in line order; a line that follows on from its name's last run extends it."""
     runs: dict[str, list[list[int]]] = {}
-    for line in _pread_all(table.file.fd, table.signature[0], 0).decode("ascii").splitlines():
-        entry = SerialIndexEntry.parse(line)
+    for line in _lines(fd, size):
+        entry = SerialIndexEntry.parse(line.decode("ascii"))
         named = runs.setdefault(entry.name, [])
         if named and named[-1][0] + named[-1][1] == entry.start:
             named[-1][1] += entry.count
@@ -192,50 +165,51 @@ def _load_runs(table: _Table) -> dict[str, tuple[tuple[int, int], ...]]:
 
 
 class SerialIndex(Closeable):
-    """Append-only index file with flat, table-driven lookup.
+    """A constant index file with flat, table-driven lookup.
 
-    ``counters`` counts the line reads made to answer lookups and append's
-    duplicate check; the passes that load the table are not counted.
+    The file is opened at construction and closed by ``close``; every read
+    goes through that fd and covers the bytes the file held at open. The
+    slot table and the runs are each built once, on first use, and kept.
+    ``counters`` counts the line reads made to answer lookups; the passes
+    that build the table and the runs are not counted.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self.counters = IOCounters()
-        self._table: _Table | None = None
-        self._runs: tuple[tuple[int, int, int], dict] | None = None  # (table signature, _load_runs of it)
+        self._fd = os.open(self.path, os.O_RDONLY)
+        self._size = os.fstat(self._fd).st_size
+        if self._size >> OFFSET_BITS:
+            self.close()
+            raise ValueError(f"index {path} is {self._size} B, not under the {1 << OFFSET_BITS} B limit")
+        self._slots: array | None = None
+        self._runs: dict | None = None
         self._lock = threading.Lock()
 
     @classmethod
     def create(cls, path: str | Path, entries: Iterable[SerialIndexEntry] = ()) -> "SerialIndex":
         """Create the index holding ``entries``, in order, in one write and one fsync; fails if it exists.
 
-        No (name, key) may repeat: unlike ``append``, this does not check."""
+        No (name, key) may repeat: this does not check, and a lookup finds the first."""
         publish_file(path, "".join(entry.line() for entry in entries).encode("ascii"))
         return cls(path)
 
-    def _fresh(self) -> _Table:
-        """The table for the file as it is now; the caller holds the lock."""
-        table = self._table
-        if table is None or table.signature != file_signature(os.stat(self.path)):
-            table = self._table = _load(self.path)
-        return table
+    def _kept(self, attr: str, build):
+        """``build(fd, size)``, made under the lock by the first caller and kept in ``attr``."""
+        with self._lock:
+            if getattr(self, attr) is None:
+                setattr(self, attr, build(self._fd, self._size))
+            return getattr(self, attr)
 
-    def _view(self) -> _Table:
-        table = self._table
-        if table is None or table.signature != file_signature(os.stat(self.path)):
-            with self._lock:
-                table = self._fresh()
-        return table
-
-    def _read_line(self, table: _Table, offset: int, length: int) -> bytes:
+    def _read_line(self, offset: int, length: int) -> bytes:
         if length < LONG_LINE:
-            line = os.pread(table.file.fd, length, offset)
+            line = os.pread(self._fd, length, offset)
             self.counters.reads += 1
             self.counters.bytes_read += len(line)
             return line
         data = b""
         while b"\n" not in data:
-            chunk = os.pread(table.file.fd, 4096, offset + len(data))
+            chunk = os.pread(self._fd, 4096, offset + len(data))
             self.counters.reads += 1
             self.counters.bytes_read += len(chunk)
             if not chunk:
@@ -243,85 +217,49 @@ class SerialIndex(Closeable):
             data += chunk
         return data.split(b"\n", 1)[0]
 
-    def _find(self, table: _Table, name: str, key: str) -> SerialIndexEntry | None:
-        try:
-            h = _hash(name.encode("ascii"), key.encode("ascii"))
-        except UnicodeEncodeError:
-            return None  # the file is ASCII, so no line can match
-        tag = h & TAG_MASK
-        slots = table.slots
-        n = len(slots)
-        i = (h >> TAG_BITS) % n
-        while True:
-            word = slots[i]
-            if not word:
-                return None
-            if word >> (OFFSET_BITS + LENGTH_BITS) == tag:
-                line = self._read_line(table, word >> LENGTH_BITS & OFFSET_MASK, word & LONG_LINE)
-                text = line.decode("ascii")
-                tokens = text.split()
-                if len(tokens) >= 2 and tokens[0] == name and tokens[1] == key:
-                    return SerialIndexEntry.parse(text)
-            i = i + 1 if i + 1 < n else 0
-
-    def append(self, entry: SerialIndexEntry) -> None:
-        line = entry.line().encode("ascii")
-        with self._lock:
-            table = self._fresh()
-            if self._find(table, entry.name, entry.key) is not None:
-                raise DuplicateKeyError(f"duplicate index entry ({entry.name}, {entry.key})")
-            # A last line without a newline is ended first, in the same write.
-            data = b"\n" + line if table.unterminated else line
-            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
-            try:
-                os.write(fd, data)  # one write per line, so readers never see a torn line
-                signature = file_signature(os.fstat(fd))
-            finally:
-                os.close(fd)
-            end = table.signature[0] + len(data)
-            raced = signature[0] != end or signature[2] != table.signature[2]  # another writer got in
-            if raced or table.lines + 1 > MAX_FILL * len(table.slots) or end >> OFFSET_BITS:
-                return  # the table no longer matches the file, so the next lookup reloads
-            h = _hash(entry.name.encode("ascii"), entry.key.encode("ascii"))
-            _insert(table.slots, h, _word(h, end - len(line), len(line)))
-            self._table = table._replace(signature=signature, lines=table.lines + 1, unterminated=False)
-
     def lookup(self, name: str, key: str) -> SerialIndexEntry:
         """The first line whose name and key tokens both match exactly."""
-        entry = self._find(self._view(), name, key)
-        if entry is None:
-            raise NotFoundError(f"no index entry for ({name}, {key})")
-        return entry
+        slots = self._slots
+        if slots is None:
+            slots = self._kept("_slots", _load)
+        if name.isascii() and key.isascii():  # else no line of the ASCII file can match
+            h = _hash(name.encode("ascii"), key.encode("ascii"))
+            tag = h & TAG_MASK
+            n = len(slots)
+            i = (h >> TAG_BITS) % n
+            while word := slots[i]:
+                if word >> (OFFSET_BITS + LENGTH_BITS) == tag:
+                    text = self._read_line(word >> LENGTH_BITS & OFFSET_MASK, word & LONG_LINE).decode("ascii")
+                    tokens = text.split()
+                    if len(tokens) >= 2 and tokens[0] == name and tokens[1] == key:
+                        return SerialIndexEntry.parse(text)
+                i = i + 1 if i + 1 < n else 0
+        raise NotFoundError(f"no index entry for ({name}, {key})")
 
     def runs(self, name: str) -> tuple[tuple[int, int], ...]:
         """The (start, count) record runs of every line named ``name``, in file order.
 
         Adjacent lines are merged; a repeated line gives a run each time it
         appears. Raises NotFoundError if no line is named ``name``."""
-        with self._lock:
-            table = self._fresh()
-            runs = self._runs
-            if runs is None or runs[0] != table.signature:
-                runs = self._runs = (table.signature, _load_runs(table))
-        found = runs[1].get(name)
+        runs = self._runs
+        if runs is None:
+            runs = self._kept("_runs", _load_runs)
+        found = runs.get(name)
         if found is None:
             raise NotFoundError(f"no index entry named {name!r}")
         return found
 
     def entries(self):
-        """Yield all entries in file (append) order."""
-        with open(self.path, "r", encoding="ascii") as f:
-            for line in f:
-                yield SerialIndexEntry.parse(line)
+        """Yield all entries in file order."""
+        for line in _lines(self._fd, self._size):
+            yield SerialIndexEntry.parse(line.decode("ascii"))
 
     def entry_count(self) -> int:
-        """Lines in the file as it is now, counted as a load counts them, with no table built."""
-        fd = os.open(self.path, os.O_RDONLY)
-        try:
-            return _count_lines(fd, os.fstat(fd).st_size)[0]
-        finally:
-            os.close(fd)
+        """Lines in the file, counted as the table build counts them, with no table built."""
+        return _count_lines(self._fd, self._size)
 
     def close(self) -> None:
-        # The fd closes once no lookup still holds the table.
-        self._table = self._runs = None
+        if self._fd >= 0:
+            os.close(self._fd)
+            self._fd = -1
+        self._slots = self._runs = None

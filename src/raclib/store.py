@@ -7,16 +7,16 @@ addressed by (start record, record count). A two-line ASCII sidecar
 self-describing while the data file stays a plain byte-for-byte record
 concatenation.
 
-Reads go through ``pread``, so any number of threads or processes may read
-one store concurrently; at most one appender may be active. A member read is
-one ``pread`` of exactly the member's own bytes: the padding after it is
-never read. The sidecar is rewritten only after appended bytes are fsync'd,
-so a crash never leaves the record count pointing into unwritten data, and
-each rewrite is a temp fsync'd before its rename, so a crash never leaves
-an empty sidecar. A store with a sidecar, read-only or writable, reads that
-commit record again when asked for records past its count, so it serves
-what another appender has committed since; a repack renamed into place is
-not followed.
+A store is written once, by the builder that creates it, and then only
+read: ``open`` gives a read-only handle that keeps the sidecar's record
+count and reads only the file it opened, so a store renamed over its path
+is not seen until it is opened again. Reads go through ``pread``, so any
+number of threads or processes may read one store concurrently. A member
+read is one ``pread`` of exactly the member's own bytes: the padding after
+it is never read. The sidecar is written only after the appended bytes are
+fsync'd, so a crash never leaves the record count pointing into unwritten
+data, and each write is a temp fsync'd before its rename, so a crash never
+leaves an empty sidecar.
 
 Appends copy nothing and flush once per call: ``append_payloads`` writes
 each member from the caller's buffer and then its padding, if any, and
@@ -188,14 +188,12 @@ def _write_meta(meta_path: Path, record_size: int, record_count: int) -> None:
 class RecordStore(Closeable):
     """One library file plus its sidecar metadata, or a fixed-geometry file."""
 
-    def __init__(self, path: Path, fd: int, record_size: int, record_count: int, writable: bool,
-                 follows_sidecar: bool):
+    def __init__(self, path: Path, fd: int, record_size: int, record_count: int, writable: bool):
         self.path = path
         self._fd = fd
         self._record_size = record_size
         self._record_count = record_count
         self._writable = writable
-        self._follows_sidecar = follows_sidecar
         self.counters = IOCounters()
 
     @classmethod
@@ -214,20 +212,17 @@ class RecordStore(Closeable):
             os.close(fd)
             path.unlink()
             raise
-        return cls(path, fd, record_size, 0, writable=True, follows_sidecar=True)
+        return cls(path, fd, record_size, 0, writable=True)
 
     @classmethod
-    def open(cls, path: str | Path, mode: str = "r") -> "RecordStore":
-        """Open an existing store, ``mode`` "r" (read-only) or "a" (appendable).
+    def open(cls, path: str | Path) -> "RecordStore":
+        """Open an existing store read-only, with the record count its sidecar gives now.
 
-        Opening for append truncates any bytes beyond the recorded length:
-        such a tail can only be the residue of an append that crashed before
-        its metadata update.
+        Bytes past that count, the residue of an append that crashed before
+        its sidecar update, are never read.
         """
-        if mode not in ("r", "a"):
-            raise ValueError(f"mode must be 'r' or 'a', got {mode!r}")
         path = Path(path)
-        return cls._open(path, *_read_meta(_meta_path(path)), writable=mode == "a", exact=False)
+        return cls._open(path, *_read_meta(_meta_path(path)), writable=False, exact=False)
 
     @classmethod
     def create_fixed(cls, path: str | Path, record_size: int, records: bytes) -> "RecordStore":
@@ -248,9 +243,7 @@ class RecordStore(Closeable):
         if size < covered or exact and size != covered:
             os.close(fd)
             raise ValueError(f"store {path} is {size} B, but its geometry covers {covered} B")
-        if writable and size > covered:
-            os.ftruncate(fd, covered)
-        return cls(path, fd, record_size, record_count, writable, follows_sidecar=not exact)
+        return cls(path, fd, record_size, record_count, writable)
 
     @property
     def record_size(self) -> int:
@@ -272,8 +265,8 @@ class RecordStore(Closeable):
         a caller that yields and drops payloads holds one at a time. One
         fsync and one sidecar update follow the last payload. If drawing a
         payload raises, the sidecar keeps its old count: the state a crashed
-        append leaves, whose tail ``open(mode="a")`` truncates. An empty
-        payload takes no records. Returns one ref per payload.
+        append leaves, whose written tail no reader reads. An empty payload
+        takes no records. Returns one ref per payload.
         """
         self._check_writable()
         rsize = self._record_size
@@ -331,9 +324,6 @@ class RecordStore(Closeable):
         _pwrite_all(self._fd, data, start * self._record_size)
 
     def _check_range(self, start: int, count: int) -> None:
-        if start + count > self._record_count and self._follows_sidecar:
-            held = os.fstat(self._fd).st_size // self._record_size  # a commit counts as far as this file holds it
-            self._record_count = max(self._record_count, min(_read_meta(_meta_path(self.path))[1], held))
         if start < 0 or count < 0 or start + count > self._record_count:
             raise IndexError(
                 f"record range [{start}, {start + count}) outside store of {self._record_count} records"
@@ -402,7 +392,12 @@ class Library(Closeable):
 
     @classmethod
     def _open(cls, store_path: Path, index_path: Path, open_index):
-        """The one open order: a missing index raises before the store is opened; any failure leaves no fd."""
+        """The one open order: a missing index raises before the store is opened; any failure leaves no fd.
+
+        The library reads only the two files opened here, as they were: a
+        store or index renamed over either path later is not seen, so the
+        library serves the build it opened, whole, until it is opened again.
+        """
         if not index_path.exists():
             raise FileNotFoundError(f"no index at {index_path}")
         with closed_on_error(RecordStore.open(store_path)) as store:

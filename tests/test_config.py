@@ -69,3 +69,32 @@ def test_file_errors_name_the_line(tmp_path):
 def test_environment_errors_name_the_variable():
     with pytest.raises(ValueError, match="^RACLIB_PORT: port: invalid literal"):
         load_config(env={"RACLIB_PORT": "abc"})
+
+
+def test_out_of_range_values_name_their_source(tmp_path):
+    conf = tmp_path / "raclib.conf"
+    conf.write_text("# delivery host\nport=80000\n")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{conf}:2: port out of range: 80000")):
+        load_config(conf, env={})
+    conf.write_text("record_size=0\n")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{conf}:1: record_size must be >= 1, got 0")):
+        load_config(conf, env={})
+    with pytest.raises(ValueError, match="^RACLIB_PORT: port out of range: 0"):
+        load_config(env={"RACLIB_PORT": "0"})
+    with pytest.raises(ValueError, match="^RACLIB_RECORD_SIZE: record_size must be >= 1, got -1"):
+        load_config(env={"RACLIB_RECORD_SIZE": "-1"})
+    with pytest.raises(ValueError, match="^port out of range: 65536"):
+        load_config(env={}, port=65536)
+
+
+def test_bucket_ttl_error_names_the_source_of_each_value(tmp_path):
+    with pytest.raises(ValueError, match="^" + re.escape(
+        "bucket_ttl_seconds 5 (RACLIB_BUCKET_TTL_SECONDS) shorter than bucket_width_seconds 1000 (default)"
+    )):
+        load_config(env={"RACLIB_BUCKET_TTL_SECONDS": "5"})
+    conf = tmp_path / "raclib.conf"
+    conf.write_text("port=9000\nbucket_width_seconds=3000\n")
+    with pytest.raises(ValueError, match="^" + re.escape(
+        f"bucket_ttl_seconds 2500 (argument) shorter than bucket_width_seconds 3000 ({conf}:2)"
+    )):
+        load_config(conf, env={}, bucket_ttl_seconds=2500)

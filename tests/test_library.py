@@ -9,11 +9,10 @@ from helpers import fd_name, open_fd_count
 
 from raclib import store
 from raclib.computed_index import ComputedIndex
-from raclib.neuro import RegionLibrary, Voxel
-from raclib.pack import pack_directory
+from raclib.neuro import RegionLibrary, Voxel, block_of
+from raclib.pack import CollectionSet, pack_directory
 from raclib.serial_index import SerialIndex, SerialIndexEntry
-from raclib.ssdi import DeathRecord, SsdiLibrary
-from raclib.store import RecordStore
+from raclib.ssdi import DeathRecord, SearchQuery, SsdiLibrary
 
 
 def pack_one_page(tmp_path):
@@ -94,13 +93,20 @@ def test_failed_build_deletes_its_index_before_its_store(tmp_path, monkeypatch):
     assert deleted == ["c.index", "c.raclib", "c.raclib.meta"]
 
 
-@pytest.mark.parametrize("build", [pack_one_page, build_ssdi, build_atlas])
-def test_builder_handle_reads_records_another_writer_appends(tmp_path, build):
-    with build(tmp_path) as library:
-        record = b"x" * library.store.record_size
-        with RecordStore.open(library.store.path, mode="a") as writer:
-            ref = writer.append_payload(record)
-        assert library.store.read_records(ref.start, 1) == record
+def test_opened_libraries_give_back_every_fd_on_close(tmp_path):
+    for name, build in (("pack", pack_one_page), ("ssdi", build_ssdi), ("atlas", build_atlas)):
+        (tmp_path / name).mkdir()
+        build(tmp_path / name).close()
+    before = open_fd_count()
+    for _ in range(3):
+        with CollectionSet.load_dir(tmp_path / "pack" / "out") as collections:
+            assert collections.fetch("TallyHo1965", "0001") == b"page"
+        with SsdiLibrary.open(tmp_path / "ssdi" / "out") as ssdi:
+            assert [r.ssn for r in ssdi.search(SearchQuery(surname="Kennedy", given="Robert"))] == ["123456789"]
+        with RegionLibrary.open(tmp_path / "atlas" / "out") as atlas:
+            assert atlas.region_voxels("r") == [Voxel(-41, 12, -35)]
+            assert atlas.block_voxels("r", block_of(Voxel(-41, 12, -35))) == [Voxel(-41, 12, -35)]
+    assert open_fd_count() == before
 
 
 def create_serial_index(out):

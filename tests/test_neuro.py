@@ -23,7 +23,6 @@ from raclib.neuro import (
     _unpack_run,
     read_atlas_tsv,
 )
-from raclib.serial_index import SerialIndex, SerialIndexEntry
 from raclib.store import RecordStore
 
 
@@ -297,72 +296,12 @@ def count_index_passes(monkeypatch):
     passes = []
     real_load = serial_index._load_runs
 
-    def counting_load(path):
-        passes.append(path)
-        return real_load(path)
+    def counting_load(fd, size):
+        passes.append(size)
+        return real_load(fd, size)
 
     monkeypatch.setattr(serial_index, "_load_runs", counting_load)
     return passes
-
-
-def test_region_table_built_once_and_again_after_second_writer_appends(tmp_path, monkeypatch):
-    passes = count_index_passes(monkeypatch)
-    a = [Voxel(1, 2, 3), Voxel(15, 2, 3)]
-    b = [Voxel(-41, 12, -35), Voxel(-42, 13, -36)]
-    with RegionLibrary.build({"a": a, "b": b}, tmp_path / "lib") as lib:
-        for _ in range(100):
-            assert lib.region_voxels("a") == a
-        assert len(passes) == 1
-        # Another writer names b's block for region a too.
-        with SerialIndex(tmp_path / "lib" / "regions.index") as writer:
-            writer.append(SerialIndexEntry("a", "n4_xp1_yn3_z", 2, 2))
-        assert lib.region_voxels("a") == a + b
-        for _ in range(10):
-            assert lib.region_voxels("b") == b
-        assert len(passes) == 2
-
-
-def test_region_runs_rebuilt_once_after_the_librarys_own_append(tmp_path, monkeypatch):
-    passes = count_index_passes(monkeypatch)
-    a = [Voxel(1, 2, 3), Voxel(15, 2, 3)]
-    b = [Voxel(-41, 12, -35), Voxel(-42, 13, -36)]
-    with RegionLibrary.build({"a": a, "b": b}, tmp_path / "lib") as lib:
-        assert lib.region_voxels("a") == a
-        slots = lib.index._table.slots
-        lib.index.append(SerialIndexEntry("a", "n4_xp1_yn3_z", 2, 2))
-        for _ in range(10):
-            assert lib.region_voxels("a") == a + b
-            assert lib.region_voxels("b") == b
-        assert lib.index._table.slots is slots  # the append filled a slot in place: no reload
-        assert len(passes) == 2
-
-
-def append_voxel(lib_dir: Path, region: str, voxel: Voxel) -> None:
-    """Append one voxel and its index line as a second writer would."""
-    with RecordStore.open(lib_dir / "voxels.raclib", mode="a") as writer, SerialIndex(lib_dir / "regions.index") as index:
-        ref = writer.append_payload(encode_coord(voxel).encode("ascii").ljust(COORD_RECORD_SIZE, b"\0"))
-        index.append(SerialIndexEntry(region, block_of(voxel), ref.start, ref.count))
-
-
-def test_region_and_block_queries_read_voxels_another_writer_appends(tmp_path):
-    a = [Voxel(1, 2, 3)]
-    c = Voxel(-41, 12, -35)
-    RegionLibrary.build({"a": a}, tmp_path / "lib").close()
-    with RegionLibrary.open(tmp_path / "lib") as lib:
-        assert lib.region_voxels("a") == a
-        append_voxel(tmp_path / "lib", "c", c)
-        assert lib.region_voxels("c") == [c]
-        assert lib.block_voxels("c", block_of(c)) == [c]
-
-
-def test_build_handle_serves_voxels_another_writer_appends(tmp_path):
-    a = [Voxel(1, 2, 3)]
-    c = Voxel(-41, 12, -35)
-    with RegionLibrary.build({"a": a}, tmp_path / "lib") as lib:
-        assert lib.region_voxels("a") == a
-        append_voxel(tmp_path / "lib", "c", c)
-        assert lib.region_voxels("c") == [c]
-        assert lib.block_voxels("c", block_of(c)) == [c]
 
 
 @pytest.mark.parametrize("bad", MALFORMED)
@@ -379,17 +318,27 @@ def test_malformed_record_in_the_store_fails_block_and_region_queries(tmp_path, 
             lib.region_voxels("r")
 
 
-def test_region_table_sees_index_replaced_by_rename(tmp_path):
-    a = [Voxel(1, 2, 3), Voxel(2, 2, 3)]
-    with RegionLibrary.build({"a": a}, tmp_path / "lib") as lib:
-        assert lib.region_voxels("a") == a
-        index_path = tmp_path / "lib" / "regions.index"
-        replacement = tmp_path / "lib" / "regions.index.new"
-        replacement.write_text("z p0_xp0_yp0_z 1 1\nz p0_xp0_yp0_z 0 1\n")
-        os.replace(replacement, index_path)
-        assert lib.region_voxels("z") == [a[1], a[0]]
+def test_region_library_serves_the_build_it_opened_after_a_rebuild(tmp_path):
+    rng = random.Random(9)
+    old = random_atlas(rng, n_regions=3, per_region=40)
+    new = {name: voxels[:rng.randrange(5, 40)] for name, voxels in reversed(old.items())}  # new order and sizes
+    new["region_new"] = [Voxel(1, 2, 3), Voxel(15, 2, 3)]
+    RegionLibrary.build(old, tmp_path / "lib").close()
+    RegionLibrary.build(new, tmp_path / "rebuilt").close()
+    with RegionLibrary.open(tmp_path / "lib") as lib:
+        assert sorted(lib.region_voxels("region_00")) == sorted(old["region_00"])
+        for name in ("voxels.raclib", "voxels.raclib.meta", "regions.index"):
+            os.replace(tmp_path / "rebuilt" / name, tmp_path / "lib" / name)
+        for region, voxels in old.items():
+            assert sorted(lib.region_voxels(region)) == sorted(voxels)
+            assert lib.block_voxels(region, block_of(voxels[0])) == [v for v in voxels if block_of(v) == block_of(voxels[0])]
         with pytest.raises(NotFoundError):
-            lib.region_voxels("a")
+            lib.region_voxels("region_new")
+        with pytest.raises(NotFoundError):
+            lib.block_voxels("region_new", block_of(Voxel(1, 2, 3)))
+    with RegionLibrary.open(tmp_path / "lib") as lib:
+        for region, voxels in new.items():
+            assert sorted(lib.region_voxels(region)) == sorted(voxels)
 
 
 def test_unknown_region_reads_nothing_from_the_store(tmp_path):
@@ -415,11 +364,10 @@ def run_threads(targets, timeout=30):
         sys.setswitchinterval(interval)
 
 
-def test_concurrent_region_queries_build_once_and_see_whole_appends(tmp_path, monkeypatch):
+def test_concurrent_region_queries_build_runs_once(tmp_path, monkeypatch):
     passes = count_index_passes(monkeypatch)
     a = [Voxel(1, 2, 3), Voxel(15, 2, 3)]
     b = [Voxel(-41, 12, -35), Voxel(-42, 13, -36)]
-    appends = 20
     with RegionLibrary.build({"a": a, "b": b}, tmp_path / "lib") as lib:
         barrier = threading.Barrier(8)
         first = []
@@ -430,28 +378,9 @@ def test_concurrent_region_queries_build_once_and_see_whole_appends(tmp_path, mo
 
         run_threads([first_query] * 8)
         assert first == [a] * 8
+        for _ in range(10):
+            assert lib.region_voxels("b") == b
         assert len(passes) == 1
-
-        # Readers race a second writer that names b's records for a, line by line:
-        # every answer holds a and a whole number of those lines, never fewer
-        # than the reader saw before.
-        answers = {i: [] for i in range(6)}
-
-        def reader(i):
-            for _ in range(200):
-                answers[i].append(lib.region_voxels("a"))
-
-        def writer():
-            with SerialIndex(tmp_path / "lib" / "regions.index") as index:
-                for k in range(appends):
-                    index.append(SerialIndexEntry("a", f"extra{k}", 2, 2))
-
-        run_threads([writer] + [lambda i=i: reader(i) for i in answers])
-        for seen in answers.values():
-            extras = [(len(v) - len(a)) // len(b) for v in seen]
-            assert all(v == a + b * n for v, n in zip(seen, extras))
-            assert extras == sorted(extras)
-        assert lib.region_voxels("a") == a + b * appends
 
 
 STORE_RECORDS = 40

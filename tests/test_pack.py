@@ -14,7 +14,6 @@ from raclib.pack import (
     parse_member_filename,
     read_manifest,
 )
-from raclib.serial_index import SerialIndexEntry
 
 
 def test_parse_member_filename():
@@ -52,20 +51,19 @@ def test_pack_fetch_round_trip(tmp_path):
 def test_pack_releases_append_handle_and_keeps_table(tmp_path, monkeypatch):
     passes = []
     real_load = serial_index._load
-    monkeypatch.setattr(serial_index, "_load", lambda path: passes.append(path) or real_load(path))
+    monkeypatch.setattr(serial_index, "_load", lambda fd, size: passes.append(size) or real_load(fd, size))
     pages = make_pages(tmp_path / "in", 5)
     if not os.path.isdir("/proc/self/fd"):
         pytest.skip("counting open fds needs /proc/self/fd")
     before = open_fd_count()
     with pack_directory(tmp_path / "in", "yearbooks", tmp_path / "out") as collection:
-        assert open_fd_count() == before + 1  # the library's own fd, no index handle
+        assert open_fd_count() == before + 2  # the library's fd and the index's, no other handle
         assert len(passes) == 0  # the index was written whole, never read
-        for (name, key), body in pages.items():
-            assert collection.fetch(name, key) == body
+        for _ in range(3):
+            for (name, key), body in pages.items():
+                assert collection.fetch(name, key) == body
         assert len(passes) == 1
-        collection.index.append(SerialIndexEntry("Extra", "0001", 0, 1, 1))
-        assert collection.fetch("Extra", "0001") == pages["TallyHo1965", "0001"][:1]
-        assert len(passes) == 1
+    assert open_fd_count() == before
 
 
 def test_pack_appends_in_sorted_order(tmp_path):
@@ -236,28 +234,60 @@ def test_collection_set_loads_around_a_store_whose_build_left_no_index(tmp_path)
             collections.fetch("b", "0001")
 
 
-def test_open_collection_set_serves_a_member_another_writer_appends(tmp_path):
-    out = pack_one_member_each(tmp_path, ("c",))
-    body = random.Random(5).randbytes(3000)
+def write_members(directory, sizes, seed):
+    """One file ``T_<key>.bin`` of ``size`` random bytes per ``sizes`` item; returns key -> bytes."""
+    rng = random.Random(seed)
+    directory.mkdir()
+    bodies = {key: rng.randbytes(size) for key, size in sizes.items()}
+    for key, body in bodies.items():
+        (directory / f"T_{key}.bin").write_bytes(body)
+    return bodies
+
+
+OLD_SIZES = {"0": 40, "a": 3_000, "c": 8_000}
+NEW_SIZES = {"0": 5_000, "a": 100, "b": 2_500, "c": 40, "e": 9_000}  # new sizes, and b and e are new
+
+
+def repack_over(tmp_path, out, sizes):
+    """Pack a new ``T`` beside ``out``, then rename its store, sidecar and index over the old ones."""
+    bodies = write_members(tmp_path / "new_in", sizes, seed=2)
+    pack_directory(tmp_path / "new_in", "T", tmp_path / "new_out").close()
+    for name in ("T.raclib", "T.raclib.meta", "T.index"):
+        os.replace(tmp_path / "new_out" / name, out / name)
+    return bodies
+
+
+def test_open_collection_set_serves_the_pack_it_opened_after_a_repack(tmp_path):
+    old = write_members(tmp_path / "in", OLD_SIZES, seed=1)
+    pack_directory(tmp_path / "in", "T", tmp_path / "lib").close()
+    with CollectionSet.load_dir(tmp_path / "lib") as collections:
+        assert collections.fetch("T", "a") == old["a"]
+        new = repack_over(tmp_path, tmp_path / "lib", NEW_SIZES)
+        for key, body in old.items():
+            assert collections.fetch("T", key) == body
+        for key in new.keys() - old.keys():
+            with pytest.raises(NotFoundError):
+                collections.fetch("T", key)
+        assert collections.collections[0].index.entry_count() == len(old)
+    with CollectionSet.load_dir(tmp_path / "lib") as collections:
+        for key, body in new.items():
+            assert collections.fetch("T", key) == body
+
+
+def test_warm_fetch_makes_no_stat(tmp_path, monkeypatch):
+    out = pack_one_member_each(tmp_path, ("a", "b"))
     with CollectionSet.load_dir(out) as collections:
-        assert collections.fetch("c", "0001") == b"c" * 100
-        with store.RecordStore.open(out / "c.raclib", mode="a") as writer, \
-                serial_index.SerialIndex(out / "c.index") as index:
-            ref = writer.append_payload(body)
-            index.append(SerialIndexEntry("c", "0002", ref.start, ref.count, ref.byte_length))
-        assert collections.fetch("c", "0002") == body
-        reader = collections.collections[0].store
-        assert reader.record_count == 4
-        with open(out / "c.raclib", "ab") as f:
-            f.write(bytes(2 * 1024))  # two records that no sidecar update commits
-        with pytest.raises(IndexError):
-            reader.read_records(4, 1)
-        # A sidecar counting past the end of the file commits only what the file holds.
-        store._write_meta(out / "c.raclib.meta", 1024, 10)
-        assert reader.read_records(5, 1) == bytes(1024)
-        with pytest.raises(IndexError):
-            reader.read_records(6, 1)
-        assert reader.record_count == 6
+        assert collections.fetch("b", "0001") == b"b" * 100  # builds both tables
+        stats = []
+        for name in ("stat", "fstat", "lstat"):
+            real = getattr(os, name)
+            monkeypatch.setattr(os, name, lambda *args, real=real, **kwargs: stats.append(args) or real(*args, **kwargs))
+        for _ in range(3):
+            assert collections.fetch("b", "0001") == b"b" * 100
+            with pytest.raises(NotFoundError):
+                collections.fetch("z", "0001")
+        monkeypatch.undo()
+    assert stats == []
 
 
 def test_collection_set_missing_dir(tmp_path):

@@ -10,12 +10,10 @@ import pytest
 
 from raclib.cache import BucketCache, DeliveryRequest, ImageResolver
 from raclib.config import Config
-from raclib.pack import pack_directory
-from raclib.serial_index import SerialIndex, SerialIndexEntry
-from raclib.store import RecordStore
+from raclib.pack import Collection, pack_directory
 from raclib.server import IDLE_TIMEOUT_S, DeliveryHandler, DeliveryServer, build_resolver, sniff_content_type
 
-from test_pack import make_pages
+from test_pack import NEW_SIZES, OLD_SIZES, make_pages, repack_over, write_members
 
 
 def test_sniff_content_type():
@@ -25,10 +23,18 @@ def test_sniff_content_type():
     assert sniff_content_type(b"whoknows") == "image/jpeg"
 
 
-@pytest.fixture
-def service(tmp_path):
+def pack_pages(tmp_path):
+    """Three pages packed into ``lib/yearbooks``, and one index line that no store can serve."""
     pages = make_pages(tmp_path / "in", 3)
     pack_directory(tmp_path / "in", "yearbooks", tmp_path / "lib").close()
+    with open(tmp_path / "lib" / "yearbooks.index", "a", encoding="ascii") as f:
+        f.write("Broken 0001 0 2 1\n")  # two records cannot hold 1 byte: read_payload raises ValueError
+    return pages
+
+
+@pytest.fixture
+def service(tmp_path):
+    pages = pack_pages(tmp_path)
     config = Config(library_dir=tmp_path / "lib", cache_root=tmp_path / "cache")
     server = DeliveryServer(("127.0.0.1", 0), build_resolver(config))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -73,15 +79,25 @@ def test_image_library_then_cache(service):
     assert body2 == body
 
 
-def test_member_appended_by_another_writer_is_served(service, tmp_path):
-    base, _ = service
-    body = b"\xff\xd8\xff" + bytes(range(256)) * 9
-    lib = tmp_path / "lib"
-    with RecordStore.open(lib / "yearbooks.raclib", mode="a") as writer, SerialIndex(lib / "yearbooks.index") as index:
-        ref = writer.append_payload(body)
-        index.append(SerialIndexEntry("TallyHo1965", "0004", ref.start, ref.count, ref.byte_length))
-    status, _, served = get(base + "/image?title=TallyHo1965&page=0004")
-    assert (status, served) == (200, body)
+def test_repack_renamed_under_a_running_server_serves_the_pack_it_opened(tmp_path):
+    old = write_members(tmp_path / "in", OLD_SIZES, seed=1)
+    pack_directory(tmp_path / "in", "T", tmp_path / "lib").close()
+    config = Config(library_dir=tmp_path / "lib", cache_root=tmp_path / "cache")
+    server = DeliveryServer(("127.0.0.1", 0), build_resolver(config))
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        base = f"http://127.0.0.1:{server.server_address[1]}/image?title=T&page="
+        new = repack_over(tmp_path, tmp_path / "lib", NEW_SIZES)
+        for key, body in old.items():
+            status, headers, served = get(base + key)
+            assert (status, headers["X-RacLib-Source"], served) == (200, "library", body)
+        for key in new.keys() - old.keys():
+            assert get_error(base + key)[0] == 404
+    finally:
+        server.shutdown()
+        server.server_close()
+        server.resolver.close()
 
 
 def test_unknown_image_404(service):
@@ -102,11 +118,8 @@ def test_unknown_path_404(service):
     assert get_error(base + "/nope")[0] == 404
 
 
-def test_corrupt_index_line_answers_500_and_server_keeps_serving(service, tmp_path, caplog):
+def test_corrupt_index_line_answers_500_and_server_keeps_serving(service, caplog):
     base, pages = service
-    # Two records cannot hold 1 byte: read_payload raises ValueError.
-    with open(tmp_path / "lib" / "yearbooks.index", "a", encoding="ascii") as f:
-        f.write("Broken 0001 0 2 1\n")
     with caplog.at_level(logging.ERROR, logger="raclib.server"):
         status, body = get_error(base + "/image?title=Broken&page=0001")
     assert (status, body) == (500, b"internal error\n")
@@ -141,8 +154,8 @@ class CountingConnection(http.client.HTTPConnection):
 @pytest.fixture
 def counted_server(tmp_path):
     """A server over one packed collection whose I/O counters the test can read."""
-    pages = make_pages(tmp_path / "in", 3)
-    collection = pack_directory(tmp_path / "in", "yearbooks", tmp_path / "lib")
+    pages = pack_pages(tmp_path)
+    collection = Collection.open(tmp_path / "lib" / "yearbooks.raclib")
     resolver = ImageResolver(collection.fetch, BucketCache(tmp_path / "cache"), close=collection.close)
     server = DeliveryServer(("127.0.0.1", 0), resolver)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -177,10 +190,8 @@ def test_library_fetch_reads_exactly_the_body(counted):
         assert len(body) % collection.store.record_size  # padding was there to skip
 
 
-def test_one_connection_carries_every_status(counted, tmp_path):
+def test_one_connection_carries_every_status(counted):
     conn, _, pages = counted
-    with open(tmp_path / "lib" / "yearbooks.index", "a", encoding="ascii") as f:
-        f.write("Broken 0001 0 2 1\n")
     with pytest.raises(ValueError) as bad:
         DeliveryRequest(title="OnlyTitle", page="")
     first, second = pages["TallyHo1965", "0001"], pages["TallyHo1965", "0002"]

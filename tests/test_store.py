@@ -197,24 +197,10 @@ def test_reopen_persists_state(tmp_path):
 
 def test_read_only_handle_rejects_append(tmp_path):
     RecordStore.create(tmp_path / "lib").append_payload(b"x")
-    store = RecordStore.open(tmp_path / "lib", mode="r")
+    store = RecordStore.open(tmp_path / "lib")
     with pytest.raises(PermissionError):
         store.append_payload(b"y")
     assert (tmp_path / "lib").stat().st_size == 1024  # nothing written
-
-
-def test_open_for_append_truncates_orphan_tail(tmp_path):
-    store = RecordStore.create(tmp_path / "lib", record_size=32)
-    store.append_payload(b"a" * 32)
-    store.close()
-    # Simulate a crash between data write and metadata update.
-    with open(tmp_path / "lib", "ab") as f:
-        f.write(b"junk")
-    again = RecordStore.open(tmp_path / "lib", mode="a")
-    assert (tmp_path / "lib").stat().st_size == 32
-    ref = again.append_payload(b"b" * 10)
-    assert ref.start == 1
-    assert again.read_payload(ref) == b"b" * 10
 
 
 def test_open_shorter_than_metadata_is_error(tmp_path):
@@ -330,10 +316,11 @@ def test_append_payloads_that_fail_partway_keep_the_count(tmp_path, monkeypatch)
     assert (tmp_path / "lib.meta").read_text() == "record_size=16\nrecord_count=1\n"
     assert (tmp_path / "lib").stat().st_size == 64  # the two payloads before it, written, not counted
     store.close()
-    again = RecordStore.open(tmp_path / "lib", mode="a")
-    assert (tmp_path / "lib").stat().st_size == 16
-    assert again.append_payloads([b"d"]) == [RecordSetRef(start=1, count=1, byte_length=1)]
-    assert again.read_records(0, 2) == b"x" * 16 + b"d" + bytes(15)
+    with RecordStore.open(tmp_path / "lib") as again:
+        assert again.record_count == 1
+        assert again.read_records(0, 1) == b"x" * 16
+        with pytest.raises(IndexError):
+            again.read_records(1, 1)  # the uncounted tail is never served
 
 
 def test_sidecar_temp_is_fsynced_before_its_rename(tmp_path, monkeypatch):
