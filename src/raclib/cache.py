@@ -29,8 +29,8 @@ from pathlib import Path
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_BUCKET_WIDTH = 1000
-DEFAULT_BUCKET_TTL = 2000
+BUCKET_SECONDS = 1000  # epoch seconds with the last three digits removed
+LIVE_BUCKETS = 2  # the current bucket and the previous one: an image lives 2000 s
 # Stripping three digits assumes the epoch string is long enough; anything
 # post-2001 is. Earlier clocks are rejected rather than silently mis-bucketed.
 EPOCH_FLOOR = 1_000_000_000
@@ -46,11 +46,11 @@ class BucketOutcome(str, Enum):
     FORCED = "forced"
 
 
-def bucket_name(now: float, bucket_width: int = DEFAULT_BUCKET_WIDTH) -> str:
+def bucket_name(now: float) -> str:
     """Cache directory name for a moment in time: epoch seconds div 1000."""
     if now < EPOCH_FLOOR:
         raise ValueError(f"epoch seconds {now} below supported floor {EPOCH_FLOOR}")
-    return str(int(now) // bucket_width)
+    return str(int(now) // BUCKET_SECONDS)
 
 
 def _escape(part: str) -> str:
@@ -79,20 +79,9 @@ class DeliveryRequest:
 class BucketCache:
     """The cache root, its rotation schedule, and the token protocol."""
 
-    def __init__(
-        self,
-        root: str | Path,
-        bucket_width: int = DEFAULT_BUCKET_WIDTH,
-        bucket_ttl: int = DEFAULT_BUCKET_TTL,
-        clock=time.time,
-        sleep=time.sleep,
-    ):
-        if bucket_ttl < bucket_width:
-            raise ValueError(f"bucket_ttl {bucket_ttl} shorter than bucket_width {bucket_width}")
+    def __init__(self, root: str | Path, clock=time.time, sleep=time.sleep):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.bucket_width = bucket_width
-        self.bucket_ttl = bucket_ttl
         self._clock = clock
         self._sleep = sleep
         self._token = self.root / "token"
@@ -101,9 +90,9 @@ class BucketCache:
         return self._clock()
 
     def live_bucket_ids(self, now: float) -> range:
-        """Ids of the ``ttl // width`` buckets still served at ``now``, newest first."""
-        current = int(bucket_name(now, self.bucket_width))
-        return range(current, current - self.bucket_ttl // self.bucket_width, -1)
+        """Ids of the buckets the sweep keeps at ``now``, the current and the previous one, newest first."""
+        current = int(bucket_name(now))
+        return range(current, current - LIVE_BUCKETS, -1)
 
     # Per-request paths are plain strings: pathlib interns every component,
     # and each interned string that dies leaves a slot in the process-wide
@@ -139,7 +128,7 @@ class BucketCache:
         """
         if now is None:
             now = self.now()
-        bucket = os.path.join(self.root, bucket_name(now, self.bucket_width))
+        bucket = os.path.join(self.root, bucket_name(now))
         if os.path.isdir(bucket):
             return BucketOutcome.EXISTED
         for _ in range(TOKEN_WAIT_ROUNDS):
@@ -195,7 +184,7 @@ class BucketCache:
         """Write into the current bucket atomically (temp name, then rename)."""
         if now is None:
             now = self.now()
-        bucket = os.path.join(self.root, bucket_name(now, self.bucket_width))
+        bucket = os.path.join(self.root, bucket_name(now))
         target = os.path.join(bucket, filename)
         tmp = os.path.join(bucket, f".{filename}.{os.getpid()}.{threading.get_ident()}.tmp")
         with open(tmp, "wb") as f:

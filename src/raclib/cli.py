@@ -62,14 +62,7 @@ def cmd_fetch(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    config = load_config(
-        args.config,
-        port=args.port,
-        library_dir=args.library_dir,
-        cache_root=args.cache_root,
-        bucket_ttl_seconds=args.bucket_ttl,
-        bucket_width_seconds=args.bucket_width,
-    )
+    config = load_config(args.config, port=args.port, library_dir=args.library_dir, cache_root=args.cache_root)
     logging.basicConfig(level=SERVE_LOG_LEVEL, format=SERVE_LOG_FORMAT)
     server.serve(config)
     return EXIT_OK
@@ -188,8 +181,6 @@ def build_parser() -> _Parser:
     s.add_argument("--port", type=int, default=None)
     s.add_argument("--library-dir", default=None)
     s.add_argument("--cache-root", default=None)
-    s.add_argument("--bucket-ttl", type=int, default=None)
-    s.add_argument("--bucket-width", type=int, default=None)
     s.set_defaults(func=cmd_serve)
 
     ssdi = sub.add_parser("ssdi", help="build and search death-record libraries")

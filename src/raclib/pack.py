@@ -38,13 +38,22 @@ def parse_member_filename(filename: str) -> tuple[str, str]:
     return name, key
 
 
+def _indexable(member: tuple[str, str], where: str) -> tuple[str, str]:
+    """``member``, if its name and key fit an index line; else a ValueError that starts with ``where``."""
+    try:
+        SerialIndexEntry(*member, 0, 0)
+    except ValueError as e:
+        raise ValueError(f"{where}: {e}") from None
+    return member
+
+
 def read_manifest(path: str | Path) -> dict[str, tuple[str, str]]:
     """Parse a filename -> (name, key) manifest (three tab-separated fields); a filename may appear once."""
     members = {}
     for lineno, (filename, name, key) in read_tsv(path, 3, "filename<TAB>name<TAB>key"):
         if filename in members:
             raise ValueError(f"{path}:{lineno}: {filename} is listed twice")
-        members[filename] = (name, key)
+        members[filename] = _indexable((name, key), f"{path}:{lineno}")
     return members
 
 
@@ -80,7 +89,7 @@ def pack_directory(
         named = {input_dir / fname: (name, key) for fname, (name, key) in read_manifest(manifest).items()}
     else:
         named = {
-            path: parse_member_filename(path.name)
+            path: _indexable(parse_member_filename(path.name), str(path))
             for path in sorted(input_dir.iterdir())
             if path.is_file()
         }
@@ -89,7 +98,6 @@ def pack_directory(
     for path, member in named.items():
         if member in seen:
             raise DuplicateKeyError(f"{path} and {seen[member]} both map to {member}")
-        SerialIndexEntry(*member, 0, 0)  # a name or key unfit for an index line raises here
         seen[member] = path
 
     members = sorted(seen.items())

@@ -208,8 +208,8 @@ class SerialIndex(Closeable):
             self.counters.bytes_read += len(line)
             return line
         data = b""
-        while b"\n" not in data:
-            chunk = os.pread(self._fd, 4096, offset + len(data))
+        while b"\n" not in data and offset + len(data) < self._size:
+            chunk = os.pread(self._fd, min(4096, self._size - offset - len(data)), offset + len(data))
             self.counters.reads += 1
             self.counters.bytes_read += len(chunk)
             if not chunk:

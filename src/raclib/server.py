@@ -34,6 +34,7 @@ from .cache import BucketCache, DeliveryRequest, ImageResolver
 from .config import Config
 from .errors import NotFoundError
 from .pack import CollectionSet
+from .store import closed_on_error
 
 logger = logging.getLogger(__name__)
 
@@ -154,13 +155,8 @@ class DeliveryServer(ThreadingHTTPServer):
 
 def build_resolver(config: Config) -> ImageResolver:
     """Wire the collections under library_dir to a rotating cache."""
-    collections = CollectionSet.load_dir(config.library_dir)
-    cache = BucketCache(
-        config.cache_root,
-        bucket_width=config.bucket_width_seconds,
-        bucket_ttl=config.bucket_ttl_seconds,
-    )
-    return ImageResolver(collections.fetch, cache, close=collections.close)
+    with closed_on_error(CollectionSet.load_dir(config.library_dir)) as collections:
+        return ImageResolver(collections.fetch, BucketCache(config.cache_root), close=collections.close)
 
 
 def serve(config: Config) -> None:

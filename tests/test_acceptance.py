@@ -59,14 +59,14 @@ def test_criterion_1_trigram_arithmetic():
 def test_criterion_2_round_trip_fidelity(tmp_path):
     with criterion(2, "1,000 payload round-trip fidelity", budget_seconds=30):
         rng = random.Random(1965)
-        store = RecordStore.create(tmp_path / "lib", record_size=1024)
-        kept = []
-        for _ in range(1000):
-            payload = rng.randbytes(rng.randrange(0, 300_001))
-            kept.append((store.append_payload(payload), payload))
-            assert (tmp_path / "lib").stat().st_size == store.record_count * 1024
-        for ref, payload in kept:
-            assert store.read_payload(ref) == payload
+        with RecordStore.create(tmp_path / "lib", record_size=1024) as store:
+            kept = []
+            for _ in range(1000):
+                payload = rng.randbytes(rng.randrange(0, 300_001))
+                kept.append((store.append_payload(payload), payload))
+                assert (tmp_path / "lib").stat().st_size == store.record_count * 1024
+            for ref, payload in kept:
+                assert store.read_payload(ref) == payload
 
 
 # -- criterion 3: an oracle that trusts only the bytes on disk -----------------
@@ -120,33 +120,33 @@ def test_criterion_3_search_oracle_equivalence(tmp_path):
     with criterion(3, "100k-record search vs linear-scan oracle, 500 queries", budget_seconds=120):
         rng = random.Random(86)
         records = (DeathRecord(*f) for f in random_death_fields(rng, 100_000))
-        library = SsdiLibrary.build(records, tmp_path / "lib")
-        parsed = _parse_store_records((tmp_path / "lib" / "records.raclib").read_bytes())
-        assert len(parsed) == 100_000
+        with SsdiLibrary.build(records, tmp_path / "lib") as library:
+            parsed = _parse_store_records((tmp_path / "lib" / "records.raclib").read_bytes())
+            assert len(parsed) == 100_000
 
-        ran = 0
-        while ran < 500:
-            surname = rng.choice(SURNAMES + ["KE", "JO", "Q", "NOSUCH", "J"])
-            given = rng.choice(GIVENS + ["RO", "J", "JOS"])
-            if not _norm(surname) and not _norm(given):
-                continue
-            query = SearchQuery(
-                given=given if rng.random() < 0.8 else "",
-                surname=surname,
-                birth_year=rng.randrange(1870, 1995) if rng.random() < 0.3 else None,
-                death_year_from=rng.randrange(1900, 1990) if rng.random() < 0.3 else None,
-                death_year_to=rng.randrange(1990, 2012) if rng.random() < 0.3 else None,
-            )
-            library.index.counters.reset()
-            library.store.counters.reset()
-            got = [
-                (r.surname, r.given, r.ssn, r.birth_date, r.death_date)
-                for r in library.search(query)
-            ]
-            assert library.index.counters.reads == 1, "search must read the index exactly once"
-            assert library.store.counters.reads == 1, "search must read the group exactly once"
-            assert got == _oracle_search(parsed, query), f"result mismatch for {query}"
-            ran += 1
+            ran = 0
+            while ran < 500:
+                surname = rng.choice(SURNAMES + ["KE", "JO", "Q", "NOSUCH", "J"])
+                given = rng.choice(GIVENS + ["RO", "J", "JOS"])
+                if not _norm(surname) and not _norm(given):
+                    continue
+                query = SearchQuery(
+                    given=given if rng.random() < 0.8 else "",
+                    surname=surname,
+                    birth_year=rng.randrange(1870, 1995) if rng.random() < 0.3 else None,
+                    death_year_from=rng.randrange(1900, 1990) if rng.random() < 0.3 else None,
+                    death_year_to=rng.randrange(1990, 2012) if rng.random() < 0.3 else None,
+                )
+                library.index.counters.reset()
+                library.store.counters.reset()
+                got = [
+                    (r.surname, r.given, r.ssn, r.birth_date, r.death_date)
+                    for r in library.search(query)
+                ]
+                assert library.index.counters.reads == 1, "search must read the index exactly once"
+                assert library.store.counters.reads == 1, "search must read the group exactly once"
+                assert got == _oracle_search(parsed, query), f"result mismatch for {query}"
+                ran += 1
 
 
 def test_criterion_4_latency_offset_independence(tmp_path):
@@ -236,11 +236,11 @@ def test_criterion_5_serial_baseline_asymmetry(tmp_path):
         assert payload == members[9_999]
         assert bytes_read >= 0.999 * archive_size
 
-        store = RecordStore.create(tmp_path / "members.raclib", record_size=1024)
-        refs = [store.append_payload(m) for m in members]
-        store.counters.reset()
-        assert store.read_payload(refs[9_999]) == members[9_999]
-        assert store.counters.bytes_read == 1024  # exactly the member's own records
+        with RecordStore.create(tmp_path / "members.raclib", record_size=1024) as store:
+            refs = [store.append_payload(m) for m in members]
+            store.counters.reset()
+            assert store.read_payload(refs[9_999]) == members[9_999]
+            assert store.counters.bytes_read == 1024  # exactly the member's own records
 
 
 def test_criterion_6_cache_token_protocol(tmp_path):
@@ -340,25 +340,25 @@ def test_criterion_7_neuro_encodings(tmp_path):
                     Voxel(*(max(-999, min(999, c + rng.randint(-12, 12))) for c in (cx, cy, cz)))
                 )
             atlas[f"region_{r:02d}"] = sorted(voxels)
-        library = RegionLibrary.build(atlas, tmp_path / "atlas")
-        for region, voxels in atlas.items():
-            assert sorted(library.region_voxels(region)) == voxels
-        for entry in library.index.entries():
-            assert entry.count <= 1000
+        with RegionLibrary.build(atlas, tmp_path / "atlas") as library:
+            for region, voxels in atlas.items():
+                assert sorted(library.region_voxels(region)) == voxels
+            for entry in library.index.entries():
+                assert entry.count <= 1000
 
 
 def test_criterion_8_computed_index_format(tmp_path):
     with criterion(8, "index file geometry and prefix-sum tiling", budget_seconds=10):
         rng = random.Random(64)
         records = (DeathRecord(*f) for f in random_death_fields(rng, 10_000))
-        library = SsdiLibrary.build(records, tmp_path / "lib")
-        assert (tmp_path / "lib" / "groups.index").stat().st_size == 351_520 == GROUP_COUNT * 20
-        entries = library.index.read_all()
-        assert sum(e.count for e in entries) == library.store.record_count == 10_000
-        running = 0
-        for entry in entries:
-            assert entry.start == running
-            running += entry.count
+        with SsdiLibrary.build(records, tmp_path / "lib") as library:
+            assert (tmp_path / "lib" / "groups.index").stat().st_size == 351_520 == GROUP_COUNT * 20
+            entries = library.index.read_all()
+            assert sum(e.count for e in entries) == library.store.record_count == 10_000
+            running = 0
+            for entry in entries:
+                assert entry.start == running
+                running += entry.count
 
 
 def test_criterion_9_end_to_end_service(tmp_path):

@@ -22,8 +22,8 @@ SYNTH_512_256_SEED7 = "ce264d56cdc0c906ac501a6177096a61dab65dc6bc5c049f93736719a
 
 
 def test_synth_library_is_deterministic(tmp_path):
-    synth_library(tmp_path / "a", 512, record_size=256, seed=7)
-    synth_library(tmp_path / "b", 512, record_size=256, seed=7)
+    synth_library(tmp_path / "a", 512, record_size=256, seed=7).close()
+    synth_library(tmp_path / "b", 512, record_size=256, seed=7).close()
     digest = hashlib.sha256((tmp_path / "a").read_bytes()).hexdigest()
     assert digest == SYNTH_512_256_SEED7
     assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
@@ -31,15 +31,15 @@ def test_synth_library_is_deterministic(tmp_path):
 
 
 def test_synth_library_seed_changes_content(tmp_path):
-    synth_library(tmp_path / "a", 64, record_size=64, seed=1)
-    synth_library(tmp_path / "b", 64, record_size=64, seed=2)
+    synth_library(tmp_path / "a", 64, record_size=64, seed=1).close()
+    synth_library(tmp_path / "b", 64, record_size=64, seed=2).close()
     assert (tmp_path / "a").read_bytes() != (tmp_path / "b").read_bytes()
 
 
 def test_synth_library_empty(tmp_path):
-    store = synth_library(tmp_path / "a", 0, record_size=64, seed=1)
-    assert store.record_count == 0
-    assert (tmp_path / "a").stat().st_size == 0
+    with synth_library(tmp_path / "a", 0, record_size=64, seed=1) as store:
+        assert store.record_count == 0
+        assert (tmp_path / "a").stat().st_size == 0
 
 
 def test_synth_library_is_one_fsync_and_one_sidecar_update(tmp_path, monkeypatch):
@@ -56,35 +56,35 @@ def test_synth_library_is_one_fsync_and_one_sidecar_update(tmp_path, monkeypatch
 
 
 def test_measure_fetch_counts_exact_bytes(tmp_path):
-    store = synth_library(tmp_path / "s", 2000, record_size=128, seed=3)
-    for start in (0, 1770):
-        stats = measure_fetch(store, start, 230, trials=5)
-        assert len(stats.samples) == 5
-        assert all(s.bytes_read == 230 * 128 for s in stats.samples)
-        assert stats.min_us <= stats.median_us <= stats.max_us
-        assert stats.min_us <= stats.mean_us <= stats.max_us
+    with synth_library(tmp_path / "s", 2000, record_size=128, seed=3) as store:
+        for start in (0, 1770):
+            stats = measure_fetch(store, start, 230, trials=5)
+            assert len(stats.samples) == 5
+            assert all(s.bytes_read == 230 * 128 for s in stats.samples)
+            assert stats.min_us <= stats.median_us <= stats.max_us
+            assert stats.min_us <= stats.mean_us <= stats.max_us
 
 
 def test_measure_fetch_zero_count(tmp_path):
-    store = synth_library(tmp_path / "s", 10, record_size=64, seed=0)
-    stats = measure_fetch(store, 5, 0, trials=3)
-    assert all(s.bytes_read == 0 for s in stats.samples)
+    with synth_library(tmp_path / "s", 10, record_size=64, seed=0) as store:
+        stats = measure_fetch(store, 5, 0, trials=3)
+        assert all(s.bytes_read == 0 for s in stats.samples)
 
 
 def test_measure_fetch_rejects_bad_range(tmp_path):
-    store = synth_library(tmp_path / "s", 10, record_size=64, seed=0)
-    with pytest.raises(IndexError):
-        measure_fetch(store, 9, 2, trials=1)
-    with pytest.raises(ValueError):
-        measure_fetch(store, 0, 1, trials=0)
+    with synth_library(tmp_path / "s", 10, record_size=64, seed=0) as store:
+        with pytest.raises(IndexError):
+            measure_fetch(store, 9, 2, trials=1)
+        with pytest.raises(ValueError):
+            measure_fetch(store, 0, 1, trials=0)
 
 
 def test_compare_offsets_interleaves(tmp_path):
-    store = synth_library(tmp_path / "s", 500, record_size=64, seed=5)
-    near, far = compare_offsets(store, 0, 400, count=50, trials=9)
-    assert len(near.samples) == len(far.samples) == 9
-    assert all(s.start == 0 for s in near.samples)
-    assert all(s.start == 400 for s in far.samples)
+    with synth_library(tmp_path / "s", 500, record_size=64, seed=5) as store:
+        near, far = compare_offsets(store, 0, 400, count=50, trials=9)
+        assert len(near.samples) == len(far.samples) == 9
+        assert all(s.start == 0 for s in near.samples)
+        assert all(s.start == 400 for s in far.samples)
 
 
 def archive_members(n, seed=0):

@@ -28,8 +28,8 @@ class FakeClock:
         return self.now
 
 
-def make_cache(tmp_path, clock=None, sleep=time.sleep, **kwargs):
-    return BucketCache(tmp_path, clock=clock or FakeClock(), sleep=sleep, **kwargs)
+def make_cache(tmp_path, clock=None, sleep=time.sleep):
+    return BucketCache(tmp_path, clock=clock or FakeClock(), sleep=sleep)
 
 
 def test_bucket_name_strips_last_three_digits():
@@ -301,23 +301,6 @@ def test_resolve_refetches_after_ttl(resolver):
     assert result.source == "library"
     assert library.fetches == 2
     assert not (root / "1650000").exists()  # swept during rotation
-
-
-def test_resolve_serves_every_bucket_the_sweep_keeps(tmp_path):
-    library = FakeLibrary({("TallyHo1965", "0404"): b"\xff\xd8\xff jpeg bytes"})
-    clock = FakeClock()
-    cache = BucketCache(tmp_path, bucket_width=1000, bucket_ttl=3000, clock=clock)
-    assert list(cache.live_bucket_ids(T0)) == [1650000, 1649999, 1649998]
-    res = ImageResolver(library, cache)
-    req = DeliveryRequest("TallyHo1965", "0404")
-    res.resolve(req)
-    clock.now += 2000  # two buckets on; the sweep keeps three
-    assert res.resolve(req).source == "cache"
-    assert (tmp_path / "1650000" / "TallyHo1965_0404.jpg").is_file()
-    clock.now += 1000
-    assert res.resolve(req).source == "library"
-    assert not (tmp_path / "1650000").exists()  # swept during rotation
-    assert library.fetches == 2
 
 
 def test_resolve_survives_cache_write_failure(resolver, monkeypatch):

@@ -51,6 +51,21 @@ def test_usage_error_exits_1(capsys):
     assert exc.value.code == 1
 
 
+def test_removed_bucket_settings_exit_1(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", "--help"])
+    assert exc.value.code == 0
+    assert "bucket" not in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", "--bucket-ttl", "5"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --bucket-ttl 5" in capsys.readouterr().err
+    conf = tmp_path / "raclib.conf"
+    conf.write_text("port=9000\nbucket_ttl_seconds=2000\n")
+    assert main(["--config", str(conf), "serve", "--library-dir", str(tmp_path / "missing")]) == 1
+    assert capsys.readouterr().err == f"raclib: error: {conf}:2: unknown config key: bucket_ttl_seconds\n"
+
+
 def test_duplicate_members_exit_1(tmp_path, capsys):
     indir = tmp_path / "in"
     indir.mkdir()
@@ -65,16 +80,19 @@ def test_record_size_precedence_flag_env_file(tmp_path, monkeypatch):
 
     main(["--config", str(tmp_path / "raclib.conf"), "pack", "--in", str(tmp_path / "in"),
           "--collection", "a", "--out", str(tmp_path / "o1")])
-    assert RecordStore.open(tmp_path / "o1" / "a.raclib").record_size == 512
+    with RecordStore.open(tmp_path / "o1" / "a.raclib") as store:
+        assert store.record_size == 512
 
     monkeypatch.setenv("RACLIB_RECORD_SIZE", "2048")
     main(["--config", str(tmp_path / "raclib.conf"), "pack", "--in", str(tmp_path / "in"),
           "--collection", "b", "--out", str(tmp_path / "o2")])
-    assert RecordStore.open(tmp_path / "o2" / "b.raclib").record_size == 2048
+    with RecordStore.open(tmp_path / "o2" / "b.raclib") as store:
+        assert store.record_size == 2048
 
     main(["--config", str(tmp_path / "raclib.conf"), "pack", "--in", str(tmp_path / "in"),
           "--collection", "c", "--out", str(tmp_path / "o3"), "--record-size", "256"])
-    assert RecordStore.open(tmp_path / "o3" / "c.raclib").record_size == 256
+    with RecordStore.open(tmp_path / "o3" / "c.raclib") as store:
+        assert store.record_size == 256
 
 
 def write_ssdi_tsv(path, rows):

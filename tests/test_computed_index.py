@@ -94,52 +94,52 @@ def test_key_ordinal_out_of_range():
 
 
 def test_create_fixed_file_size(tmp_path):
-    ComputedIndex.create(tmp_path / "g.index")
+    ComputedIndex.create(tmp_path / "g.index").close()
     assert (tmp_path / "g.index").stat().st_size == INDEX_FILE_SIZE == 351_520
 
 
 def test_entry_offset_law(tmp_path):
-    index = ComputedIndex.create(tmp_path / "g.index")
-    index.write_group_entry(6881, GroupEntry(start=85652, count=181))
-    raw = (tmp_path / "g.index").read_bytes()
-    assert raw[6881 * ENTRY_WIDTH : 6882 * ENTRY_WIDTH] == b"0000085652 00000181\n"
-    assert index.read_group_entry(6881) == GroupEntry(85652, 181)
+    with ComputedIndex.create(tmp_path / "g.index") as index:
+        index.write_group_entry(6881, GroupEntry(start=85652, count=181))
+        raw = (tmp_path / "g.index").read_bytes()
+        assert raw[6881 * ENTRY_WIDTH : 6882 * ENTRY_WIDTH] == b"0000085652 00000181\n"
+        assert index.read_group_entry(6881) == GroupEntry(85652, 181)
 
 
 def test_write_read_round_trip_random(tmp_path):
-    index = ComputedIndex.create(tmp_path / "g.index")
-    rng = random.Random(3)
-    wrote = {}
-    for _ in range(500):
-        ordinal = rng.randrange(GROUP_COUNT)
-        wrote[ordinal] = GroupEntry(rng.randrange(10**9), rng.randrange(10**6))
-        index.write_group_entry(ordinal, wrote[ordinal])
-    for ordinal, entry in wrote.items():
-        assert index.read_group_entry(ordinal) == entry
+    with ComputedIndex.create(tmp_path / "g.index") as index:
+        rng = random.Random(3)
+        wrote = {}
+        for _ in range(500):
+            ordinal = rng.randrange(GROUP_COUNT)
+            wrote[ordinal] = GroupEntry(rng.randrange(10**9), rng.randrange(10**6))
+            index.write_group_entry(ordinal, wrote[ordinal])
+        for ordinal, entry in wrote.items():
+            assert index.read_group_entry(ordinal) == entry
 
 
 def test_ordinal_bounds(tmp_path):
-    index = ComputedIndex.create(tmp_path / "g.index")
-    with pytest.raises(IndexError):
-        index.write_group_entry(GROUP_COUNT, GroupEntry(0, 0))
-    with pytest.raises(IndexError):
-        index.read_group_entry(-1)
+    with ComputedIndex.create(tmp_path / "g.index") as index:
+        with pytest.raises(IndexError):
+            index.write_group_entry(GROUP_COUNT, GroupEntry(0, 0))
+        with pytest.raises(IndexError):
+            index.read_group_entry(-1)
 
 
 def test_read_counts_as_single_io(tmp_path):
-    index = ComputedIndex.create(tmp_path / "g.index")
-    index.counters.reset()
-    index.read_group_entry(123)
-    assert index.counters.reads == 1
-    assert index.counters.bytes_read == ENTRY_WIDTH
+    with ComputedIndex.create(tmp_path / "g.index") as index:
+        index.counters.reset()
+        index.read_group_entry(123)
+        assert index.counters.reads == 1
+        assert index.counters.bytes_read == ENTRY_WIDTH
 
 
 def test_malformed_entry_bytes(tmp_path):
-    index = ComputedIndex.create(tmp_path / "g.index")
-    with open(tmp_path / "g.index", "r+b") as f:
-        f.write(b"not an entry at all\n")
-    with pytest.raises(ValueError):
-        index.read_group_entry(0)
+    with ComputedIndex.create(tmp_path / "g.index") as index:
+        with open(tmp_path / "g.index", "r+b") as f:
+            f.write(b"not an entry at all\n")
+        with pytest.raises(ValueError):
+            index.read_group_entry(0)
 
 
 def test_open_rejects_wrong_size(tmp_path):
@@ -152,9 +152,9 @@ def test_open_existing(tmp_path):
     index = ComputedIndex.create(tmp_path / "g.index")
     index.write_group_entry(7, GroupEntry(5, 2))
     index.close()
-    again = ComputedIndex.open(tmp_path / "g.index")
-    assert again.read_group_entry(7) == GroupEntry(5, 2)
-    assert again.read_all()[7] == GroupEntry(5, 2)
+    with ComputedIndex.open(tmp_path / "g.index") as again:
+        assert again.read_group_entry(7) == GroupEntry(5, 2)
+        assert again.read_all()[7] == GroupEntry(5, 2)
 
 
 def test_open_is_read_only(tmp_path):

@@ -3,15 +3,13 @@ from pathlib import Path
 
 import pytest
 
-from raclib.config import Config, load_config
+from raclib.config import load_config
 
 
 def test_defaults():
     config = load_config(env={})
     assert config.record_size == 1024
     assert config.port == 8080
-    assert config.bucket_ttl_seconds == 2000
-    assert config.bucket_width_seconds == 1000
 
 
 def test_file_values_and_comments(tmp_path):
@@ -45,17 +43,6 @@ def test_malformed_line_rejected(tmp_path):
         load_config(conf, env={})
 
 
-def test_invariants_enforced():
-    with pytest.raises(ValueError):
-        Config(record_size=0).validate()
-    with pytest.raises(ValueError):
-        Config(bucket_ttl_seconds=500, bucket_width_seconds=1000).validate()
-    with pytest.raises(ValueError):
-        Config(port=0).validate()
-    with pytest.raises(ValueError):
-        load_config(env={"RACLIB_BUCKET_TTL_SECONDS": "100"})
-
-
 def test_file_errors_name_the_line(tmp_path):
     conf = tmp_path / "raclib.conf"
     conf.write_text("# delivery host\nport=80x\n")
@@ -85,16 +72,3 @@ def test_out_of_range_values_name_their_source(tmp_path):
         load_config(env={"RACLIB_RECORD_SIZE": "-1"})
     with pytest.raises(ValueError, match="^port out of range: 65536"):
         load_config(env={}, port=65536)
-
-
-def test_bucket_ttl_error_names_the_source_of_each_value(tmp_path):
-    with pytest.raises(ValueError, match="^" + re.escape(
-        "bucket_ttl_seconds 5 (RACLIB_BUCKET_TTL_SECONDS) shorter than bucket_width_seconds 1000 (default)"
-    )):
-        load_config(env={"RACLIB_BUCKET_TTL_SECONDS": "5"})
-    conf = tmp_path / "raclib.conf"
-    conf.write_text("port=9000\nbucket_width_seconds=3000\n")
-    with pytest.raises(ValueError, match="^" + re.escape(
-        f"bucket_ttl_seconds 2500 (argument) shorter than bucket_width_seconds 3000 ({conf}:2)"
-    )):
-        load_config(conf, env={}, bucket_ttl_seconds=2500)

@@ -110,21 +110,21 @@ def test_block_membership_consistency():
 
 
 def test_build_groups_same_block(tmp_path):
-    lib = RegionLibrary.build(
+    with RegionLibrary.build(
         {"L_ctx_middletemporal": [Voxel(-41, 12, -35), Voxel(-42, 13, -36)]}, tmp_path / "lib"
-    )
-    entries = list(lib.index.entries())
-    assert len(entries) == 1
-    assert (entries[0].name, entries[0].key) == ("L_ctx_middletemporal", "n4_xp1_yn3_z")
-    assert (entries[0].start, entries[0].count) == (0, 2)
-    line = (tmp_path / "lib" / "regions.index").read_text()
-    assert line == "L_ctx_middletemporal n4_xp1_yn3_z 0 2\n"
+    ) as lib:
+        entries = list(lib.index.entries())
+        assert len(entries) == 1
+        assert (entries[0].name, entries[0].key) == ("L_ctx_middletemporal", "n4_xp1_yn3_z")
+        assert (entries[0].start, entries[0].count) == (0, 2)
+        line = (tmp_path / "lib" / "regions.index").read_text()
+        assert line == "L_ctx_middletemporal n4_xp1_yn3_z 0 2\n"
 
 
 def test_build_empty_map(tmp_path):
-    lib = RegionLibrary.build({}, tmp_path / "lib")
-    assert lib.store.record_count == 0
-    assert lib.index.entry_count() == 0
+    with RegionLibrary.build({}, tmp_path / "lib") as lib:
+        assert lib.store.record_count == 0
+        assert lib.index.entry_count() == 0
 
 
 def test_build_rejects_duplicate_voxel(tmp_path):
@@ -148,7 +148,7 @@ def test_build_rejects_components_that_are_not_ints(tmp_path, voxels):
 
 
 def test_records_are_fixed_width_null_padded(tmp_path):
-    RegionLibrary.build({"r": [Voxel(-41, 12, -35)]}, tmp_path / "lib")
+    RegionLibrary.build({"r": [Voxel(-41, 12, -35)]}, tmp_path / "lib").close()
     raw = (tmp_path / "lib" / "voxels.raclib").read_bytes()
     assert raw == b"n41p12n35" + b"\x00" * 7
     assert len(raw) == COORD_RECORD_SIZE
@@ -174,43 +174,43 @@ def random_atlas(rng, n_regions=10, per_region=300):
 def test_rebuild_and_compare_atlas(tmp_path):
     rng = random.Random(21)
     atlas = random_atlas(rng)
-    lib = RegionLibrary.build(atlas, tmp_path / "lib")
-    for region, voxels in atlas.items():
-        assert sorted(lib.region_voxels(region)) == sorted(voxels)
-    # groups of one region are contiguous and ordered
-    entries = list(lib.index.entries())
-    names = [e.name for e in entries]
-    assert names == sorted(names, key=lambda n: names.index(n))  # no interleaving
-    for prev, entry in zip(entries, entries[1:]):
-        assert entry.start == prev.start + prev.count
+    with RegionLibrary.build(atlas, tmp_path / "lib") as lib:
+        for region, voxels in atlas.items():
+            assert sorted(lib.region_voxels(region)) == sorted(voxels)
+        # groups of one region are contiguous and ordered
+        entries = list(lib.index.entries())
+        names = [e.name for e in entries]
+        assert names == sorted(names, key=lambda n: names.index(n))  # no interleaving
+        for prev, entry in zip(entries, entries[1:]):
+            assert entry.start == prev.start + prev.count
 
 
 def test_region_voxels_is_concatenation_of_blocks(tmp_path):
     rng = random.Random(4)
     atlas = random_atlas(rng, n_regions=3)
-    lib = RegionLibrary.build(atlas, tmp_path / "lib")
-    region = "region_01"
-    concatenated = []
-    for entry in lib.index.entries():
-        if entry.name == region:
-            concatenated.extend(lib.block_voxels(region, entry.key))
-    assert lib.region_voxels(region) == concatenated
+    with RegionLibrary.build(atlas, tmp_path / "lib") as lib:
+        region = "region_01"
+        concatenated = []
+        for entry in lib.index.entries():
+            if entry.name == region:
+                concatenated.extend(lib.block_voxels(region, entry.key))
+        assert lib.region_voxels(region) == concatenated
 
 
 def test_block_voxels_uses_one_read(tmp_path):
-    lib = RegionLibrary.build({"r": [Voxel(-41, 12, -35), Voxel(-42, 13, -36)]}, tmp_path / "lib")
-    lib.store.counters.reset()
-    assert len(lib.block_voxels("r", "n4_xp1_yn3_z")) == 2
-    assert lib.store.counters.reads == 1
-    assert lib.store.counters.bytes_read == 2 * COORD_RECORD_SIZE
+    with RegionLibrary.build({"r": [Voxel(-41, 12, -35), Voxel(-42, 13, -36)]}, tmp_path / "lib") as lib:
+        lib.store.counters.reset()
+        assert len(lib.block_voxels("r", "n4_xp1_yn3_z")) == 2
+        assert lib.store.counters.reads == 1
+        assert lib.store.counters.bytes_read == 2 * COORD_RECORD_SIZE
 
 
 def test_unknown_region_and_block(tmp_path):
-    lib = RegionLibrary.build({"r": [Voxel(1, 2, 3)]}, tmp_path / "lib")
-    with pytest.raises(NotFoundError):
-        lib.region_voxels("nope")
-    with pytest.raises(NotFoundError):
-        lib.block_voxels("r", "p9_xp9_yp9_z")
+    with RegionLibrary.build({"r": [Voxel(1, 2, 3)]}, tmp_path / "lib") as lib:
+        with pytest.raises(NotFoundError):
+            lib.region_voxels("nope")
+        with pytest.raises(NotFoundError):
+            lib.block_voxels("r", "p9_xp9_yp9_z")
 
 
 def test_atlas_tsv_round_trip(tmp_path):
@@ -266,9 +266,9 @@ def test_build_holds_voxels_once_as_records(tmp_path):
 
 
 def test_reopen_library(tmp_path):
-    RegionLibrary.build({"r": [Voxel(-41, 12, -35)]}, tmp_path / "lib")
-    lib = RegionLibrary.open(tmp_path / "lib")
-    assert lib.region_voxels("r") == [Voxel(-41, 12, -35)]
+    RegionLibrary.build({"r": [Voxel(-41, 12, -35)]}, tmp_path / "lib").close()
+    with RegionLibrary.open(tmp_path / "lib") as lib:
+        assert lib.region_voxels("r") == [Voxel(-41, 12, -35)]
 
 
 def test_open_without_index_raises_and_leaves_no_fd(tmp_path):

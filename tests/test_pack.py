@@ -42,10 +42,10 @@ def make_pages(directory, n, seed=0):
 
 def test_pack_fetch_round_trip(tmp_path):
     pages = make_pages(tmp_path / "in", 25)
-    collection = pack_directory(tmp_path / "in", "yearbooks", tmp_path / "out")
-    assert collection.index.entry_count() == 25
-    for (name, key), body in pages.items():
-        assert collection.fetch(name, key) == body
+    with pack_directory(tmp_path / "in", "yearbooks", tmp_path / "out") as collection:
+        assert collection.index.entry_count() == 25
+        for (name, key), body in pages.items():
+            assert collection.fetch(name, key) == body
 
 
 def test_pack_releases_append_handle_and_keeps_table(tmp_path, monkeypatch):
@@ -71,18 +71,18 @@ def test_pack_appends_in_sorted_order(tmp_path):
     indir.mkdir()
     for key in ("0010", "0002", "0001"):
         (indir / f"T_{key}.jpg").write_bytes(key.encode())
-    collection = pack_directory(indir, "t", tmp_path / "out")
-    entries = list(collection.index.entries())
-    assert [e.key for e in entries] == ["0001", "0002", "0010"]
-    starts = [e.start for e in entries]
-    assert starts == sorted(starts)
+    with pack_directory(indir, "t", tmp_path / "out") as collection:
+        entries = list(collection.index.entries())
+        assert [e.key for e in entries] == ["0001", "0002", "0010"]
+        starts = [e.start for e in entries]
+        assert starts == sorted(starts)
 
 
 def test_pack_empty_dir(tmp_path):
     (tmp_path / "in").mkdir()
-    collection = pack_directory(tmp_path / "in", "empty", tmp_path / "out")
-    assert collection.store.record_count == 0
-    assert collection.index.entry_count() == 0
+    with pack_directory(tmp_path / "in", "empty", tmp_path / "out") as collection:
+        assert collection.store.record_count == 0
+        assert collection.index.entry_count() == 0
 
 
 def test_pack_duplicate_member_identity(tmp_path):
@@ -124,6 +124,25 @@ def test_pack_rejects_unindexable_manifest_names(tmp_path):
     assert list((tmp_path / "out").glob("*")) == []
 
 
+def test_unindexable_manifest_row_names_its_line(tmp_path):
+    manifest = tmp_path / "members.tsv"
+    manifest.write_text("a.jpg\tT\t1\np.jpg\tTally Ho\t0404\n")
+    with pytest.raises(ValueError, match="^" + re.escape(
+        f"{manifest}:2: name must be ASCII without whitespace: 'Tally Ho'"
+    )):
+        read_manifest(manifest)
+
+
+def test_unindexable_file_name_names_the_file(tmp_path):
+    indir = tmp_path / "in"
+    indir.mkdir()
+    (indir / "Tally Ho_0404.jpg").write_bytes(b"x")
+    with pytest.raises(ValueError, match="^" + re.escape(
+        f"{indir / 'Tally Ho_0404.jpg'}: name must be ASCII without whitespace: 'Tally Ho'"
+    )):
+        pack_directory(indir, "c", tmp_path / "out")
+
+
 def test_pack_with_manifest(tmp_path):
     indir = tmp_path / "in"
     indir.mkdir()
@@ -132,9 +151,9 @@ def test_pack_with_manifest(tmp_path):
     manifest = tmp_path / "members.tsv"
     manifest.write_text("scan-001.dat\tTallyHo1965\t0001\n")
     assert read_manifest(manifest) == {"scan-001.dat": ("TallyHo1965", "0001")}
-    collection = pack_directory(indir, "c", tmp_path / "out", manifest=manifest)
-    assert collection.fetch("TallyHo1965", "0001") == b"page one"
-    assert collection.index.entry_count() == 1
+    with pack_directory(indir, "c", tmp_path / "out", manifest=manifest) as collection:
+        assert collection.fetch("TallyHo1965", "0001") == b"page one"
+        assert collection.index.entry_count() == 1
 
 
 def test_collection_open_fetches(tmp_path):
@@ -178,7 +197,7 @@ def test_failed_pack_removes_only_the_files_it_created(tmp_path):
 
 def test_collection_open_requires_index(tmp_path):
     make_pages(tmp_path / "in", 1)
-    pack_directory(tmp_path / "in", "c", tmp_path / "out")
+    pack_directory(tmp_path / "in", "c", tmp_path / "out").close()
     (tmp_path / "out" / "c.index").unlink()
     with pytest.raises(FileNotFoundError):
         Collection.open(tmp_path / "out" / "c.raclib")
@@ -192,13 +211,13 @@ def test_collection_set_spans_libraries(tmp_path):
     b.mkdir()
     (b / "BetaBook_0001.jpg").write_bytes(b"beta")
     out = tmp_path / "lib"
-    pack_directory(a, "alpha", out)
-    pack_directory(b, "beta", out)
-    group = CollectionSet.load_dir(out)
-    assert group.fetch("AlphaBook", "0001") == b"alpha"
-    assert group.fetch("BetaBook", "0001") == b"beta"
-    with pytest.raises(NotFoundError):
-        group.fetch("GammaBook", "0001")
+    pack_directory(a, "alpha", out).close()
+    pack_directory(b, "beta", out).close()
+    with CollectionSet.load_dir(out) as group:
+        assert group.fetch("AlphaBook", "0001") == b"alpha"
+        assert group.fetch("BetaBook", "0001") == b"beta"
+        with pytest.raises(NotFoundError):
+            group.fetch("GammaBook", "0001")
 
 
 def test_collection_set_failed_load_leaves_no_fd(tmp_path):
@@ -303,17 +322,17 @@ def test_collection_set_reads_one_index_line_per_hit_and_none_per_miss(tmp_path)
         for i in range(500):
             (indir / f"Book{c}_{i:04d}.jpg").write_bytes(f"{c}/{i}".encode())
         pack_directory(indir, f"coll{c}", out).close()
-    group = CollectionSet.load_dir(out)
-    assert group.fetch("Book3", "0499") == b"3/499"
-    indexes = [collection.index for collection in group.collections]
-    assert sum(index.counters.reads for index in indexes) == 1
-    line = (out / "coll3.index").read_text().splitlines(keepends=True)[-1]
-    assert sum(index.counters.bytes_read for index in indexes) == len(line)
-    for index in indexes:
-        index.counters.reset()
-    with pytest.raises(NotFoundError):
-        group.fetch("Book3", "9999")
-    assert sum(index.counters.reads for index in indexes) == 0
+    with CollectionSet.load_dir(out) as group:
+        assert group.fetch("Book3", "0499") == b"3/499"
+        indexes = [collection.index for collection in group.collections]
+        assert sum(index.counters.reads for index in indexes) == 1
+        line = (out / "coll3.index").read_text().splitlines(keepends=True)[-1]
+        assert sum(index.counters.bytes_read for index in indexes) == len(line)
+        for index in indexes:
+            index.counters.reset()
+        with pytest.raises(NotFoundError):
+            group.fetch("Book3", "9999")
+        assert sum(index.counters.reads for index in indexes) == 0
 
 
 def test_pack_is_one_fsync_and_one_sidecar_update(tmp_path, monkeypatch):

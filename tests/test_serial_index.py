@@ -146,6 +146,16 @@ def test_long_line_found(tmp_path):
         assert index.lookup("b", "1").start == 11
 
 
+def test_long_line_read_stops_at_the_size_at_open(tmp_path):
+    path = tmp_path / "i"
+    long_name = "N" * 300
+    path.write_bytes(f"a 1 0 1\n{long_name} k 1 2 79".encode("ascii"))  # long and unterminated
+    with SerialIndex(path) as index:
+        with open(path, "ab") as f:
+            f.write(b" trailing\n")  # an edit in place after open, which the index must not see
+        assert index.lookup(long_name, "k") == SerialIndexEntry(long_name, "k", 1, 2, 79)
+
+
 def test_non_ascii_request_is_not_found(built):
     index = built(SerialIndexEntry("a", "1", 0, 1))
     with pytest.raises(NotFoundError):

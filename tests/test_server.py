@@ -7,6 +7,7 @@ import urllib.error
 import urllib.request
 
 import pytest
+from helpers import open_fd_count
 
 from raclib.cache import BucketCache, DeliveryRequest, ImageResolver
 from raclib.config import Config
@@ -132,6 +133,17 @@ def test_missing_library_dir_fails_startup(tmp_path):
     config = Config(library_dir=tmp_path / "missing", cache_root=tmp_path / "cache")
     with pytest.raises(FileNotFoundError):
         build_resolver(config)
+
+
+def test_unmakeable_cache_root_fails_startup_holding_no_fd(tmp_path):
+    make_pages(tmp_path / "in", 2)
+    pack_directory(tmp_path / "in", "yearbooks", tmp_path / "lib").close()
+    (tmp_path / "file").write_bytes(b"")
+    config = Config(library_dir=tmp_path / "lib", cache_root=tmp_path / "file" / "cache")
+    before = open_fd_count()
+    with pytest.raises(NotADirectoryError):
+        build_resolver(config)
+    assert open_fd_count() == before
 
 
 class CountingConnection(http.client.HTTPConnection):

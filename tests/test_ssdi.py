@@ -83,23 +83,23 @@ def test_build_tiles_groups(tmp_path):
         DeathRecord("AALTO", "AMY", "000000002", "19100101", "19700101"),
         KENNEDY,
     ]
-    lib = SsdiLibrary.build(records, tmp_path / "lib")
-    assert lib.store.record_count == 3
-    entries = lib.index.read_all()
-    assert (entries[0].start, entries[0].count) == (0, 2)
-    assert (entries[6881].start, entries[6881].count) == (2, 1)
-    assert sum(e.count for e in entries) == 3
-    # starts are prefix sums across empty groups too
-    assert entries[1].start == 2 and entries[1].count == 0
-    assert entries[6882].start == 3
-    assert entries[GROUP_COUNT - 1].start == 3
+    with SsdiLibrary.build(records, tmp_path / "lib") as lib:
+        assert lib.store.record_count == 3
+        entries = lib.index.read_all()
+        assert (entries[0].start, entries[0].count) == (0, 2)
+        assert (entries[6881].start, entries[6881].count) == (2, 1)
+        assert sum(e.count for e in entries) == 3
+        # starts are prefix sums across empty groups too
+        assert entries[1].start == 2 and entries[1].count == 0
+        assert entries[6882].start == 3
+        assert entries[GROUP_COUNT - 1].start == 3
 
 
 def test_build_empty_input(tmp_path):
-    lib = SsdiLibrary.build([], tmp_path / "lib")
-    assert lib.store.record_count == 0
-    assert (tmp_path / "lib" / DATA_FILE).stat().st_size == 0
-    assert all(e.count == 0 for e in lib.index.read_all())
+    with SsdiLibrary.build([], tmp_path / "lib") as lib:
+        assert lib.store.record_count == 0
+        assert (tmp_path / "lib" / DATA_FILE).stat().st_size == 0
+        assert all(e.count == 0 for e in lib.index.read_all())
 
 
 def test_group_order_is_input_order(tmp_path):
@@ -108,8 +108,8 @@ def test_group_order_is_input_order(tmp_path):
         DeathRecord("KENNEDY", "ROBERT", "000000002", "19100101", "19700101"),
         DeathRecord("KENNER", "ROSE", "000000003", "19200101", "19800101"),
     ]
-    lib = SsdiLibrary.build(records, tmp_path / "lib")
-    assert lib.search(SearchQuery(surname="Ken", given="R")) == records
+    with SsdiLibrary.build(records, tmp_path / "lib") as lib:
+        assert lib.search(SearchQuery(surname="Ken", given="R")) == records
 
 
 def test_planted_record_search(tmp_path):
@@ -120,33 +120,33 @@ def test_planted_record_search(tmp_path):
         DeathRecord("JOHNSON", "JAMES", "000000012", "19250101", "19680101"),
         DeathRecord("SMITH", "MARY", "000000013", "19251120", "19680600"),
     ]
-    lib = SsdiLibrary.build(corpus, tmp_path / "lib")
-    hits = lib.search(
-        SearchQuery(given="Robert", surname="Kennedy", birth_year=1925,
-                    death_year_from=1936, death_year_to=1974)
-    )
-    assert hits == [KENNEDY]
+    with SsdiLibrary.build(corpus, tmp_path / "lib") as lib:
+        hits = lib.search(
+            SearchQuery(given="Robert", surname="Kennedy", birth_year=1925,
+                        death_year_from=1936, death_year_to=1974)
+        )
+        assert hits == [KENNEDY]
 
 
 def test_search_wrong_birth_year_is_empty(tmp_path):
-    lib = SsdiLibrary.build([KENNEDY], tmp_path / "lib")
-    assert lib.search(SearchQuery(given="Robert", surname="Kennedy", birth_year=1807)) == []
+    with SsdiLibrary.build([KENNEDY], tmp_path / "lib") as lib:
+        assert lib.search(SearchQuery(given="Robert", surname="Kennedy", birth_year=1807)) == []
 
 
 def test_search_requires_some_name_letters(tmp_path):
-    lib = SsdiLibrary.build([KENNEDY], tmp_path / "lib")
-    with pytest.raises(ValueError):
-        lib.search(SearchQuery(surname="123", given="'-"))
+    with SsdiLibrary.build([KENNEDY], tmp_path / "lib") as lib:
+        with pytest.raises(ValueError):
+            lib.search(SearchQuery(surname="123", given="'-"))
 
 
 def test_search_uses_one_index_read_and_one_data_read(tmp_path):
-    lib = SsdiLibrary.build([KENNEDY], tmp_path / "lib")
-    lib.index.counters.reset()
-    lib.store.counters.reset()
-    lib.search(SearchQuery(given="Robert", surname="Kennedy"))
-    assert lib.index.counters.reads == 1
-    assert lib.store.counters.reads == 1
-    assert lib.store.counters.bytes_read == RECORD_SIZE
+    with SsdiLibrary.build([KENNEDY], tmp_path / "lib") as lib:
+        lib.index.counters.reset()
+        lib.store.counters.reset()
+        lib.search(SearchQuery(given="Robert", surname="Kennedy"))
+        assert lib.index.counters.reads == 1
+        assert lib.store.counters.reads == 1
+        assert lib.store.counters.bytes_read == RECORD_SIZE
 
 
 # -- independent linear-scan oracle ------------------------------------------
@@ -205,23 +205,23 @@ def random_queries(rng, n):
 def test_search_matches_linear_scan_oracle(tmp_path):
     rng = random.Random(42)
     records = [DeathRecord(*f) for f in random_death_fields(rng, 4000)]
-    lib = SsdiLibrary.build(records, tmp_path / "lib")
-    raw = (tmp_path / "lib" / DATA_FILE).read_bytes()
-    checked = 0
-    for query in random_queries(rng, 80):
-        got = [(r.surname, r.given, r.ssn, r.birth_date, r.death_date) for r in lib.search(query)]
-        assert got == _oracle_scan(raw, query), f"mismatch for {query}"
-        checked += 1
-    assert checked > 60
+    with SsdiLibrary.build(records, tmp_path / "lib") as lib:
+        raw = (tmp_path / "lib" / DATA_FILE).read_bytes()
+        checked = 0
+        for query in random_queries(rng, 80):
+            got = [(r.surname, r.given, r.ssn, r.birth_date, r.death_date) for r in lib.search(query)]
+            assert got == _oracle_scan(raw, query), f"mismatch for {query}"
+            checked += 1
+        assert checked > 60
 
 
 def test_search_is_deterministic(tmp_path):
     rng = random.Random(5)
-    lib = SsdiLibrary.build(
+    with SsdiLibrary.build(
         [DeathRecord(*f) for f in random_death_fields(rng, 500)], tmp_path / "lib"
-    )
-    query = SearchQuery(surname="JO", given="J")
-    assert lib.search(query) == lib.search(query)
+    ) as lib:
+        query = SearchQuery(surname="JO", given="J")
+        assert lib.search(query) == lib.search(query)
 
 
 def test_tsv_round_trip(tmp_path):
@@ -240,11 +240,11 @@ def test_tsv_rejects_wrong_field_count(tmp_path):
 
 
 def test_library_files_on_disk(tmp_path):
-    SsdiLibrary.build([KENNEDY], tmp_path / "lib")
+    SsdiLibrary.build([KENNEDY], tmp_path / "lib").close()
     assert (tmp_path / "lib" / DATA_FILE).exists()
     assert (tmp_path / "lib" / INDEX_FILE).stat().st_size == 351_520
-    reopened = SsdiLibrary.open(tmp_path / "lib")
-    assert reopened.search(SearchQuery(surname="Kennedy", given="R")) == [KENNEDY]
+    with SsdiLibrary.open(tmp_path / "lib") as reopened:
+        assert reopened.search(SearchQuery(surname="Kennedy", given="R")) == [KENNEDY]
 
 
 def written_bytes() -> int:
