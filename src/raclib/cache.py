@@ -54,7 +54,7 @@ def bucket_name(now: float) -> str:
 
 
 def _escape(part: str) -> str:
-    return part.replace("%", "%25").replace("_", "%5F")
+    return part.replace("%", "%25").replace("_", "%5F").replace("/", "%2F").replace("\x00", "%00")
 
 
 @dataclass(frozen=True)
@@ -66,13 +66,13 @@ class DeliveryRequest:
         for field, value in (("title", self.title), ("page", self.page)):
             if not value:
                 raise ValueError(f"{field} must be non-empty")
-            # '/' would let a request name escape the cache directory.
-            if value.split() != [value] or "/" in value or "\x00" in value:
-                raise ValueError(f"{field} contains forbidden characters: {value!r}")
+            if value.split() != [value]:
+                raise ValueError(f"{field} contains whitespace: {value!r}")
 
     def cache_filename(self) -> str:
-        """``<title>_<page>.jpg``, with '%' and '_' percent-escaped in both
-        parts so that no two requests share a file."""
+        """``<title>_<page>.jpg``, with '%', '_', '/' and NUL percent-escaped in
+        both parts, so that no two requests share a file and every file lies
+        directly in its bucket."""
         return f"{_escape(self.title)}_{_escape(self.page)}.jpg"
 
 

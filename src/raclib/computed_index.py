@@ -4,7 +4,9 @@ Records grouped by (first surname letter, second surname letter, first
 given-name letter) fall into 26**3 = 17,576 groups. The index holds one
 fixed-width entry per group at byte offset ``ordinal * 20``, so a single
 positioned read finds any group without scanning. The index file is itself
-a record library: 17,576 twenty-byte ASCII records, no header.
+a record library: 17,576 twenty-byte ASCII records, no header. It is never
+written in place: every handle reads it through a read-only fd, and a new
+index is published whole by rename, unseen by the handles already open.
 
 Entry layout: ten-digit start, space, eight-digit count, newline.
 """
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .store import Closeable, RecordStore
+from .store import Closeable, RecordStore, _fsync_dir, publish_file
 
 ALPHABET_SIZE = 26
 GROUP_COUNT = ALPHABET_SIZE**3  # 17576
@@ -106,7 +108,7 @@ def pack_entries(entries: Iterable[GroupEntry]) -> bytearray:
 
 
 class ComputedIndex(Closeable):
-    """A codec over one fixed-geometry record store; read-only after ``open``."""
+    """A codec over one fixed-geometry, read-only record store."""
 
     def __init__(self, records: RecordStore):
         self.records = records
@@ -130,16 +132,16 @@ class ComputedIndex(Closeable):
     def open(cls, path: str | Path) -> "ComputedIndex":
         return cls(RecordStore.open_fixed(path, ENTRY_WIDTH, GROUP_COUNT))
 
-    def write_group_entry(self, ordinal: int, entry: GroupEntry) -> None:
-        self.records.write_records(ordinal, entry.pack())
-
     def read_group_entry(self, ordinal: int) -> GroupEntry:
         """Fetch one entry with a single positioned read; no scan."""
         return GroupEntry.unpack(self.records.read_records(ordinal, 1))
 
     def write_all(self, entries: Iterable[GroupEntry]) -> None:
-        """Replace every entry in ordinal order (single write)."""
-        self.records.write_records(0, pack_entries(entries))
+        """Publish a new index of ``entries`` at this one's path, fsync'd, by rename, and read it from now on."""
+        publish_file(self.path, pack_entries(entries), replace=True)
+        self.records.close()
+        self.records = RecordStore.open_fixed(self.path, ENTRY_WIDTH, GROUP_COUNT)
+        self.counters = self.records.counters
 
     def read_all(self) -> list[GroupEntry]:
         """All entries in ordinal order (one full-file read; for builds and audits)."""
@@ -147,7 +149,8 @@ class ComputedIndex(Closeable):
         return [GroupEntry.unpack(raw[i : i + ENTRY_WIDTH]) for i in range(0, INDEX_FILE_SIZE, ENTRY_WIDTH)]
 
     def sync(self) -> None:
-        self.records.sync()
+        """Fsync the index's directory, so that the rename of the last ``write_all`` survives a crash."""
+        _fsync_dir(self.path.parent)
 
     def close(self) -> None:
         self.records.close()

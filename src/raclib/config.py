@@ -2,6 +2,7 @@
 
 Precedence, lowest to highest: built-in defaults, config file (ASCII
 ``key=value`` lines), ``RACLIB_*`` environment variables, explicit flags.
+A key or ``RACLIB_*`` variable that names no setting is an error.
 """
 
 from __future__ import annotations
@@ -61,10 +62,12 @@ def load_config(config_file: str | Path | None = None, env=None, **overrides) ->
     found: dict = {}
     if config_file is not None:
         found.update(_parse_file(Path(config_file)))
-    for field in fields(Config):
-        variable = ENV_PREFIX + field.name.upper()
-        if variable in env:
-            found[field.name] = _coerce(field.name, env[variable], variable)
+    keys = {ENV_PREFIX + field.name.upper(): field.name for field in fields(Config)}
+    for variable, value in env.items():
+        if variable.startswith(ENV_PREFIX):
+            if variable not in keys:
+                raise ValueError(f"{variable}: unknown config variable")
+            found[keys[variable]] = _coerce(keys[variable], value, variable)
     for key, value in overrides.items():
         if value is not None:
             found[key] = _coerce(key, value)

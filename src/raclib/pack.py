@@ -7,14 +7,14 @@ convention. Members are appended in sorted (name, key) order and indexed
 with their exact byte length, so a fetch returns the original file
 byte-for-byte.
 
-Every (name, key) is checked before any file is created. ``Library._build``
-then reads the member files one at a time and appends them under one fsync
-and one sidecar update for the whole pack, not one per member, and writes
-and fsyncs the index last, whole, in one write. Until then no member is
-reachable, so a crash mid-pack leaves no index. A pack that fails (a member
-file that cannot be read, an index that cannot be written) deletes the
-library, sidecar and index it created, and nothing else, so the directory
-stays loadable and a rerun can succeed.
+Every (name, key), and every file a manifest lists, is checked before any
+file is created. ``Library._build`` then reads the member files one at a
+time and appends them under one fsync and one sidecar update for the whole
+pack, not one per member, and writes and fsyncs the index last, whole, in
+one write. Until then no member is reachable, so a crash mid-pack leaves
+no index. A pack that fails (a member file that cannot be read, an index
+that cannot be written) deletes the library, sidecar and index it created,
+and nothing else, so the directory stays loadable and a rerun can succeed.
 """
 
 from __future__ import annotations
@@ -47,13 +47,15 @@ def _indexable(member: tuple[str, str], where: str) -> tuple[str, str]:
     return member
 
 
-def read_manifest(path: str | Path) -> dict[str, tuple[str, str]]:
-    """Parse a filename -> (name, key) manifest (three tab-separated fields); a filename may appear once."""
+def read_manifest(path: str | Path, input_dir: str | Path) -> dict[str, tuple[str, str]]:
+    """Parse a filename -> (name, key) manifest (three tab-separated fields) of files in ``input_dir``, each once."""
     members = {}
     for lineno, (filename, name, key) in read_tsv(path, 3, "filename<TAB>name<TAB>key"):
         if filename in members:
             raise ValueError(f"{path}:{lineno}: {filename} is listed twice")
         members[filename] = _indexable((name, key), f"{path}:{lineno}")
+        if not Path(input_dir, filename).is_file():
+            raise FileNotFoundError(f"{path}:{lineno}: no file {filename} in {input_dir}")
     return members
 
 
@@ -86,7 +88,7 @@ def pack_directory(
     input_dir = Path(input_dir)
     out_dir = Path(out_dir)
     if manifest is not None:
-        named = {input_dir / fname: (name, key) for fname, (name, key) in read_manifest(manifest).items()}
+        named = {input_dir / fname: member for fname, member in read_manifest(manifest, input_dir).items()}
     else:
         named = {
             path: _indexable(parse_member_filename(path.name), str(path))

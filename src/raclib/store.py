@@ -10,13 +10,14 @@ concatenation.
 A store is written once, by the builder that creates it, and then only
 read: ``open`` gives a read-only handle that keeps the sidecar's record
 count and reads only the file it opened, so a store renamed over its path
-is not seen until it is opened again. Reads go through ``pread``, so any
-number of threads or processes may read one store concurrently. A member
-read is one ``pread`` of exactly the member's own bytes: the padding after
-it is never read. The sidecar is written only after the appended bytes are
-fsync'd, so a crash never leaves the record count pointing into unwritten
-data, and each write is a temp fsync'd before its rename, so a crash never
-leaves an empty sidecar.
+is not seen until it is opened again. The handle a builder returns is
+published, and refuses appends as a read-only handle does. Reads go
+through ``pread``, so any number of threads or processes may read one
+store concurrently. A member read is one ``pread`` of exactly the member's
+own bytes: the padding after it is never read. The sidecar is written
+only after the appended bytes are fsync'd, so a crash never leaves the
+record count pointing into unwritten data, and each write is a temp
+fsync'd before its rename, so a crash never leaves an empty sidecar.
 
 Appends copy nothing and flush once per call: ``append_payloads`` writes
 each member from the caller's buffer and then its padding, if any, and
@@ -27,8 +28,8 @@ and a pack of any number of members costs one data fsync.
 A file whose format fixes its geometry, such as the computed index, is a
 store with no sidecar: ``create_fixed`` publishes it whole and fsync'd
 (``publish_file``: a temp, then a hard link, so it is never seen partial),
-``open_fixed`` checks its exact size and opens it read-only unless asked,
-and ``write_records`` rewrites it in place.
+and ``open_fixed`` checks its exact size. Both give a read-only handle: a
+changed file is a new one, published whole over the old by rename.
 """
 
 from __future__ import annotations
@@ -188,7 +189,7 @@ def _write_meta(meta_path: Path, record_size: int, record_count: int) -> None:
 class RecordStore(Closeable):
     """One library file plus its sidecar metadata, or a fixed-geometry file."""
 
-    def __init__(self, path: Path, fd: int, record_size: int, record_count: int, writable: bool):
+    def __init__(self, path: Path, fd: int, record_size: int, record_count: int, writable: bool = False):
         self.path = path
         self._fd = fd
         self._record_size = record_size
@@ -222,28 +223,28 @@ class RecordStore(Closeable):
         its sidecar update, are never read.
         """
         path = Path(path)
-        return cls._open(path, *_read_meta(_meta_path(path)), writable=False, exact=False)
+        return cls._open(path, *_read_meta(_meta_path(path)), exact=False)
 
     @classmethod
     def create_fixed(cls, path: str | Path, record_size: int, records: bytes) -> "RecordStore":
-        """Create a sidecar-less store holding exactly ``records``, fsync'd, open for writes."""
+        """Create a sidecar-less store holding exactly ``records``, fsync'd, and open it read-only."""
         publish_file(path, records)
-        return cls.open_fixed(path, record_size, len(records) // record_size, writable=True)
+        return cls.open_fixed(path, record_size, len(records) // record_size)
 
     @classmethod
-    def open_fixed(cls, path: str | Path, record_size: int, record_count: int, writable=False):
-        """Open a sidecar-less store that must be exactly ``record_count`` records long."""
-        return cls._open(Path(path), record_size, record_count, writable, exact=True)
+    def open_fixed(cls, path: str | Path, record_size: int, record_count: int) -> "RecordStore":
+        """Open a sidecar-less store read-only; it must be exactly ``record_count`` records long."""
+        return cls._open(Path(path), record_size, record_count, exact=True)
 
     @classmethod
-    def _open(cls, path: Path, record_size: int, record_count: int, writable: bool, exact: bool):
-        fd = os.open(path, os.O_RDWR if writable else os.O_RDONLY)
+    def _open(cls, path: Path, record_size: int, record_count: int, exact: bool):
+        fd = os.open(path, os.O_RDONLY)
         covered = record_count * record_size
         size = os.fstat(fd).st_size
         if size < covered or exact and size != covered:
             os.close(fd)
             raise ValueError(f"store {path} is {size} B, but its geometry covers {covered} B")
-        return cls(path, fd, record_size, record_count, writable)
+        return cls(path, fd, record_size, record_count)
 
     @property
     def record_size(self) -> int:
@@ -268,7 +269,8 @@ class RecordStore(Closeable):
         append leaves, whose written tail no reader reads. An empty payload
         takes no records. Returns one ref per payload.
         """
-        self._check_writable()
+        if not self._writable:
+            raise PermissionError(f"store {self.path} is read-only")
         rsize = self._record_size
         start = end = self._record_count
         refs = []
@@ -291,10 +293,6 @@ class RecordStore(Closeable):
         _write_meta(_meta_path(self.path), self._record_size, record_count)
         self._record_count = record_count
 
-    def _check_writable(self) -> None:
-        if not self._writable:
-            raise PermissionError(f"store {self.path} opened read-only")
-
     def read_records(self, start: int, count: int, nbytes: int | None = None) -> bytes:
         """Return ``count`` whole records beginning at record ``start``.
 
@@ -313,15 +311,6 @@ class RecordStore(Closeable):
         self.counters.reads += 1
         self.counters.bytes_read += len(data)
         return data
-
-    def write_records(self, start: int, data: bytes) -> None:
-        """Overwrite whole records in place from record ``start``; no fsync."""
-        self._check_writable()
-        count, partial = divmod(len(data), self._record_size)
-        if partial:
-            raise ValueError(f"{len(data)} bytes are not whole records of {self._record_size} bytes")
-        self._check_range(start, count)
-        _pwrite_all(self._fd, data, start * self._record_size)
 
     def _check_range(self, start: int, count: int) -> None:
         if start < 0 or count < 0 or start + count > self._record_count:
@@ -345,9 +334,6 @@ class RecordStore(Closeable):
                 f"byte_length {ref.byte_length} inconsistent with {ref.count} records of {rsize} bytes"
             )
         return self.read_records(ref.start, ref.count, ref.byte_length)
-
-    def sync(self) -> None:
-        os.fsync(self._fd)
 
     def close(self) -> None:
         if self._fd >= 0:
@@ -374,7 +360,7 @@ class Library(Closeable):
         raises, the store and index are closed and the index, then the store
         and its sidecar, as far as they got, are deleted, and nothing else: a
         rerun can succeed, and a kill midway through leaves no index without
-        its store.
+        its store. The store returned is published: it refuses appends.
         """
         if index_path.exists():
             raise FileExistsError(f"index already exists: {index_path}")
@@ -383,6 +369,7 @@ class Library(Closeable):
         try:
             with closed_on_error(cls(store, create_index(index_path, store.append_payloads(payloads)))) as library:
                 _fsync_dir(index_path.parent)
+                store._writable = False
                 return library
         except BaseException:
             store.close()

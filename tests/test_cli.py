@@ -66,6 +66,22 @@ def test_removed_bucket_settings_exit_1(tmp_path, capsys):
     assert capsys.readouterr().err == f"raclib: error: {conf}:2: unknown config key: bucket_ttl_seconds\n"
 
 
+def test_unknown_raclib_variable_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("RACLIB_BUCKET_TTL_SECONDS", "5")
+    assert main(["serve", "--library-dir", str(tmp_path / "missing")]) == 1
+    assert capsys.readouterr().err == "raclib: error: RACLIB_BUCKET_TTL_SECONDS: unknown config variable\n"
+
+
+def test_manifest_row_without_its_file_names_its_line_and_writes_nothing(tmp_path, capsys):
+    make_pages(tmp_path / "in", 1)
+    manifest = tmp_path / "members.tsv"
+    manifest.write_text("TallyHo1965_0001.jpg\tA\t1\nmissing.jpg\tB\t2\n")
+    assert main(["pack", "--in", str(tmp_path / "in"), "--collection", "c", "--out", str(tmp_path / "o"),
+                 "--manifest", str(manifest)]) == 1
+    assert capsys.readouterr().err == f"raclib: error: {manifest}:2: no file missing.jpg in {tmp_path / 'in'}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_duplicate_members_exit_1(tmp_path, capsys):
     indir = tmp_path / "in"
     indir.mkdir()

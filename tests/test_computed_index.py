@@ -98,32 +98,35 @@ def test_create_fixed_file_size(tmp_path):
     assert (tmp_path / "g.index").stat().st_size == INDEX_FILE_SIZE == 351_520
 
 
+def entries_with(placed):
+    """Every group's entry: ``placed[ordinal]`` where given, else an empty group."""
+    return [placed.get(ordinal, GroupEntry(0, 0)) for ordinal in range(GROUP_COUNT)]
+
+
 def test_entry_offset_law(tmp_path):
-    with ComputedIndex.create(tmp_path / "g.index") as index:
-        index.write_group_entry(6881, GroupEntry(start=85652, count=181))
+    with ComputedIndex.create(tmp_path / "g.index", entries_with({6881: GroupEntry(start=85652, count=181)})) as index:
         raw = (tmp_path / "g.index").read_bytes()
         assert raw[6881 * ENTRY_WIDTH : 6882 * ENTRY_WIDTH] == b"0000085652 00000181\n"
         assert index.read_group_entry(6881) == GroupEntry(85652, 181)
 
 
 def test_write_read_round_trip_random(tmp_path):
-    with ComputedIndex.create(tmp_path / "g.index") as index:
-        rng = random.Random(3)
-        wrote = {}
-        for _ in range(500):
-            ordinal = rng.randrange(GROUP_COUNT)
-            wrote[ordinal] = GroupEntry(rng.randrange(10**9), rng.randrange(10**6))
-            index.write_group_entry(ordinal, wrote[ordinal])
+    rng = random.Random(3)
+    wrote = {}
+    for _ in range(500):
+        ordinal = rng.randrange(GROUP_COUNT)
+        wrote[ordinal] = GroupEntry(rng.randrange(10**9), rng.randrange(10**6))
+    with ComputedIndex.create(tmp_path / "g.index", entries_with(wrote)) as index:
         for ordinal, entry in wrote.items():
             assert index.read_group_entry(ordinal) == entry
 
 
 def test_ordinal_bounds(tmp_path):
     with ComputedIndex.create(tmp_path / "g.index") as index:
-        with pytest.raises(IndexError):
-            index.write_group_entry(GROUP_COUNT, GroupEntry(0, 0))
-        with pytest.raises(IndexError):
-            index.read_group_entry(-1)
+        for ordinal in (-1, GROUP_COUNT):
+            with pytest.raises(IndexError):
+                index.read_group_entry(ordinal)
+        assert index.read_group_entry(GROUP_COUNT - 1) == GroupEntry(0, 0)
 
 
 def test_read_counts_as_single_io(tmp_path):
@@ -149,21 +152,26 @@ def test_open_rejects_wrong_size(tmp_path):
 
 
 def test_open_existing(tmp_path):
-    index = ComputedIndex.create(tmp_path / "g.index")
-    index.write_group_entry(7, GroupEntry(5, 2))
-    index.close()
+    ComputedIndex.create(tmp_path / "g.index", entries_with({7: GroupEntry(5, 2)})).close()
     with ComputedIndex.open(tmp_path / "g.index") as again:
         assert again.read_group_entry(7) == GroupEntry(5, 2)
         assert again.read_all()[7] == GroupEntry(5, 2)
 
 
 def test_open_is_read_only(tmp_path):
-    ComputedIndex.create(tmp_path / "g.index").close()
-    with ComputedIndex.open(tmp_path / "g.index") as index:
-        assert fcntl.fcntl(index.records._fd, fcntl.F_GETFL) & os.O_ACCMODE == os.O_RDONLY
-        with pytest.raises(PermissionError):
-            index.write_group_entry(7, GroupEntry(5, 2))
-        assert index.read_group_entry(7) == GroupEntry(0, 0)
+    """Every handle, whether it created the index or opened it, holds a read-only fd."""
+    opens = {
+        "create": ComputedIndex.create,
+        "create_packed": lambda path: ComputedIndex.create_packed(path, GroupEntry(0, 0).pack() * GROUP_COUNT),
+        "open": lambda path: ComputedIndex.create(path).close() or ComputedIndex.open(path),
+    }
+    for name, open_index in opens.items():
+        with open_index(tmp_path / f"{name}.index") as index:
+            assert fcntl.fcntl(index.records._fd, fcntl.F_GETFL) & os.O_ACCMODE == os.O_RDONLY, name
+            with pytest.raises(PermissionError):
+                index.records.append_payload(b"x" * ENTRY_WIDTH)
+            assert index.read_group_entry(7) == GroupEntry(0, 0)
+        assert (tmp_path / f"{name}.index").stat().st_size == INDEX_FILE_SIZE
 
 
 def test_index_file_has_no_sidecar(tmp_path):

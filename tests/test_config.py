@@ -36,6 +36,13 @@ def test_unknown_key_rejected(tmp_path):
         load_config(conf, env={})
 
 
+def test_unknown_variable_rejected():
+    for variable in ("RACLIB_PROT", "RACLIB_port", "RACLIB_BUCKET_TTL_SECONDS"):
+        with pytest.raises(ValueError, match=f"^{variable}: unknown config variable$"):
+            load_config(env={variable: "80"})
+    assert load_config(env={"PORT": "80", "RACLIB": "80"}).port == 8080
+
+
 def test_malformed_line_rejected(tmp_path):
     conf = tmp_path / "raclib.conf"
     conf.write_text("port 9000\n")

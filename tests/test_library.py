@@ -72,6 +72,20 @@ def test_failed_sidecar_write_leaves_no_fd_or_file_and_a_rerun_succeeds(tmp_path
         assert library.store.record_count == 1
 
 
+@pytest.mark.parametrize("build", [pack_one_page, build_ssdi, build_atlas])
+def test_a_built_library_refuses_appends_and_leaves_its_files_alone(tmp_path, build):
+    with build(tmp_path) as library:
+        path = library.store.path
+        published = {p.name: p.read_bytes() for p in path.parent.iterdir()}
+        for append in (library.store.append_payload, lambda payload: library.store.append_payloads([payload])):
+            with pytest.raises(PermissionError):
+                append(b"x")
+        assert library.store.record_count == 1
+    assert {p.name: p.read_bytes() for p in path.parent.iterdir()} == published
+    with store.RecordStore.open(path) as reopened:
+        assert reopened.record_count == 1
+
+
 def test_failed_build_deletes_its_index_before_its_store(tmp_path, monkeypatch):
     """A kill midway through the clean-up then leaves a store no loader sees, never an index without its store."""
     real_fsync, real_unlink = os.fsync, Path.unlink

@@ -1,6 +1,8 @@
+import errno
 import os
 import random
 import re
+from pathlib import Path
 
 import pytest
 from helpers import open_fd_count, record_fsyncs
@@ -127,10 +129,11 @@ def test_pack_rejects_unindexable_manifest_names(tmp_path):
 def test_unindexable_manifest_row_names_its_line(tmp_path):
     manifest = tmp_path / "members.tsv"
     manifest.write_text("a.jpg\tT\t1\np.jpg\tTally Ho\t0404\n")
+    (tmp_path / "a.jpg").write_bytes(b"a")
     with pytest.raises(ValueError, match="^" + re.escape(
         f"{manifest}:2: name must be ASCII without whitespace: 'Tally Ho'"
     )):
-        read_manifest(manifest)
+        read_manifest(manifest, tmp_path)
 
 
 def test_unindexable_file_name_names_the_file(tmp_path):
@@ -150,7 +153,7 @@ def test_pack_with_manifest(tmp_path):
     (indir / "ignored.txt").write_bytes(b"not packed")
     manifest = tmp_path / "members.tsv"
     manifest.write_text("scan-001.dat\tTallyHo1965\t0001\n")
-    assert read_manifest(manifest) == {"scan-001.dat": ("TallyHo1965", "0001")}
+    assert read_manifest(manifest, indir) == {"scan-001.dat": ("TallyHo1965", "0001")}
     with pack_directory(indir, "c", tmp_path / "out", manifest=manifest) as collection:
         assert collection.fetch("TallyHo1965", "0001") == b"page one"
         assert collection.index.entry_count() == 1
@@ -166,33 +169,44 @@ def test_collection_open_fetches(tmp_path):
             collection.fetch("TallyHo1965", "9999")
 
 
-def test_failed_pack_leaves_no_fd(tmp_path):
+def fail_to_read(monkeypatch, name):
+    """Make the read of member file ``name`` fail, as a disk error would, once the pack has begun."""
+    real_read_bytes = Path.read_bytes
+
+    def read_bytes(path):
+        if path.name == name:
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        return real_read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", read_bytes)
+
+
+def test_failed_pack_leaves_no_fd(tmp_path, monkeypatch):
     make_pages(tmp_path / "in", 2)
-    manifest = tmp_path / "members.tsv"  # the second file is missing
-    manifest.write_text("TallyHo1965_0001.jpg\tA\t1\nmissing.jpg\tB\t2\n")
+    fail_to_read(monkeypatch, "TallyHo1965_0002.jpg")
     before = open_fd_count()
-    with pytest.raises(FileNotFoundError):
-        pack_directory(tmp_path / "in", "c", tmp_path / "out", manifest=manifest)
+    with pytest.raises(OSError):
+        pack_directory(tmp_path / "in", "c", tmp_path / "out")
     assert open_fd_count() == before
 
 
-def test_failed_pack_removes_only_the_files_it_created(tmp_path):
+def test_failed_pack_removes_only_the_files_it_created(tmp_path, monkeypatch):
     out = tmp_path / "out"
     make_pages(tmp_path / "other", 2, seed=1)
     pack_directory(tmp_path / "other", "other", out).close()
     before = {path.name: path.read_bytes() for path in out.iterdir()}
-    make_pages(tmp_path / "in", 2)
-    manifest = tmp_path / "members.tsv"
-    manifest.write_text("TallyHo1965_0001.jpg\tA\t1\nmissing.jpg\tB\t2\n")
-    with pytest.raises(FileNotFoundError):
-        pack_directory(tmp_path / "in", "c", out, manifest=manifest)
+    pages = make_pages(tmp_path / "in", 2)
+    fail_to_read(monkeypatch, "TallyHo1965_0002.jpg")
+    with pytest.raises(OSError) as failure:
+        pack_directory(tmp_path / "in", "c", out)
+    assert failure.value.errno == errno.EIO
     assert not list(out.glob("c.*"))
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
     with CollectionSet.load_dir(out) as group:
         assert group.fetch("TallyHo1965", "0001") == (tmp_path / "other" / "TallyHo1965_0001.jpg").read_bytes()
-    (tmp_path / "in" / "missing.jpg").write_bytes(b"late page")
-    with pack_directory(tmp_path / "in", "c", out, manifest=manifest) as collection:
-        assert collection.fetch("B", "2") == b"late page"
+    monkeypatch.undo()
+    with pack_directory(tmp_path / "in", "c", out) as collection:
+        assert collection.fetch("TallyHo1965", "0002") == pages["TallyHo1965", "0002"]
 
 
 def test_collection_open_requires_index(tmp_path):
@@ -354,19 +368,22 @@ def test_pack_is_one_fsync_and_one_sidecar_update(tmp_path, monkeypatch):
 def test_manifest_skips_blank_lines_and_names_the_line_of_a_short_one(tmp_path):
     manifest = tmp_path / "members.tsv"
     manifest.write_text("\na.jpg\tT\t1\n\nb.jpg\tT\t2\n")
-    assert read_manifest(manifest) == {"a.jpg": ("T", "1"), "b.jpg": ("T", "2")}
+    (tmp_path / "a.jpg").write_bytes(b"a")
+    (tmp_path / "b.jpg").write_bytes(b"b")
+    assert read_manifest(manifest, tmp_path) == {"a.jpg": ("T", "1"), "b.jpg": ("T", "2")}
     manifest.write_text("\na.jpg\tT\t1\n\nb.jpg\tT\n")
     with pytest.raises(ValueError, match="^" + re.escape(f"{manifest}:4: expected filename<TAB>name<TAB>key")):
-        read_manifest(manifest)
+        read_manifest(manifest, tmp_path)
 
 
 def test_manifest_reads_utf8_and_names_the_line_of_other_bytes(tmp_path):
     manifest = tmp_path / "members.tsv"
     manifest.write_bytes("\u00e9.jpg\tT\t1\n".encode() + b"\xe9.jpg\tT\t2\n")
+    (tmp_path / "\u00e9.jpg").write_bytes(b"e")
     with pytest.raises(ValueError, match="^" + re.escape(f"{manifest}:2: not UTF-8")):
-        read_manifest(manifest)
+        read_manifest(manifest, tmp_path)
     manifest.write_bytes("\u00e9.jpg\tT\t1\r\n".encode())
-    assert read_manifest(manifest) == {"\u00e9.jpg": ("T", "1")}
+    assert read_manifest(manifest, tmp_path) == {"\u00e9.jpg": ("T", "1")}
 
 
 def test_manifest_that_lists_a_file_twice_packs_nothing(tmp_path):

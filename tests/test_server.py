@@ -107,11 +107,36 @@ def test_unknown_image_404(service):
 
 
 @pytest.mark.parametrize(
-    "query", ["", "title=OnlyTitle", "page=0001", "title=a%20b&page=1", "title=..%2Fup&page=1"]
+    "query", ["", "title=OnlyTitle", "page=0001", "title=a%20b&page=1"]
 )
 def test_malformed_request_400(service, query):
     base, _ = service
     assert get_error(base + "/image?" + query)[0] == 400
+
+
+def test_every_name_pack_accepts_is_served_and_cached_in_its_bucket(tmp_path):
+    (tmp_path / "in").mkdir()
+    body = bytes(range(256)) * 5
+    (tmp_path / "in" / "p.jpg").write_bytes(body)
+    (tmp_path / "members.tsv").write_text("p.jpg\tSmith/Jones\t0001\n")
+    pack_directory(tmp_path / "in", "c", tmp_path / "lib", manifest=tmp_path / "members.tsv").close()
+    config = Config(library_dir=tmp_path / "lib", cache_root=tmp_path / "cache")
+    server = DeliveryServer(("127.0.0.1", 0), build_resolver(config))
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        base = f"http://127.0.0.1:{server.server_address[1]}/image"
+        for source in ("library", "cache"):
+            status, headers, served = get(base + "?title=Smith%2FJones&page=0001")
+            assert (status, headers["X-RacLib-Source"], served) == (200, source, body)
+        assert get_error(base + "?title=..%2F..%2Fup&page=0001")[0] == 404
+    finally:
+        server.shutdown()
+        server.server_close()
+        server.resolver.close()
+    buckets = [path for path in (tmp_path / "cache").iterdir() if path.is_dir()]
+    assert len(buckets) == 1
+    assert [path.name for path in buckets[0].iterdir()] == ["Smith%2FJones_0001.jpg"]
+    assert (buckets[0] / "Smith%2FJones_0001.jpg").read_bytes() == body
 
 
 def test_unknown_path_404(service):

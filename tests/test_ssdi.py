@@ -11,7 +11,7 @@ from helpers import open_fd_count, random_death_fields, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from raclib.computed_index import GROUP_COUNT, name_ordinal
+from raclib.computed_index import GROUP_COUNT, ComputedIndex, GroupEntry, name_ordinal
 from raclib.ssdi import (
     DATA_FILE,
     INDEX_FILE,
@@ -348,9 +348,14 @@ def search_queries(draw, records):
 @given(st.lists(group_records, min_size=1, max_size=40), st.lists(st.integers(0, 3), max_size=40), st.data())
 def test_search_equals_matches_over_every_record_of_the_group(records, styles, data):
     with tempfile.TemporaryDirectory() as tmp:
-        with SsdiLibrary.build(records, Path(tmp, "lib")) as lib:
+        SsdiLibrary.build(records, Path(tmp, "lib")).close()
+        with open(Path(tmp, "lib", DATA_FILE), "r+b") as f:
             for i, style in enumerate(styles[: len(records)]):
-                lib.store.write_records(i, restyle(lib.store.read_records(i, 1), style))
+                f.seek(i * RECORD_SIZE)
+                raw = f.read(RECORD_SIZE)
+                f.seek(i * RECORD_SIZE)
+                f.write(restyle(raw, style))
+        with SsdiLibrary.open(Path(tmp, "lib")) as lib:
             for query in data.draw(st.lists(search_queries(records), max_size=6)):
                 if re.search("[A-Za-z]", query.surname + query.given):
                     assert lib.search(query) == group_search(lib, query), query
@@ -484,3 +489,20 @@ def test_tsv_names_the_line_of_bytes_that_are_not_utf8(tmp_path):
 def test_build_into_a_new_nested_directory(tmp_path):
     with SsdiLibrary.build([KENNEDY], tmp_path / "a" / "b" / "lib") as lib:
         assert lib.search(SearchQuery(surname="Kennedy", given="Robert")) == [KENNEDY]
+
+
+def test_a_library_opened_before_write_all_keeps_its_search_results(tmp_path):
+    SsdiLibrary.build([KENNEDY], tmp_path / "lib").close()
+    index_path = tmp_path / "lib" / INDEX_FILE
+    published = index_path.stat().st_ino
+    query = SearchQuery(surname="Kennedy", given="Robert")
+    with SsdiLibrary.open(tmp_path / "lib") as lib:
+        assert [r.ssn for r in lib.search(query)] == ["123456789"]
+        with ComputedIndex.open(index_path) as other:
+            other.write_all([GroupEntry(0, 0)] * GROUP_COUNT)
+            other.sync()
+            assert other.read_group_entry(name_ordinal("Kennedy", "Robert")) == GroupEntry(0, 0)
+        assert [r.ssn for r in lib.search(query)] == ["123456789"]
+        assert index_path.stat().st_ino != published
+    with SsdiLibrary.open(tmp_path / "lib") as lib:
+        assert lib.search(query) == []

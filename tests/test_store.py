@@ -215,32 +215,19 @@ def test_open_shorter_than_metadata_is_error(tmp_path):
 def test_fixed_store_round_trip_without_sidecar(tmp_path):
     with RecordStore.create_fixed(tmp_path / "fixed", 4, b"aaaabbbbcccc") as store:
         assert store.record_count == 3
-        store.write_records(1, b"BBBB")
-        store.sync()
+        assert store.read_records(1, 1) == b"bbbb"
     assert not (tmp_path / "fixed.meta").exists()
     with RecordStore.open_fixed(tmp_path / "fixed", 4, 3) as store:
-        assert store.read_records(0, 3) == b"aaaaBBBBcccc"
+        assert store.read_records(0, 3) == b"aaaabbbbcccc"
 
 
-def test_fixed_store_is_read_only_unless_asked(tmp_path):
-    RecordStore.create_fixed(tmp_path / "fixed", 4, b"aaaa").close()
-    with RecordStore.open_fixed(tmp_path / "fixed", 4, 1) as store:
-        with pytest.raises(PermissionError):
-            store.write_records(0, b"bbbb")
-    with RecordStore.open_fixed(tmp_path / "fixed", 4, 1, writable=True) as store:
-        store.write_records(0, b"bbbb")
-    assert (tmp_path / "fixed").read_bytes() == b"bbbb"
-
-
-def test_fixed_store_write_bounds(tmp_path):
-    with RecordStore.create_fixed(tmp_path / "fixed", 4, b"a" * 8) as store:
-        with pytest.raises(ValueError):
-            store.write_records(0, b"abc")  # not a whole record
-        with pytest.raises(IndexError):
-            store.write_records(1, b"b" * 8)  # runs past the last record
-        with pytest.raises(IndexError):
-            store.write_records(-1, b"bbbb")
-    assert (tmp_path / "fixed").read_bytes() == b"a" * 8
+def test_fixed_store_is_read_only(tmp_path):
+    for open_store in (lambda: RecordStore.create_fixed(tmp_path / "fixed", 4, b"aaaa"),
+                       lambda: RecordStore.open_fixed(tmp_path / "fixed", 4, 1)):
+        with open_store() as store, pytest.raises(PermissionError):
+            store.append_payload(b"bbbb")
+    assert (tmp_path / "fixed").read_bytes() == b"aaaa"
+    assert not (tmp_path / "fixed.meta").exists()
 
 
 def test_open_fixed_checks_exact_size_and_closes_on_mismatch(tmp_path):
