@@ -21,11 +21,12 @@ from __future__ import annotations
 import logging
 import os
 import shutil
-import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+
+from .store import publish_file
 
 logger = logging.getLogger(__name__)
 
@@ -181,15 +182,12 @@ class BucketCache:
         return None
 
     def store_file(self, filename: str, payload: bytes, now: float | None = None) -> str:
-        """Write into the current bucket atomically (temp name, then rename)."""
+        """Write into the current bucket atomically, by ``publish_file``: a temp name removed whatever
+        happens, then a rename. No fsync: a cached copy need not survive a crash."""
         if now is None:
             now = self.now()
-        bucket = os.path.join(self.root, bucket_name(now))
-        target = os.path.join(bucket, filename)
-        tmp = os.path.join(bucket, f".{filename}.{os.getpid()}.{threading.get_ident()}.tmp")
-        with open(tmp, "wb") as f:
-            f.write(payload)
-        os.replace(tmp, target)
+        target = os.path.join(self.root, bucket_name(now), filename)
+        publish_file(target, payload, replace=True, sync=False)
         return target
 
 

@@ -13,7 +13,6 @@ import random
 import sys
 from pathlib import Path
 
-from . import bench, server
 from .config import load_config
 from .errors import NotFoundError, RacLibError
 from .neuro import RegionLibrary, read_atlas_tsv
@@ -64,6 +63,7 @@ def cmd_fetch(args) -> int:
 def cmd_serve(args) -> int:
     config = load_config(args.config, port=args.port, library_dir=args.library_dir, cache_root=args.cache_root)
     logging.basicConfig(level=SERVE_LOG_LEVEL, format=SERVE_LOG_FORMAT)
+    from . import server  # imported here, so that no other command loads http.server
     server.serve(config)
     return EXIT_OK
 
@@ -104,6 +104,7 @@ def cmd_neuro_query(args) -> int:
 
 
 def cmd_bench_synth(args) -> int:
+    from . import bench
     with bench.synth_library(args.out, args.records, args.record_size, args.seed) as store:
         writer = csv.writer(sys.stdout)
         writer.writerow(["path", "records", "record_size", "seed"])
@@ -112,6 +113,7 @@ def cmd_bench_synth(args) -> int:
 
 
 def cmd_bench_fetch(args) -> int:
+    from . import bench
     with RecordStore.open(args.library) as store:
         stats = bench.measure_fetch(store, args.start, args.count, args.trials)
     writer = csv.writer(sys.stdout)
@@ -127,6 +129,7 @@ def cmd_bench_fetch(args) -> int:
 
 
 def cmd_bench_serial(args) -> int:
+    from . import bench
     archive = Path(args.archive)
     if not archive.exists():
         if args.members is None:
@@ -141,6 +144,7 @@ def cmd_bench_serial(args) -> int:
 
 
 def cmd_bench_hist(args) -> int:
+    from . import bench
     with open(args.input, newline="") as f:
         rows = [row for row in csv.reader(f) if row]
     if not rows:

@@ -10,17 +10,19 @@ legacy format) are accepted and resolve to the full padded record set.
 An index is constant once published: ``create`` writes a whole index under a
 temp name in one write and one fsync, and only then links it to its own
 name, so no reader sees a prefix, and a change is a new index, published by
-rename. ``SerialIndex`` opens the file once and reads only through that fd,
-and only the bytes the file held then, so an index renamed over its path is
-not seen: the open index answers for the file it opened until it is closed.
+rename. ``SerialIndex`` reads the file through one sidecar-less
+``RecordStore`` of 1-byte records, opened once and covering the file's size
+at open, so an index renamed over its path is not seen: the open index
+answers for the file it opened until it is closed.
 
 The file stays the only copy of the entries. The first lookup reads it
 twice: it counts the lines, sizes an open-addressed table of fixed-layout
 words once, then fills it in one pass. A lookup probes the table and reads
 only the lines its probe points at (normally exactly one, none for a miss),
-then matches the name and key tokens of that line exactly, never by
-substring, so "040" does not hit "0404". When a file holds the same (name,
-key) twice, the first line wins.
+each in one store read of exactly its bytes, whatever its length, then
+matches the name and key tokens of that line exactly, never by substring,
+so "040" does not hit "0404". When a file holds the same (name, key) twice,
+the first line wins.
 
 ``runs(name)`` gives the record runs of every line named ``name``. One pass
 over the file on the first query builds the runs of all names, kept for the
@@ -29,7 +31,6 @@ life of the index.
 
 from __future__ import annotations
 
-import os
 import threading
 from array import array
 from dataclasses import dataclass
@@ -38,12 +39,13 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import NotFoundError
-from .store import Closeable, IOCounters, RecordSetRef, publish_file
+from .store import Closeable, RecordSetRef, RecordStore, publish_file
 
 # A slot is one 64-bit word, tag | line offset | line length, zero when empty.
 # Tag and home slot are disjoint bits of the per-process salted hash((name,
 # key)), so keys sent from outside cannot be chosen to collide. A probe reads
 # a line only on a tag match, 1 in 16M per word passed, so a miss reads none.
+# A line of LONG_LINE bytes or more keeps its exact length in a dict by offset.
 TAG_BITS = 24
 OFFSET_BITS = 32  # so an index must stay under 4 GiB
 LENGTH_BITS = 8
@@ -52,7 +54,7 @@ OFFSET_MASK = (1 << OFFSET_BITS) - 1
 LONG_LINE = (1 << LENGTH_BITS) - 1  # length field of a line this long or longer
 SLOTS_PER_ENTRY = 1.5  # a load sizes the table at this many slots per line
 MIN_SLOTS = 8
-BLOCK_BYTES = 1 << 16
+BLOCK_BYTES = 1 << 14  # a build pass holds one block's lines at a time: a few hundred, not thousands
 
 
 def _check_token(field: str, value: str) -> None:
@@ -116,45 +118,46 @@ def _insert(slots: array, h: int, word: int) -> None:
     slots[i] = word
 
 
-def _count_lines(fd: int, size: int) -> int:
-    """Lines in the first ``size`` bytes of ``fd``, an unterminated last one counted."""
+def _count_lines(records: RecordStore, size: int) -> int:
+    """Lines in the first ``size`` bytes of ``records``, an unterminated last one counted."""
     blocks = range(0, size, BLOCK_BYTES)
-    lines = sum(os.pread(fd, min(BLOCK_BYTES, size - s), s).count(b"\n") for s in blocks)
-    return lines + (size > 0 and os.pread(fd, 1, size - 1) != b"\n")
+    lines = sum(records.read_block(s, min(BLOCK_BYTES, size - s)).count(b"\n") for s in blocks)
+    return lines + (size > 0 and records.read_block(size - 1, 1) != b"\n")
 
 
-def _lines(fd: int, size: int) -> Iterator[bytes]:
-    """Each line of the first ``size`` bytes of ``fd``, without its newline.
-
-    Reads by ``pread`` in blocks, so the fd's position is never used and
-    any number of readers may share it."""
+def _lines(records: RecordStore, size: int) -> Iterator[bytes]:
+    """Each line of the first ``size`` bytes of ``records``, without its newline, read in uncounted blocks."""
     def blocks():
         rest = b""
         for start in range(0, size, BLOCK_BYTES):
-            *lines, rest = (rest + os.pread(fd, min(BLOCK_BYTES, size - start), start)).split(b"\n")
+            *lines, rest = (rest + records.read_block(start, min(BLOCK_BYTES, size - start))).split(b"\n")
             yield lines
         yield [rest] if rest else []
 
     return chain.from_iterable(blocks())
 
 
-def _load(fd: int, size: int) -> array:
-    """Count the lines, size the table for them, then one pass fills it."""
-    slots = array("Q", [0]) * max(MIN_SLOTS, int(_count_lines(fd, size) * SLOTS_PER_ENTRY) + 1)
+def _load(records: RecordStore, size: int) -> tuple[array, dict[int, int]]:
+    """Count the lines, size the table for them, then one pass fills it and measures the long lines."""
+    slots = array("Q", [0]) * max(MIN_SLOTS, int(_count_lines(records, size) * SLOTS_PER_ENTRY) + 1)
+    long_lines = {}
     offset = 0
-    for line in _lines(fd, size):
+    for line in _lines(records, size):
         tokens = line.split(None, 2)
         if len(tokens) >= 2:
             h = _hash(tokens[0], tokens[1])
-            _insert(slots, h, _word(h, offset, min(len(line) + 1, size - offset)))
+            length = min(len(line) + 1, size - offset)
+            _insert(slots, h, _word(h, offset, length))
+            if length >= LONG_LINE:
+                long_lines[offset] = length
         offset += len(line) + 1
-    return slots
+    return slots, long_lines
 
 
-def _load_runs(fd: int, size: int) -> dict[str, tuple[tuple[int, int], ...]]:
+def _load_runs(records: RecordStore, size: int) -> dict[str, tuple[tuple[int, int], ...]]:
     """Each name's (start, count) runs in line order; a line that follows on from its name's last run extends it."""
     runs: dict[str, list[list[int]]] = {}
-    for line in _lines(fd, size):
+    for line in _lines(records, size):
         entry = SerialIndexEntry.parse(line.decode("ascii"))
         named = runs.setdefault(entry.name, [])
         if named and named[-1][0] + named[-1][1] == entry.start:
@@ -165,25 +168,24 @@ def _load_runs(fd: int, size: int) -> dict[str, tuple[tuple[int, int], ...]]:
 
 
 class SerialIndex(Closeable):
-    """A constant index file with flat, table-driven lookup.
+    """A codec over one sidecar-less store of 1-byte records: the index file as it was at open.
 
-    The file is opened at construction and closed by ``close``; every read
-    goes through that fd and covers the bytes the file held at open. The
-    slot table and the runs are each built once, on first use, and kept.
-    ``counters`` counts the line reads made to answer lookups; the passes
-    that build the table and the runs are not counted.
+    The slot table and the runs are each built once, on first use, and
+    kept. ``counters`` are the store's: they count the line reads made to
+    answer lookups, each one read of exactly its line; the passes that
+    build the table and the runs are not counted.
     """
 
     def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self.counters = IOCounters()
-        self._fd = os.open(self.path, os.O_RDONLY)
-        self._size = os.fstat(self._fd).st_size
-        if self._size >> OFFSET_BITS:
+        self.records = RecordStore.open_fixed(path, 1)
+        self.path = self.records.path
+        self.counters = self.records.counters
+        if self.records.record_count >> OFFSET_BITS:
             self.close()
-            raise ValueError(f"index {path} is {self._size} B, not under the {1 << OFFSET_BITS} B limit")
-        self._slots: array | None = None
+            raise ValueError(f"index {path} is {self.records.record_count} B, not under the {1 << OFFSET_BITS} B limit")
+        self._table: tuple[array, dict[int, int]] | None = None
         self._runs: dict | None = None
+        self._failed: dict[str, tuple] = {}  # attr -> the args of the ValueError its build raised
         self._lock = threading.Lock()
 
     @classmethod
@@ -195,33 +197,27 @@ class SerialIndex(Closeable):
         return cls(path)
 
     def _kept(self, attr: str, build):
-        """``build(fd, size)``, made under the lock by the first caller and kept in ``attr``."""
-        with self._lock:
-            if getattr(self, attr) is None:
-                setattr(self, attr, build(self._fd, self._size))
-            return getattr(self, attr)
+        """``build(records, size)``, made under the lock by the first caller and kept in ``attr``.
 
-    def _read_line(self, offset: int, length: int) -> bytes:
-        if length < LONG_LINE:
-            line = os.pread(self._fd, length, offset)
-            self.counters.reads += 1
-            self.counters.bytes_read += len(line)
-            return line
-        data = b""
-        while b"\n" not in data and offset + len(data) < self._size:
-            chunk = os.pread(self._fd, min(4096, self._size - offset - len(data)), offset + len(data))
-            self.counters.reads += 1
-            self.counters.bytes_read += len(chunk)
-            if not chunk:
-                break
-            data += chunk
-        return data.split(b"\n", 1)[0]
+        The file is constant, so a ``ValueError`` the build raises is raised
+        afresh by every later call, with no read; an ``OSError`` is not kept."""
+        with self._lock:
+            if attr in self._failed:
+                raise ValueError(*self._failed[attr])
+            if getattr(self, attr) is None:
+                try:
+                    setattr(self, attr, build(self.records, self.records.record_count))
+                except ValueError as error:
+                    self._failed[attr] = error.args
+                    raise
+            return getattr(self, attr)
 
     def lookup(self, name: str, key: str) -> SerialIndexEntry:
         """The first line whose name and key tokens both match exactly."""
-        slots = self._slots
-        if slots is None:
-            slots = self._kept("_slots", _load)
+        table = self._table
+        if table is None:
+            table = self._kept("_table", _load)
+        slots, long_lines = table
         if name.isascii() and key.isascii():  # else no line of the ASCII file can match
             h = _hash(name.encode("ascii"), key.encode("ascii"))
             tag = h & TAG_MASK
@@ -229,7 +225,11 @@ class SerialIndex(Closeable):
             i = (h >> TAG_BITS) % n
             while word := slots[i]:
                 if word >> (OFFSET_BITS + LENGTH_BITS) == tag:
-                    text = self._read_line(word >> LENGTH_BITS & OFFSET_MASK, word & LONG_LINE).decode("ascii")
+                    offset = word >> LENGTH_BITS & OFFSET_MASK
+                    length = word & LONG_LINE
+                    if length == LONG_LINE:
+                        length = long_lines[offset]
+                    text = self.records.read_records(offset, length).decode("ascii")
                     tokens = text.split()
                     if len(tokens) >= 2 and tokens[0] == name and tokens[1] == key:
                         return SerialIndexEntry.parse(text)
@@ -240,7 +240,8 @@ class SerialIndex(Closeable):
         """The (start, count) record runs of every line named ``name``, in file order.
 
         Adjacent lines are merged; a repeated line gives a run each time it
-        appears. Raises NotFoundError if no line is named ``name``."""
+        appears. Raises NotFoundError if no line is named ``name``, and
+        ValueError, on every call, if a line of the file is malformed."""
         runs = self._runs
         if runs is None:
             runs = self._kept("_runs", _load_runs)
@@ -251,15 +252,13 @@ class SerialIndex(Closeable):
 
     def entries(self):
         """Yield all entries in file order."""
-        for line in _lines(self._fd, self._size):
+        for line in _lines(self.records, self.records.record_count):
             yield SerialIndexEntry.parse(line.decode("ascii"))
 
     def entry_count(self) -> int:
         """Lines in the file, counted as the table build counts them, with no table built."""
-        return _count_lines(self._fd, self._size)
+        return _count_lines(self.records, self.records.record_count)
 
     def close(self) -> None:
-        if self._fd >= 0:
-            os.close(self._fd)
-            self._fd = -1
-        self._slots = self._runs = None
+        self.records.close()
+        self._table = self._runs = None

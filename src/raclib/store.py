@@ -25,11 +25,12 @@ makes one fsync and one sidecar update after its last payload, however many
 it wrote. A builder so holds each record once, as the bytes it hands over,
 and a pack of any number of members costs one data fsync.
 
-A file whose format fixes its geometry, such as the computed index, is a
-store with no sidecar: ``create_fixed`` publishes it whole and fsync'd
+A file whose format fixes its geometry, such as either index, is a store
+with no sidecar: ``create_fixed`` publishes it whole and fsync'd
 (``publish_file``: a temp, then a hard link, so it is never seen partial),
-and ``open_fixed`` checks its exact size. Both give a read-only handle: a
-changed file is a new one, published whole over the old by rename.
+and ``open_fixed`` checks its exact size, or covers the size at open if
+given no record count. Both give a read-only handle: a changed file is a
+new one, published whole over the old by rename.
 """
 
 from __future__ import annotations
@@ -130,7 +131,7 @@ def _read_meta(meta_path: Path) -> tuple[int, int]:
     return record_size, record_count
 
 
-def publish_file(path: str | Path, data, replace: bool = False) -> None:
+def publish_file(path: str | Path, data, replace: bool = False, sync: bool = True) -> None:
     """Make ``path`` hold ``data``, whole and fsync'd, or leave it as it was.
 
     The bytes go to a temp sibling that no other writer uses and no
@@ -138,6 +139,7 @@ def publish_file(path: str | Path, data, replace: bool = False) -> None:
     there, and only then appear at ``path``: through ``os.link``, which
     raises FileExistsError if ``path`` exists, or with ``replace`` through
     ``os.replace``. The temp is removed whatever happens, and no fd is left.
+    Without ``sync``, for a copy that need not survive a crash, no fsync.
     """
     head, name = os.path.split(path)
     tmp = os.path.join(head, f".{name}.{os.getpid()}.{threading.get_ident()}.tmp")
@@ -145,7 +147,8 @@ def publish_file(path: str | Path, data, replace: bool = False) -> None:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
         try:
             _pwrite_all(fd, data, 0)
-            os.fsync(fd)
+            if sync:
+                os.fsync(fd)
         finally:
             os.close(fd)
         (os.replace if replace else os.link)(tmp, path)
@@ -229,18 +232,20 @@ class RecordStore(Closeable):
     def create_fixed(cls, path: str | Path, record_size: int, records: bytes) -> "RecordStore":
         """Create a sidecar-less store holding exactly ``records``, fsync'd, and open it read-only."""
         publish_file(path, records)
-        return cls.open_fixed(path, record_size, len(records) // record_size)
+        return cls.open_fixed(path, record_size)
 
     @classmethod
-    def open_fixed(cls, path: str | Path, record_size: int, record_count: int) -> "RecordStore":
-        """Open a sidecar-less store read-only; it must be exactly ``record_count`` records long."""
+    def open_fixed(cls, path: str | Path, record_size: int, record_count: int | None = None) -> "RecordStore":
+        """Open a sidecar-less store read-only: exactly ``record_count`` records, or with none given, the whole file."""
         return cls._open(Path(path), record_size, record_count, exact=True)
 
     @classmethod
-    def _open(cls, path: Path, record_size: int, record_count: int, exact: bool):
+    def _open(cls, path: Path, record_size: int, record_count: int | None, exact: bool):
         fd = os.open(path, os.O_RDONLY)
-        covered = record_count * record_size
         size = os.fstat(fd).st_size
+        if record_count is None:
+            record_count = size // record_size
+        covered = record_count * record_size
         if size < covered or exact and size != covered:
             os.close(fd)
             raise ValueError(f"store {path} is {size} B, but its geometry covers {covered} B")
@@ -311,6 +316,11 @@ class RecordStore(Closeable):
         self.counters.reads += 1
         self.counters.bytes_read += len(data)
         return data
+
+    def read_block(self, start: int, count: int) -> bytes:
+        """``read_records(start, count)`` left out of ``counters``: for the passes that scan a file to build a table."""
+        self._check_range(start, count)
+        return _pread_all(self._fd, count * self._record_size, start * self._record_size)
 
     def _check_range(self, start: int, count: int) -> None:
         if start < 0 or count < 0 or start + count > self._record_count:

@@ -1,6 +1,9 @@
 import builtins
+import errno
 import inspect
 import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -315,6 +318,38 @@ def test_resolve_survives_cache_write_failure(resolver, monkeypatch):
     monkeypatch.setattr(res.cache, "store_file", boom)
     result = res.resolve(DeliveryRequest("TallyHo1965", "0404"))
     assert (result.source, result.payload) == ("library", b"\xff\xd8\xff jpeg bytes")
+
+
+def test_store_that_fails_mid_write_leaves_no_temp_file(tmp_path):
+    # A child whose file-size limit is 100 B: the write fails after 100 B, as on a full disk or quota.
+    child = f"""
+import resource, signal
+from raclib.cache import BucketCache
+cache = BucketCache({str(tmp_path)!r}, clock=lambda: {T0})
+cache.ensure_bucket()
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (100, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+try:
+    cache.store_file("Book_0001.jpg", b"x" * 1_000)
+except OSError as e:
+    print(e.errno)
+"""
+    out = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == str(errno.EFBIG), out.stderr
+    assert os.listdir(tmp_path / bucket_name(T0)) == []
+
+
+def test_store_that_fails_to_rename_leaves_no_temp_file(tmp_path, monkeypatch):
+    cache = make_cache(tmp_path)
+    cache.ensure_bucket()
+
+    def no_rename(*args):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", no_rename)
+    with pytest.raises(OSError):
+        cache.store_file("Book_0001.jpg", b"x" * 1_000)
+    assert os.listdir(tmp_path / bucket_name(T0)) == []
 
 
 def test_resolve_survives_unusable_cache(resolver, monkeypatch):

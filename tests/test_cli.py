@@ -226,3 +226,9 @@ def test_serve_logs_timestamped_lines(tmp_path):
         proc.stderr.close()
     stamp = r"\d{4}-\d\d-\d\d \d\d:\d\d:\d\d,\d{3}"
     assert re.fullmatch(stamp + rf" INFO raclib.server: serving \S+ on port {port}\n", line), line
+
+
+def test_importing_the_cli_loads_no_http_server():
+    child = "import sys, raclib.cli; print('http.server' in sys.modules, 'raclib.bench' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, timeout=60)
+    assert out.stdout.split() == ["False", "False"], out.stderr

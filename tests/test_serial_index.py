@@ -146,6 +146,18 @@ def test_long_line_found(tmp_path):
         assert index.lookup("b", "1").start == 11
 
 
+@pytest.mark.parametrize("length", [254, 255, 256, 5_007])
+def test_long_line_hit_is_one_read_of_exactly_its_line(tmp_path, length):
+    line = SerialIndexEntry("N" * (length - 7), "1", 9, 2).line()  # " 1 9 2\n" is 7 bytes
+    assert len(line) == length
+    written = [SerialIndexEntry("a", "1", 0, 1), SerialIndexEntry.parse(line), SerialIndexEntry("b", "1", 11, 1)]
+    with SerialIndex.create(tmp_path / "i", written) as index:
+        index.lookup("a", "1")  # builds the table, uncounted
+        index.counters.reset()
+        assert index.lookup("N" * (length - 7), "1").line() == line
+        assert (index.counters.reads, index.counters.bytes_read) == (1, length)
+
+
 def test_long_line_read_stops_at_the_size_at_open(tmp_path):
     path = tmp_path / "i"
     long_name = "N" * 300
@@ -201,7 +213,8 @@ def test_tag_collisions_never_return_another_entry(tmp_path, monkeypatch):
     path.write_text("T 1 100 5\nT 1 900 9\n" + "".join(e.line() for e in written))
     with SerialIndex(path) as index:
         assert all(index.lookup(e.name, e.key) == e for e in written)
-        assert len(index._slots) == 8
+        slots, _ = index._table
+        assert len(slots) == 8
         assert index.lookup("T", "1").start == 100
         with pytest.raises(NotFoundError):
             index.lookup("n1", "1")
@@ -231,7 +244,7 @@ def test_entry_count_builds_no_table(tmp_path):
     with SerialIndex(path) as index:
         assert index.entry_count() == 2
         assert [e.key for e in index.entries()] == ["1", "2"]
-        assert index._slots is None
+        assert index._table is None
 
 
 def test_open_index_reads_only_the_file_it_opened(tmp_path):
@@ -248,3 +261,42 @@ def test_open_index_reads_only_the_file_it_opened(tmp_path):
             index.runs("b")
         assert [e.start for e in index.entries()] == [0]
         assert index.entry_count() == 1
+
+
+def test_malformed_line_fails_every_runs_query_with_one_build(tmp_path, monkeypatch):
+    path = tmp_path / "i"
+    path.write_text("a 1 0 1\nb 2 x 1\n")  # the second line's start is not a number
+    builds = []
+    real_load_runs = serial_index._load_runs
+
+    def counting_load_runs(records, size):
+        builds.append(size)
+        return real_load_runs(records, size)
+
+    monkeypatch.setattr(serial_index, "_load_runs", counting_load_runs)
+    with SerialIndex(path) as index:
+        errors = []
+        for _ in range(3):
+            with pytest.raises(ValueError) as caught:
+                index.runs("a")
+            errors.append(caught.value)
+        assert builds == [path.stat().st_size]  # the file is constant: later calls read nothing
+        assert len({str(e) for e in errors}) == 1
+        assert len({id(e) for e in errors}) == 3  # each call raises a fresh error
+        assert index.lookup("a", "1").start == 0  # the slot table does not parse the lines
+
+
+def test_runs_build_retries_after_an_os_error(tmp_path, monkeypatch):
+    failures = [OSError("transient")]
+    real_load_runs = serial_index._load_runs
+
+    def flaky_load_runs(records, size):
+        if failures:
+            raise failures.pop()
+        return real_load_runs(records, size)
+
+    monkeypatch.setattr(serial_index, "_load_runs", flaky_load_runs)
+    with SerialIndex.create(tmp_path / "i", [SerialIndexEntry("a", "1", 0, 1)]) as index:
+        with pytest.raises(OSError):
+            index.runs("a")
+        assert index.runs("a") == ((0, 1),)
