@@ -15,14 +15,23 @@ rename. ``SerialIndex`` reads the file through one sidecar-less
 at open, so an index renamed over its path is not seen: the open index
 answers for the file it opened until it is closed.
 
-The file stays the only copy of the entries. The first lookup reads it
-twice: it counts the lines, sizes an open-addressed table of fixed-layout
-words once, then fills it in one pass. A lookup probes the table and reads
-only the lines its probe points at (normally exactly one, none for a miss),
-each in one store read of exactly its bytes, whatever its length, then
-matches the name and key tokens of that line exactly, never by substring,
-so "040" does not hit "0404". When a file holds the same (name, key) twice,
-the first line wins.
+The file stays the only copy of the entries. Its lookup table, an
+open-addressed table of fixed-layout words, is derived data, kept beside it
+in ``<index>.slots`` (12 B per line) so that it is built once per file, not
+once per process. A handle's first lookup reads the slot file in one
+uncounted read and uses its words in place, if the file is whole (its
+checksum matches) and was made for the bytes this handle reads: the same
+device, inode, size, mtime and ctime. Otherwise it reads the index twice:
+it counts the lines, sizes the table once, then fills it in one pass, and
+publishes the table as the slot file for the next handle, by rename and
+without fsync, since after a crash the checksum refuses a torn file. Where
+the slot file cannot be written (a read-only directory, a full quota), the
+table is kept in memory only. A lookup probes the table and reads only the
+lines its probe points at (normally exactly one, none for a miss), each in
+one store read of exactly its bytes, whatever its length, then matches the
+name and key tokens of that line exactly, never by substring, so "040" does
+not hit "0404". When a file holds the same (name, key) twice, the first
+line wins.
 
 ``runs(name)`` gives the record runs of every line named ``name``. One pass
 over the file on the first query builds the runs of all names, kept for the
@@ -31,7 +40,11 @@ life of the index.
 
 from __future__ import annotations
 
+import logging
+import os
+import sys
 import threading
+from _blake2 import blake2b  # hashlib.blake2b, without the OpenSSL that importing hashlib maps: 0.6 MB of RSS
 from array import array
 from dataclasses import dataclass
 from itertools import chain
@@ -41,11 +54,14 @@ from typing import Iterable, Iterator
 from .errors import NotFoundError
 from .store import Closeable, RecordSetRef, RecordStore, publish_file
 
+logger = logging.getLogger(__name__)
+
 # A slot is one 64-bit word, tag | line offset | line length, zero when empty.
-# Tag and home slot are disjoint bits of the per-process salted hash((name,
-# key)), so keys sent from outside cannot be chosen to collide. A probe reads
-# a line only on a tag match, 1 in 16M per word passed, so a miss reads none.
-# A line of LONG_LINE bytes or more keeps its exact length in a dict by offset.
+# Tag and home slot are disjoint bits of a 64-bit BLAKE2b of "name key" keyed
+# by the table's random salt, so keys sent from outside cannot be chosen to
+# collide. A probe reads a line only on a tag match, 1 in 16M per word passed,
+# so a miss reads none. A line of LONG_LINE bytes or more keeps its exact
+# length in a dict by offset.
 TAG_BITS = 24
 OFFSET_BITS = 32  # so an index must stay under 4 GiB
 LENGTH_BITS = 8
@@ -55,6 +71,15 @@ LONG_LINE = (1 << LENGTH_BITS) - 1  # length field of a line this long or longer
 SLOTS_PER_ENTRY = 1.5  # a load sizes the table at this many slots per line
 MIN_SLOTS = 8
 BLOCK_BYTES = 1 << 14  # a build pass holds one block's lines at a time: a few hundred, not thousands
+
+# <index>.slots is native 64-bit words: the magic, which carries the format
+# version and byte order, with the 16-byte salt (3 words); the index's stamp,
+# as _stamp gives it (5); the slot and long-line counts (2); the slots; an
+# (offset, length) pair per long line; a checksum of every word before it.
+SLOTS_SUFFIX = ".slots"
+SLOTS_MAGIC = b"RACSLT1" + sys.byteorder[0].upper().encode("ascii")
+SALT_BYTES = 16
+HEADER_WORDS = 10
 
 
 def _check_token(field: str, value: str) -> None:
@@ -91,6 +116,8 @@ class SerialIndexEntry:
         tokens = line.split()
         if len(tokens) not in (4, 5):
             raise ValueError(f"index line must have 4 or 5 fields: {line!r}")
+        if not all(number.isascii() and number.isdigit() for number in tokens[2:]):  # int() would take "+3", "1_0"
+            raise ValueError(f"index line numbers must be digits 0-9: {line!r}")
         byte_length = int(tokens[4]) if len(tokens) == 5 else None
         return cls(tokens[0], tokens[1], int(tokens[2]), int(tokens[3]), byte_length)
 
@@ -102,8 +129,13 @@ class SerialIndexEntry:
         return RecordSetRef(start=self.start, count=self.count, byte_length=byte_length)
 
 
-def _hash(name: bytes, key: bytes) -> int:
-    return hash((name, key))
+def _hash(salt: bytes, name: bytes, key: bytes) -> int:
+    # The same in every process; no token holds a space, so "name key" is unambiguous.
+    return int.from_bytes(blake2b(name + b" " + key, digest_size=8, key=salt).digest(), "little")
+
+
+def _checksum(data) -> int:
+    return int.from_bytes(blake2b(data, digest_size=8).digest(), "little")
 
 
 def _word(h: int, offset: int, length: int) -> int:
@@ -137,21 +169,79 @@ def _lines(records: RecordStore, size: int) -> Iterator[bytes]:
     return chain.from_iterable(blocks())
 
 
-def _load(records: RecordStore, size: int) -> tuple[array, dict[int, int]]:
-    """Count the lines, size the table for them, then one pass fills it and measures the long lines."""
+def _load(records: RecordStore, size: int) -> tuple[bytes, array, dict[int, int]]:
+    """Count the lines, size the table for them, then one pass under a new salt fills it and measures the long lines."""
+    salt = os.urandom(SALT_BYTES)
     slots = array("Q", [0]) * max(MIN_SLOTS, int(_count_lines(records, size) * SLOTS_PER_ENTRY) + 1)
     long_lines = {}
     offset = 0
     for line in _lines(records, size):
         tokens = line.split(None, 2)
         if len(tokens) >= 2:
-            h = _hash(tokens[0], tokens[1])
+            h = _hash(salt, tokens[0], tokens[1])
             length = min(len(line) + 1, size - offset)
             _insert(slots, h, _word(h, offset, length))
             if length >= LONG_LINE:
                 long_lines[offset] = length
         offset += len(line) + 1
-    return slots, long_lines
+    return salt, slots, long_lines
+
+
+def slots_path(index_path: Path) -> Path:
+    """Where the slot table of the index at ``index_path`` is kept."""
+    return index_path.with_name(index_path.name + SLOTS_SUFFIX)
+
+
+def _stamp(records: RecordStore, size: int) -> tuple[int, ...]:
+    """The stamp of the first ``size`` bytes of the file ``records`` reads: its device, inode, ``size``, mtime, ctime.
+
+    ``size`` stands in for st_size, so a table built by a handle opened
+    before the file grew in place is not taken for a table of the longer file."""
+    st = records.fstat()
+    return tuple(v % (1 << 64) for v in (st.st_dev, st.st_ino, size, st.st_mtime_ns, st.st_ctime_ns))
+
+
+def _read_slots(path: Path, stamp: tuple[int, ...]):
+    """The table kept at ``path``, its words used in place, if the file is whole and has ``stamp``; else None."""
+    try:
+        with RecordStore.open_fixed(path, 8) as store:
+            data = store.read_block(0, store.record_count)  # one read, uncounted as the build passes are
+    except (OSError, ValueError):  # missing, or not whole words
+        return None
+    words = memoryview(data).cast("Q")
+    if len(words) <= HEADER_WORDS or data[:8] != SLOTS_MAGIC or tuple(words[3:8]) != stamp:
+        return None
+    n, long_count = words[8], words[9]
+    if len(words) != HEADER_WORDS + n + 2 * long_count + 1 or words[-1] != _checksum(memoryview(data)[:-8]):
+        return None
+    pairs = words[HEADER_WORDS + n:-1]
+    return data[8:8 + SALT_BYTES], words[HEADER_WORDS:HEADER_WORDS + n], dict(zip(pairs[::2], pairs[1::2]))
+
+
+def _slots_file(stamp: tuple[int, ...], salt: bytes, slots: array, long_lines: dict[int, int]) -> array:
+    """The words of the slot file of a table built from the index bytes with ``stamp``."""
+    words = array("Q")
+    words.frombytes(SLOTS_MAGIC + salt)
+    words.extend((*stamp, len(slots), len(long_lines)))
+    words.extend(slots)
+    words.extend(chain.from_iterable(long_lines.items()))
+    words.append(_checksum(words))
+    return words
+
+
+def _load_table(records: RecordStore, size: int):
+    """The table from the index's slot file, if it is made for these bytes; else built by ``_load`` and
+    published as the slot file for the next handle, or, if that fails, kept in memory only."""
+    path = slots_path(records.path)
+    stamp = _stamp(records, size)
+    table = _read_slots(path, stamp)
+    if table is None:
+        table = _load(records, size)
+        try:
+            publish_file(path, _slots_file(stamp, *table), replace=True, sync=False)
+        except OSError as error:
+            logger.debug("slot table of %s kept in memory only: %s", records.path, error)
+    return table
 
 
 def _load_runs(records: RecordStore, size: int) -> dict[str, tuple[tuple[int, int], ...]]:
@@ -171,9 +261,11 @@ class SerialIndex(Closeable):
     """A codec over one sidecar-less store of 1-byte records: the index file as it was at open.
 
     The slot table and the runs are each built once, on first use, and
-    kept. ``counters`` are the store's: they count the line reads made to
-    answer lookups, each one read of exactly its line; the passes that
-    build the table and the runs are not counted.
+    kept; the slot table is read from its slot file instead where that
+    holds it for this file. ``counters`` are the store's: they count the
+    line reads made to answer lookups, each one read of exactly its line;
+    the slot-file read and the passes that build the table and the runs are
+    not counted.
     """
 
     def __init__(self, path: str | Path):
@@ -183,7 +275,7 @@ class SerialIndex(Closeable):
         if self.records.record_count >> OFFSET_BITS:
             self.close()
             raise ValueError(f"index {path} is {self.records.record_count} B, not under the {1 << OFFSET_BITS} B limit")
-        self._table: tuple[array, dict[int, int]] | None = None
+        self._table: tuple[bytes, array | memoryview, dict[int, int]] | None = None  # salt, slots, long lines
         self._runs: dict | None = None
         self._failed: dict[str, tuple] = {}  # attr -> the args of the ValueError its build raised
         self._lock = threading.Lock()
@@ -216,10 +308,10 @@ class SerialIndex(Closeable):
         """The first line whose name and key tokens both match exactly."""
         table = self._table
         if table is None:
-            table = self._kept("_table", _load)
-        slots, long_lines = table
+            table = self._kept("_table", _load_table)
+        salt, slots, long_lines = table
         if name.isascii() and key.isascii():  # else no line of the ASCII file can match
-            h = _hash(name.encode("ascii"), key.encode("ascii"))
+            h = _hash(salt, name.encode("ascii"), key.encode("ascii"))
             tag = h & TAG_MASK
             n = len(slots)
             i = (h >> TAG_BITS) % n

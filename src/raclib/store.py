@@ -322,6 +322,10 @@ class RecordStore(Closeable):
         self._check_range(start, count)
         return _pread_all(self._fd, count * self._record_size, start * self._record_size)
 
+    def fstat(self) -> os.stat_result:
+        """The ``fstat`` of the file this handle reads, which may since have been renamed over."""
+        return os.fstat(self._fd)
+
     def _check_range(self, start: int, count: int) -> None:
         if start < 0 or count < 0 or start + count > self._record_count:
             raise IndexError(

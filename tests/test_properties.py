@@ -76,7 +76,7 @@ def first_match(path: Path, name: str, key: str):
     return None
 
 
-def weak_hash(name: bytes, key: bytes) -> int:
+def weak_hash(salt: bytes, name: bytes, key: bytes) -> int:
     """Three (tag, home) values in all: long probe runs full of tag matches."""
     return hash((name, key)) % 3 * (1 << serial_index.TAG_BITS | 1)
 
@@ -88,20 +88,32 @@ members = st.tuples(st.sampled_from("abcd"), st.integers(0, 15).map(str))
 def test_lookups_match_a_scan_of_the_file(written, unterminated, weak, probes):
     # A built index whose lines may repeat a (name, key), whose last line may
     # lack its newline, and whose hash may put long runs of tag matches in one
-    # probe: every lookup agrees with a first-match scan of the file.
+    # probe: every lookup agrees with a first-match scan of the file, both from
+    # the handle that builds the table and from a second handle that reads it
+    # from the slot file the first one wrote.
+    builds = []
+    real_load = serial_index._load
+
+    def counting_load(records, size):
+        builds.append(size)
+        return real_load(records, size)
+
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
         serial_index, "_hash", weak_hash if weak else serial_index._hash
-    ):
+    ), mock.patch.object(serial_index, "_load", counting_load):
         path = Path(tmp) / "i"
         SerialIndex.create(path, [SerialIndexEntry(n, k, i, 1, i) for i, (n, k) in enumerate(written)]).close()
         if unterminated and written:
             path.write_bytes(path.read_bytes()[:-1])  # as an editor might leave it
-        with SerialIndex(path) as index:
-            for n, k in {*written, *probes}:
-                want = first_match(path, n, k)
-                if want is None:
-                    with pytest.raises(NotFoundError):
-                        index.lookup(n, k)
-                else:
-                    assert index.lookup(n, k) == want
-            assert index.entry_count() == len(path.read_text("ascii").splitlines())
+        keys = {*written, *probes}
+        for _ in range(2):
+            with SerialIndex(path) as index:
+                for n, k in keys:
+                    want = first_match(path, n, k)
+                    if want is None:
+                        with pytest.raises(NotFoundError):
+                            index.lookup(n, k)
+                    else:
+                        assert index.lookup(n, k) == want
+                assert index.entry_count() == len(path.read_text("ascii").splitlines())
+            assert len(builds) == (1 if keys else 0)  # the second handle built no table

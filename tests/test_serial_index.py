@@ -1,8 +1,11 @@
+import errno
+import logging
 import os
 import random
 import threading
 
 import pytest
+from helpers import open_fd_count
 
 from raclib import serial_index
 from raclib.errors import NotFoundError
@@ -207,13 +210,13 @@ def test_tag_collisions_never_return_another_entry(tmp_path, monkeypatch):
     # Every entry gets the same hash, so the same tag: hits must still match
     # the line exactly. Its home is the last of the table's slots, so the
     # probe wraps to slot 0, and the first of two duplicate lines still wins.
-    monkeypatch.setattr(serial_index, "_hash", lambda name, key: 7 << serial_index.TAG_BITS | 7)
+    monkeypatch.setattr(serial_index, "_hash", lambda salt, name, key: 7 << serial_index.TAG_BITS | 7)
     path = tmp_path / "i"
     written = [SerialIndexEntry(f"n{i}", "0", i, 1) for i in range(2)]
     path.write_text("T 1 100 5\nT 1 900 9\n" + "".join(e.line() for e in written))
     with SerialIndex(path) as index:
         assert all(index.lookup(e.name, e.key) == e for e in written)
-        slots, _ = index._table
+        _, slots, _ = index._table
         assert len(slots) == 8
         assert index.lookup("T", "1").start == 100
         with pytest.raises(NotFoundError):
@@ -300,3 +303,189 @@ def test_runs_build_retries_after_an_os_error(tmp_path, monkeypatch):
         with pytest.raises(OSError):
             index.runs("a")
         assert index.runs("a") == ((0, 1),)
+
+
+@pytest.mark.parametrize("line", [
+    "a 1 1_0 2\n", "a 1 +3 2\n", "a 1 3 2_0\n", "a 1 3 2 +7\n", "a 1 ３ 2\n", "a 1 3 2 7_0\n",
+])
+def test_parse_refuses_number_spellings_other_than_digits(line):
+    with pytest.raises(ValueError) as caught:
+        SerialIndexEntry.parse(line)
+    assert repr(line) in str(caught.value)
+
+
+def counted_loads(monkeypatch) -> list[int]:
+    """Patch ``_load`` to log the size of every table build; returns the log."""
+    builds = []
+    real_load = serial_index._load
+    monkeypatch.setattr(serial_index, "_load", lambda records, size: builds.append(size) or real_load(records, size))
+    return builds
+
+
+def assert_lookups_exact(path, written, absent=("nokey", "0")):
+    """A fresh handle on ``path`` finds every entry of ``written`` and misses ``absent``."""
+    with SerialIndex(path) as index:
+        assert all(index.lookup(e.name, e.key) == e for e in written)
+        with pytest.raises(NotFoundError):
+            index.lookup(*absent)
+
+
+def entries(n, start=0):
+    return [SerialIndexEntry(f"title{i}", f"{i % 1000:04d}", i * 3, 3, i * 3000 + 7) for i in range(start, start + n)]
+
+
+def test_second_handle_reads_the_slot_file_and_builds_no_table(tmp_path, monkeypatch):
+    builds = counted_loads(monkeypatch)
+    written = entries(2_000) + [SerialIndexEntry("N" * 300, "1", 9, 2)]  # one long line
+    path = tmp_path / "i"
+    SerialIndex.create(path, written).close()
+    assert not serial_index.slots_path(path).exists()  # create writes no slot file
+    for _ in range(3):
+        assert_lookups_exact(path, written)
+    assert builds == [path.stat().st_size]
+    assert serial_index.slots_path(path).stat().st_size % 8 == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["i", "i.slots"]  # no temp left
+
+
+def test_cold_fetch_reads_the_slot_file_the_line_and_the_member(tmp_path, monkeypatch):
+    from raclib.pack import Collection, pack_directory
+
+    (tmp_path / "in").mkdir()
+    for i in range(500):
+        (tmp_path / "in" / f"book_{i:04d}.jpg").write_bytes(b"%d" % i * 50)
+    pack_directory(tmp_path / "in", "books", tmp_path / "out").close()
+    library = tmp_path / "out" / "books.raclib"
+    with Collection.open(library) as collection:
+        collection.fetch("book", "0001")  # the first lookup on this index publishes its slot file
+    preads = []
+    real_pread = os.pread
+    monkeypatch.setattr(os, "pread", lambda fd, n, offset: preads.append(n) or real_pread(fd, n, offset))
+    with Collection.open(library) as collection:
+        assert collection.fetch("book", "0321") == b"321" * 50
+    assert len(preads) <= 3, preads
+    preads.clear()
+    with Collection.open(library) as collection:
+        with pytest.raises(NotFoundError):
+            collection.fetch("book", "9999")
+    assert len(preads) <= 1, preads
+
+
+def rewrite_slots(path, edit):
+    """Apply ``edit`` to the bytes of the slot file of ``path``, then give them a valid checksum again."""
+    data = bytearray(serial_index.slots_path(path).read_bytes())
+    edit(data)
+    data[-8:] = serial_index._checksum(memoryview(data)[:-8]).to_bytes(8, "little")
+    serial_index.slots_path(path).write_bytes(data)
+
+
+def replace_index(path, written):
+    """Publish a new index over ``path`` by rename, as a rebuild does."""
+    written[:] = entries(300, start=5_000)
+    SerialIndex.create(path.with_name("new"), written).close()
+    os.replace(path.with_name("new"), path)
+
+
+def append_in_place(path, written):
+    more = entries(10, start=9_000)
+    with open(path, "a", encoding="ascii") as f:
+        f.write("".join(e.line() for e in more))
+    written += more
+
+
+def truncate_slots(path, written):
+    slots = serial_index.slots_path(path)
+    slots.write_bytes(slots.read_bytes()[:-8])
+
+
+def flip_one_slot_byte(path, written):
+    slots = serial_index.slots_path(path)
+    data = bytearray(slots.read_bytes())
+    data[8 * serial_index.HEADER_WORDS + 5] ^= 0x10
+    slots.write_bytes(data)
+
+
+def wrong_version(path, written):
+    rewrite_slots(path, lambda data: data.__setitem__(slice(6, 7), b"9"))
+
+
+def wrong_byte_order(path, written):
+    rewrite_slots(path, lambda data: data.__setitem__(slice(7, 8), b"X"))
+
+
+def slots_of_another_index(path, written):
+    other = path.with_name("other")
+    other.write_bytes(path.read_bytes())  # the same bytes, another file
+    assert_lookups_exact(other, written)
+    os.replace(serial_index.slots_path(other), serial_index.slots_path(path))
+
+
+@pytest.mark.parametrize("damage", [
+    replace_index, append_in_place, truncate_slots, flip_one_slot_byte, wrong_version, wrong_byte_order,
+    slots_of_another_index,
+])
+def test_stale_or_damaged_slot_file_is_never_trusted(tmp_path, monkeypatch, damage):
+    path = tmp_path / "i"
+    written = entries(300)
+    SerialIndex.create(path, written).close()
+    assert_lookups_exact(path, written)  # publishes the slot file
+    damage(path, written)
+    builds = counted_loads(monkeypatch)
+    assert_lookups_exact(path, written)
+    assert builds == [path.stat().st_size]  # rebuilt, and published again for the file as it is now
+    assert_lookups_exact(path, written)
+    assert len(builds) == 1
+
+
+def test_handle_opened_before_an_append_publishes_no_table_for_the_longer_file(tmp_path, monkeypatch):
+    path = tmp_path / "i"
+    written = entries(300)
+    SerialIndex.create(path, written).close()
+    with SerialIndex(path) as early:
+        append_in_place(path, written)
+        early.lookup("title0", "0000")  # builds from the 300 lines it covers
+    builds = counted_loads(monkeypatch)
+    assert_lookups_exact(path, written)
+    assert builds == [path.stat().st_size]
+
+
+def test_unwritable_slot_file_serves_from_memory(tmp_path, monkeypatch, caplog):
+    def refuse(*args, **kwargs):
+        raise OSError(errno.EROFS, "read-only file system")
+
+    path = tmp_path / "i"
+    written = entries(300)
+    SerialIndex.create(path, written).close()
+    monkeypatch.setattr(serial_index, "publish_file", refuse)
+    before = open_fd_count()
+    with caplog.at_level(logging.DEBUG, logger="raclib.serial_index"):
+        for _ in range(2):
+            assert_lookups_exact(path, written)
+    assert open_fd_count() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["i"]
+    assert "read-only file system" in caplog.text
+
+
+def test_concurrent_first_lookups_read_the_slot_file_once(tmp_path, monkeypatch):
+    write_lines(tmp_path / "big.index", 20_000)
+    SerialIndex(tmp_path / "big.index").lookup("title0", "0000")  # publishes the slot file
+    builds = counted_loads(monkeypatch)
+    reads = []
+    real_read_slots = serial_index._read_slots
+    monkeypatch.setattr(serial_index, "_read_slots", lambda *args: reads.append(args) or real_read_slots(*args))
+    index = SerialIndex(tmp_path / "big.index")
+    barrier = threading.Barrier(8)
+    found = []
+
+    def first_lookup(i):
+        barrier.wait(timeout=10)
+        found.append(index.lookup(f"title{i}", f"{i % 1000:04d}").start == i * 3)
+
+    threads = [threading.Thread(target=first_lookup, args=(i,)) for i in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+        assert not t.is_alive()
+    index.close()
+    assert found == [True] * 8
+    assert (len(reads), builds) == (1, [])
