@@ -250,7 +250,7 @@ def main(argv=None) -> int:
     except NotFoundError as exc:
         print(f"raclib: not found: {exc}", file=sys.stderr)
         return EXIT_NOT_FOUND
-    except (RacLibError, ValueError, OSError) as exc:
+    except (RacLibError, ValueError, IndexError, OSError) as exc:
         print(f"raclib: error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

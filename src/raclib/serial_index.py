@@ -18,20 +18,20 @@ answers for the file it opened until it is closed.
 The file stays the only copy of the entries. Its lookup table, an
 open-addressed table of fixed-layout words, is derived data, kept beside it
 in ``<index>.slots`` (12 B per line) so that it is built once per file, not
-once per process. A handle's first lookup reads the slot file in one
-uncounted read and uses its words in place, if the file is whole (its
-checksum matches) and was made for the bytes this handle reads: the same
-device, inode, size, mtime and ctime. Otherwise it reads the index twice:
-it counts the lines, sizes the table once, then fills it in one pass, and
-publishes the table as the slot file for the next handle, by rename and
-without fsync, since after a crash the checksum refuses a torn file. Where
-the slot file cannot be written (a read-only directory, a full quota), the
-table is kept in memory only. A lookup probes the table and reads only the
-lines its probe points at (normally exactly one, none for a miss), each in
-one store read of exactly its bytes, whatever its length, then matches the
-name and key tokens of that line exactly, never by substring, so "040" does
-not hit "0404". When a file holds the same (name, key) twice, the first
-line wins.
+once per process. The words of that file are the table's only encoding: a
+lookup uses them in place, whether they were read or just built. A handle's
+first lookup reads the slot file in one uncounted read, if the file is
+whole (its checksum matches) and was made for the bytes this handle reads:
+the same inode, size, mtime and ctime. Otherwise it reads the index twice:
+it counts the lines, sizes the slot file's words once, then fills them in
+one pass, and publishes them for the next handle, by rename and without
+fsync, since after a crash the checksum refuses a torn file. Where the slot
+file cannot be written (a read-only directory, a full quota), the words are
+kept in memory only. A lookup probes the table and reads only the lines its
+probe points at (normally exactly one, none for a miss), each in one store
+read of exactly its bytes, whatever its length, then matches the name and
+key tokens of that line exactly, never by substring, so "040" does not hit
+"0404". When a file holds the same (name, key) twice, the first line wins.
 
 ``runs(name)`` gives the record runs of every line named ``name``. One pass
 over the file on the first query builds the runs of all names, kept for the
@@ -46,6 +46,7 @@ import sys
 import threading
 from _blake2 import blake2b  # hashlib.blake2b, without the OpenSSL that importing hashlib maps: 0.6 MB of RSS
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -61,7 +62,7 @@ logger = logging.getLogger(__name__)
 # by the table's random salt, so keys sent from outside cannot be chosen to
 # collide. A probe reads a line only on a tag match, 1 in 16M per word passed,
 # so a miss reads none. A line of LONG_LINE bytes or more keeps its exact
-# length in a dict by offset.
+# length in the long-line words, found by bisecting their offsets.
 TAG_BITS = 24
 OFFSET_BITS = 32  # so an index must stay under 4 GiB
 LENGTH_BITS = 8
@@ -72,14 +73,15 @@ SLOTS_PER_ENTRY = 1.5  # a load sizes the table at this many slots per line
 MIN_SLOTS = 8
 BLOCK_BYTES = 1 << 14  # a build pass holds one block's lines at a time: a few hundred, not thousands
 
-# <index>.slots is native 64-bit words: the magic, which carries the format
-# version and byte order, with the 16-byte salt (3 words); the index's stamp,
-# as _stamp gives it (5); the slot and long-line counts (2); the slots; an
-# (offset, length) pair per long line; a checksum of every word before it.
+# <index>.slots is native 64-bit words, the only encoding of the table: the
+# magic, which carries the format version and byte order, with the 16-byte
+# salt (3 words); the index's stamp, as _stamp gives it (4); the slot and
+# long-line counts (2); the slots; the long lines' offsets, in file order,
+# then their lengths; a checksum of every word before it.
 SLOTS_SUFFIX = ".slots"
-SLOTS_MAGIC = b"RACSLT1" + sys.byteorder[0].upper().encode("ascii")
+SLOTS_MAGIC = b"RACSLT2" + sys.byteorder[0].upper().encode("ascii")
 SALT_BYTES = 16
-HEADER_WORDS = 10
+HEADER_WORDS = 9
 
 
 def _check_token(field: str, value: str) -> None:
@@ -138,18 +140,6 @@ def _checksum(data) -> int:
     return int.from_bytes(blake2b(data, digest_size=8).digest(), "little")
 
 
-def _word(h: int, offset: int, length: int) -> int:
-    return ((h & TAG_MASK) << OFFSET_BITS | offset) << LENGTH_BITS | min(length, LONG_LINE)
-
-
-def _insert(slots: array, h: int, word: int) -> None:
-    n = len(slots)
-    i = (h >> TAG_BITS) % n
-    while slots[i]:
-        i = i + 1 if i + 1 < n else 0
-    slots[i] = word
-
-
 def _count_lines(records: RecordStore, size: int) -> int:
     """Lines in the first ``size`` bytes of ``records``, an unterminated last one counted."""
     blocks = range(0, size, BLOCK_BYTES)
@@ -169,22 +159,34 @@ def _lines(records: RecordStore, size: int) -> Iterator[bytes]:
     return chain.from_iterable(blocks())
 
 
-def _load(records: RecordStore, size: int) -> tuple[bytes, array, dict[int, int]]:
-    """Count the lines, size the table for them, then one pass under a new salt fills it and measures the long lines."""
+def _load(records: RecordStore, size: int) -> array:
+    """The words of the slot file of the first ``size`` bytes of ``records``, built in one array: count the
+    lines, size the table for them, then one pass under a new salt fills its slots and measures the long lines."""
+    stamp = _stamp(records, size)  # taken before the passes, so a file changed during them gets a stale stamp
+    n = max(MIN_SLOTS, int(_count_lines(records, size) * SLOTS_PER_ENTRY) + 1)
+    words = array("Q", [0]) * (HEADER_WORDS + n + 1)
     salt = os.urandom(SALT_BYTES)
-    slots = array("Q", [0]) * max(MIN_SLOTS, int(_count_lines(records, size) * SLOTS_PER_ENTRY) + 1)
-    long_lines = {}
+    words[:8] = array("Q", SLOTS_MAGIC + salt) + array("Q", (*stamp, n))
+    slots = memoryview(words)[HEADER_WORDS:HEADER_WORDS + n]
+    long_lines = array("Q")  # offset, length, offset, ...
     offset = 0
     for line in _lines(records, size):
         tokens = line.split(None, 2)
         if len(tokens) >= 2:
             h = _hash(salt, tokens[0], tokens[1])
             length = min(len(line) + 1, size - offset)
-            _insert(slots, h, _word(h, offset, length))
+            i = (h >> TAG_BITS) % n
+            while slots[i]:
+                i = i + 1 if i + 1 < n else 0
+            slots[i] = ((h & TAG_MASK) << OFFSET_BITS | offset) << LENGTH_BITS | min(length, LONG_LINE)
             if length >= LONG_LINE:
-                long_lines[offset] = length
+                long_lines.extend((offset, length))
         offset += len(line) + 1
-    return salt, slots, long_lines
+    slots.release()  # an array with a view exported refuses to resize
+    words[8] = len(long_lines) // 2
+    words[HEADER_WORDS + n:-1] = long_lines[::2] + long_lines[1::2]  # resizes only where there are long lines
+    words[-1] = _checksum(memoryview(words)[:-1])
+    return words
 
 
 def slots_path(index_path: Path) -> Path:
@@ -193,55 +195,50 @@ def slots_path(index_path: Path) -> Path:
 
 
 def _stamp(records: RecordStore, size: int) -> tuple[int, ...]:
-    """The stamp of the first ``size`` bytes of the file ``records`` reads: its device, inode, ``size``, mtime, ctime.
+    """The stamp of the first ``size`` bytes of the file ``records`` reads: its inode, ``size``, mtime, ctime.
 
-    ``size`` stands in for st_size, so a table built by a handle opened
-    before the file grew in place is not taken for a table of the longer file."""
+    ``size`` stands in for st_size, so a table built by a handle opened before the file grew in place is not
+    taken for the longer file's. No device: each host numbers its own mounts, and the slot file is beside its
+    index, on its filesystem."""
     st = records.fstat()
-    return tuple(v % (1 << 64) for v in (st.st_dev, st.st_ino, size, st.st_mtime_ns, st.st_ctime_ns))
+    return tuple(v % (1 << 64) for v in (st.st_ino, size, st.st_mtime_ns, st.st_ctime_ns))
 
 
-def _read_slots(path: Path, stamp: tuple[int, ...]):
-    """The table kept at ``path``, its words used in place, if the file is whole and has ``stamp``; else None."""
+def _read_slots(path: Path, stamp: tuple[int, ...]) -> memoryview | None:
+    """The words of the slot file at ``path``, as read, if the file is whole and has ``stamp``; else None."""
     try:
         with RecordStore.open_fixed(path, 8) as store:
             data = store.read_block(0, store.record_count)  # one read, uncounted as the build passes are
     except (OSError, ValueError):  # missing, or not whole words
         return None
     words = memoryview(data).cast("Q")
-    if len(words) <= HEADER_WORDS or data[:8] != SLOTS_MAGIC or tuple(words[3:8]) != stamp:
+    if len(words) <= HEADER_WORDS or data[:8] != SLOTS_MAGIC or tuple(words[3:7]) != stamp:
         return None
-    n, long_count = words[8], words[9]
-    if len(words) != HEADER_WORDS + n + 2 * long_count + 1 or words[-1] != _checksum(memoryview(data)[:-8]):
+    if len(words) != HEADER_WORDS + words[7] + 2 * words[8] + 1 or words[-1] != _checksum(words[:-1]):
         return None
-    pairs = words[HEADER_WORDS + n:-1]
-    return data[8:8 + SALT_BYTES], words[HEADER_WORDS:HEADER_WORDS + n], dict(zip(pairs[::2], pairs[1::2]))
-
-
-def _slots_file(stamp: tuple[int, ...], salt: bytes, slots: array, long_lines: dict[int, int]) -> array:
-    """The words of the slot file of a table built from the index bytes with ``stamp``."""
-    words = array("Q")
-    words.frombytes(SLOTS_MAGIC + salt)
-    words.extend((*stamp, len(slots), len(long_lines)))
-    words.extend(slots)
-    words.extend(chain.from_iterable(long_lines.items()))
-    words.append(_checksum(words))
     return words
+
+
+def _views(words) -> tuple[bytes, memoryview, tuple[memoryview, memoryview]]:
+    """A lookup's table over checked slot-file words, read or built: salt, slots, long-line offsets and lengths."""
+    words = memoryview(words)
+    offsets_at = HEADER_WORDS + words[7]
+    lengths_at = offsets_at + words[8]
+    return words[1:3].tobytes(), words[HEADER_WORDS:offsets_at], (words[offsets_at:lengths_at], words[lengths_at:-1])
 
 
 def _load_table(records: RecordStore, size: int):
     """The table from the index's slot file, if it is made for these bytes; else built by ``_load`` and
     published as the slot file for the next handle, or, if that fails, kept in memory only."""
     path = slots_path(records.path)
-    stamp = _stamp(records, size)
-    table = _read_slots(path, stamp)
-    if table is None:
-        table = _load(records, size)
+    words = _read_slots(path, _stamp(records, size))
+    if words is None:
+        words = _load(records, size)
         try:
-            publish_file(path, _slots_file(stamp, *table), replace=True, sync=False)
+            publish_file(path, words, replace=True, sync=False)
         except OSError as error:
             logger.debug("slot table of %s kept in memory only: %s", records.path, error)
-    return table
+    return _views(words)
 
 
 def _load_runs(records: RecordStore, size: int) -> dict[str, tuple[tuple[int, int], ...]]:
@@ -275,7 +272,7 @@ class SerialIndex(Closeable):
         if self.records.record_count >> OFFSET_BITS:
             self.close()
             raise ValueError(f"index {path} is {self.records.record_count} B, not under the {1 << OFFSET_BITS} B limit")
-        self._table: tuple[bytes, array | memoryview, dict[int, int]] | None = None  # salt, slots, long lines
+        self._table: tuple[bytes, memoryview, tuple[memoryview, memoryview]] | None = None  # salt, slots, long lines
         self._runs: dict | None = None
         self._failed: dict[str, tuple] = {}  # attr -> the args of the ValueError its build raised
         self._lock = threading.Lock()
@@ -320,7 +317,8 @@ class SerialIndex(Closeable):
                     offset = word >> LENGTH_BITS & OFFSET_MASK
                     length = word & LONG_LINE
                     if length == LONG_LINE:
-                        length = long_lines[offset]
+                        offsets, lengths = long_lines
+                        length = lengths[bisect_left(offsets, offset)]
                     text = self.records.read_records(offset, length).decode("ascii")
                     tokens = text.split()
                     if len(tokens) >= 2 and tokens[0] == name and tokens[1] == key:

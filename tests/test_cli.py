@@ -232,3 +232,24 @@ def test_importing_the_cli_loads_no_http_server():
     child = "import sys, raclib.cli; print('http.server' in sys.modules, 'raclib.bench' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, timeout=60)
     assert out.stdout.split() == ["False", "False"], out.stderr
+
+
+def test_reads_outside_the_store_exit_1_with_one_error_line(tmp_path):
+    (tmp_path / "in").mkdir()
+    for key in ("0001", "0002", "0003"):
+        (tmp_path / "in" / f"Book_{key}.jpg").write_bytes(b"x" * 100)
+    assert main(["pack", "--in", str(tmp_path / "in"), "--collection", "books", "--out", str(tmp_path / "lib"),
+                 "--record-size", "128"]) == 0
+    library = str(tmp_path / "lib" / "books.raclib")
+    (tmp_path / "far.index").write_text("Book 0002 99 1 10\n")  # a line past the store's 3 records
+    assert main(["bench", "serial", "--archive", str(tmp_path / "members.arch"), "--member", "0",
+                 "--members", "3", "--member-size", "64"]) == 0
+    commands = [
+        ["fetch", "--library", library, "--index", str(tmp_path / "far.index"), "--name", "Book", "--key", "0002"],
+        ["bench", "fetch", "--library", library, "--start", "100", "--count", "1"],
+        ["bench", "serial", "--archive", str(tmp_path / "members.arch"), "--member", "5"],
+    ]
+    for command in commands:
+        out = subprocess.run([sys.executable, "-m", "raclib.cli", *command], capture_output=True, text=True, timeout=60)
+        assert out.returncode == 1, (command, out.stderr)
+        assert out.stderr.startswith("raclib: error:") and "Traceback" not in out.stderr, (command, out.stderr)

@@ -3,13 +3,15 @@ import logging
 import os
 import random
 import threading
+from types import SimpleNamespace
 
 import pytest
-from helpers import open_fd_count
+from helpers import open_fd_count, traced_peak
 
 from raclib import serial_index
 from raclib.errors import NotFoundError
 from raclib.serial_index import SerialIndex, SerialIndexEntry
+from raclib.store import RecordStore
 
 
 @pytest.fixture
@@ -408,6 +410,10 @@ def wrong_version(path, written):
     rewrite_slots(path, lambda data: data.__setitem__(slice(6, 7), b"9"))
 
 
+def version_one(path, written):
+    rewrite_slots(path, lambda data: data.__setitem__(slice(6, 7), b"1"))
+
+
 def wrong_byte_order(path, written):
     rewrite_slots(path, lambda data: data.__setitem__(slice(7, 8), b"X"))
 
@@ -420,8 +426,8 @@ def slots_of_another_index(path, written):
 
 
 @pytest.mark.parametrize("damage", [
-    replace_index, append_in_place, truncate_slots, flip_one_slot_byte, wrong_version, wrong_byte_order,
-    slots_of_another_index,
+    replace_index, append_in_place, truncate_slots, flip_one_slot_byte, wrong_version, version_one,
+    wrong_byte_order, slots_of_another_index,
 ])
 def test_stale_or_damaged_slot_file_is_never_trusted(tmp_path, monkeypatch, damage):
     path = tmp_path / "i"
@@ -467,7 +473,8 @@ def test_unwritable_slot_file_serves_from_memory(tmp_path, monkeypatch, caplog):
 
 def test_concurrent_first_lookups_read_the_slot_file_once(tmp_path, monkeypatch):
     write_lines(tmp_path / "big.index", 20_000)
-    SerialIndex(tmp_path / "big.index").lookup("title0", "0000")  # publishes the slot file
+    with SerialIndex(tmp_path / "big.index") as first:
+        first.lookup("title0", "0000")  # publishes the slot file
     builds = counted_loads(monkeypatch)
     reads = []
     real_read_slots = serial_index._read_slots
@@ -489,3 +496,47 @@ def test_concurrent_first_lookups_read_the_slot_file_once(tmp_path, monkeypatch)
     index.close()
     assert found == [True] * 8
     assert (len(reads), builds) == (1, [])
+
+
+def test_table_is_views_over_the_slot_file_words_whether_built_or_read(tmp_path):
+    path = tmp_path / "i"
+    written = [SerialIndexEntry("a", "1", 0, 1), SerialIndexEntry("N" * 300, "1", 9, 2),
+               SerialIndexEntry("b", "1", 11, 1), SerialIndexEntry("L" * 400, "2", 12, 1)]
+    lines = [e.line() for e in written]
+    SerialIndex.create(path, written).close()
+    for _ in range(2):  # the first handle builds the words and publishes them, the second reads them
+        with SerialIndex(path) as index:
+            assert all(index.lookup(e.name, e.key) == e for e in written)
+            salt, slots, (offsets, lengths) = index._table
+            words = bytes(slots.obj)
+            assert words == serial_index.slots_path(path).read_bytes()
+            assert salt == words[8:24]
+            assert offsets.tolist() == [len(lines[0]), len("".join(lines[:3]))]  # in file order
+            assert lengths.tolist() == [len(lines[1]), len(lines[3])]
+
+
+def test_cold_build_holds_one_copy_of_the_table(tmp_path):
+    path = tmp_path / "big.index"
+    write_lines(path, 100_000)
+    with SerialIndex(path) as index:
+        peak = traced_peak(lambda: index.lookup("title7", "0007"))
+    assert peak <= 1.25 * serial_index.slots_path(path).stat().st_size
+
+
+def test_a_host_that_numbers_the_disk_otherwise_reads_the_slot_file(tmp_path, monkeypatch):
+    # Hosts that share one disk number its device each for itself, so the stamp must not depend on that number.
+    path = tmp_path / "i"
+    written = entries(300)
+    SerialIndex.create(path, written).close()
+    assert_lookups_exact(path, written)  # publishes the slot file
+    real_fstat = RecordStore.fstat
+
+    def fstat_on_another_host(store):
+        st = real_fstat(store)
+        return SimpleNamespace(st_dev=st.st_dev + 1, st_ino=st.st_ino, st_size=st.st_size,
+                               st_mtime_ns=st.st_mtime_ns, st_ctime_ns=st.st_ctime_ns)
+
+    monkeypatch.setattr(RecordStore, "fstat", fstat_on_another_host)
+    builds = counted_loads(monkeypatch)
+    assert_lookups_exact(path, written)
+    assert builds == []
