@@ -195,7 +195,6 @@ class BucketCache:
 class DeliveryResult:
     payload: bytes
     source: str  # "cache" or "library"
-    fetch_millis: float
 
 
 class ImageResolver:
@@ -218,20 +217,18 @@ class ImageResolver:
 
     def resolve(self, request: DeliveryRequest) -> DeliveryResult:
         now = self.cache.now()
-        started = time.perf_counter()
         filename = request.cache_filename()
         try:
             self.cache.ensure_bucket(now)
             cached = self.cache.find_cached(filename, now)
         except OSError as exc:
             logger.warning("cache unusable, serving without it: %s", exc)
-            return DeliveryResult(self._fetch(request.title, request.page), "library",
-                                  (time.perf_counter() - started) * 1000)
+            return DeliveryResult(self._fetch(request.title, request.page), "library")
         if cached is not None:
-            return DeliveryResult(cached, "cache", (time.perf_counter() - started) * 1000)
+            return DeliveryResult(cached, "cache")
         payload = self._fetch(request.title, request.page)
         try:
             self.cache.store_file(filename, payload, now)
         except OSError as exc:
             logger.warning("cache write failed for %s: %s", filename, exc)
-        return DeliveryResult(payload, "library", (time.perf_counter() - started) * 1000)
+        return DeliveryResult(payload, "library")

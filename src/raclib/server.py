@@ -4,8 +4,9 @@ Endpoints:
     GET /image?title=<t>&page=<p>  -> image bytes, 404 unknown, 400 malformed
     GET /health                    -> 200
 
-Every image response carries ``X-RacLib-Source: cache|library`` and
-``X-RacLib-Millis`` so cache behaviour is observable from the outside.
+``respond`` chooses every status, header and body; ``DeliveryHandler`` only
+writes them. Every image response carries ``X-RacLib-Source: cache|library``
+and ``X-RacLib-Millis``, the time its resolve took.
 
 Connections are HTTP/1.1 and persistent: every response carries
 ``Content-Length``, so a client may send any number of requests on one
@@ -24,9 +25,11 @@ handler thread has finished, so the resolver may be closed after it.
 
 from __future__ import annotations
 
+import _signal  # signal's core, loaded by the interpreter: importing signal costs memory
 import logging
 import socket
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
@@ -55,6 +58,40 @@ def sniff_content_type(payload: bytes) -> str:
     return "image/jpeg"
 
 
+_TEXT = (("Content-Type", "text/plain"),)
+
+
+def respond(resolver: ImageResolver, target: str) -> tuple[int, tuple[tuple[str, str], ...], bytes]:
+    """The ``(status, headers, body)`` that answer ``GET target``; headers are (name, value) pairs.
+
+    ``X-RacLib-Millis`` is the time ``resolver.resolve`` took. A resolver
+    failure other than NotFoundError is logged and answered with 500, so a
+    corrupt library or index never drops the connection.
+    """
+    parts = urlsplit(target)
+    if parts.path == "/health":
+        return 200, _TEXT, b"ok\n"
+    if parts.path != "/image":
+        return 404, _TEXT, b"not found\n"
+    params = parse_qs(parts.query)
+    try:
+        request = DeliveryRequest(title=params.get("title", [""])[0], page=params.get("page", [""])[0])
+    except ValueError as exc:
+        return 400, _TEXT, f"bad request: {exc}\n".encode()
+    started = time.perf_counter()
+    try:
+        result = resolver.resolve(request)
+    except NotFoundError:
+        return 404, _TEXT, b"unknown title/page\n"
+    except Exception:
+        logger.exception("delivery failed for %s", target)
+        return 500, _TEXT, b"internal error\n"
+    millis = (time.perf_counter() - started) * 1000
+    headers = (("Content-Type", sniff_content_type(result.payload)), ("X-RacLib-Source", result.source),
+               ("X-RacLib-Millis", f"{millis:.1f}"))
+    return 200, headers, result.payload
+
+
 class DeliveryHandler(BaseHTTPRequestHandler):
     server: "DeliveryServer"
     protocol_version = "HTTP/1.1"
@@ -66,52 +103,13 @@ class DeliveryHandler(BaseHTTPRequestHandler):
             # No endpoint reads a request body; on a kept-alive connection it
             # would be parsed as the next request, so close instead.
             self.close_connection = True
-        parts = urlsplit(self.path)
-        if parts.path == "/health":
-            self._send(200, b"ok\n", "text/plain")
-        elif parts.path == "/image":
-            self._serve_image(parse_qs(parts.query))
-        else:
-            self._send(404, b"not found\n", "text/plain")
-
-    def _serve_image(self, params):
-        try:
-            request = DeliveryRequest(
-                title=params.get("title", [""])[0],
-                page=params.get("page", [""])[0],
-            )
-        except ValueError as exc:
-            self._send(400, f"bad request: {exc}\n".encode(), "text/plain")
-            return
-        try:
-            result = self.server.resolver.resolve(request)
-        except NotFoundError:
-            self._send(404, b"unknown title/page\n", "text/plain")
-            return
-        except Exception:  # a corrupt library or index must not drop the connection
-            logger.exception("delivery failed for %s", self.path)
-            self._send(500, b"internal error\n", "text/plain")
-            return
-        self._send(
-            200,
-            result.payload,
-            sniff_content_type(result.payload),
-            extra={
-                "X-RacLib-Source": result.source,
-                "X-RacLib-Millis": f"{result.fetch_millis:.1f}",
-            },
-        )
-
-    def _send(self, status: int, body: bytes, content_type: str, extra: dict | None = None):
+        status, headers, body = respond(self.server.resolver, self.path)
         self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (extra or {}).items():
+        for name, value in headers:
             self.send_header(name, value)
-        if self.server.closing:
-            self.close_connection = True
-        if self.close_connection:
-            self.send_header("Connection", "close")
+        self.send_header("Content-Length", str(len(body)))
+        if self.close_connection or self.server.closing:
+            self.send_header("Connection", "close")  # which also sets close_connection
         self.end_headers()
         self.wfile.write(body)
 
@@ -160,10 +158,11 @@ def build_resolver(config: Config) -> ImageResolver:
 
 
 def serve(config: Config) -> None:
-    """Run the delivery service until interrupted."""
+    """Run the delivery service until interrupted (SIGINT or SIGTERM), then close it."""
     server = DeliveryServer(("", config.port), build_resolver(config))
-    logger.info("serving %s on port %d", config.library_dir, config.port)
+    _signal.signal(_signal.SIGTERM, _signal.default_int_handler)  # a service manager's stop, taken as ^C
     try:
+        logger.info("serving %s on port %d", config.library_dir, config.port)
         server.serve_forever()
     except KeyboardInterrupt:
         pass

@@ -221,11 +221,13 @@ def test_serve_logs_timestamped_lines(tmp_path):
         assert select.select([proc.stderr], [], [], 10)[0], "no log line within 10 s"
         line = proc.stderr.readline()
     finally:
-        proc.terminate()
-        proc.wait(timeout=10)
+        proc.terminate()  # SIGTERM, as a service manager stops it: handled like ^C
+        returncode = proc.wait(timeout=10)
+        rest = proc.stderr.read()
         proc.stderr.close()
     stamp = r"\d{4}-\d\d-\d\d \d\d:\d\d:\d\d,\d{3}"
     assert re.fullmatch(stamp + rf" INFO raclib.server: serving \S+ on port {port}\n", line), line
+    assert returncode == 0 and "Traceback" not in rest, (returncode, rest)
 
 
 def test_importing_the_cli_loads_no_http_server():

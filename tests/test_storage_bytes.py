@@ -6,18 +6,24 @@ fetches from storage in ``/proc/self/io`` ``read_bytes``. A read may fetch
 the pages its bytes span, plus the kernel's readahead window (128 KiB by
 default). Where an evicted page counts no storage bytes (tmpfs), the tests
 skip. Each library's index is opened and its in-memory structures built
-first, so only the data file is read cold.
+first, so only the data file is read cold. The HTTP case serves from a
+thread of the test process, so its reads are counted there too.
 """
 
+import http.client
 import os
 import random
+import threading
 
 import pytest
 from helpers import random_death_fields
 from test_neuro import compact_atlas
 
+from raclib.cache import BucketCache, ImageResolver
 from raclib.computed_index import name_ordinal
 from raclib.neuro import COORD_RECORD_SIZE, DATA_FILE as VOXELS_FILE, RegionLibrary
+from raclib.pack import Collection, pack_directory
+from raclib.server import DeliveryServer
 from raclib.ssdi import DATA_FILE as RECORDS_FILE, RECORD_SIZE, DeathRecord, SearchQuery, SsdiLibrary
 from raclib.store import RecordStore
 
@@ -105,3 +111,36 @@ def test_evicted_region_query_fetches_only_its_records(tmp_path):
         counted = cold_read_bytes(tmp_path / "lib" / VOXELS_FILE, lambda: got.append(library.region_voxels("region_4")))
     assert got == [expected]
     assert 0 < counted <= allowed(start * COORD_RECORD_SIZE, count * COORD_RECORD_SIZE), counted
+
+
+def test_evicted_member_served_over_http_fetches_only_its_pages(tmp_path):
+    rng = random.Random(8)
+    (tmp_path / "in").mkdir()
+    payloads = {f"{i:04d}": rng.randbytes(3_000) for i in range(600)}  # 1.8 MB in 1 KiB records
+    for key, payload in payloads.items():
+        (tmp_path / "in" / f"Book_{key}.jpg").write_bytes(payload)
+    pack_directory(tmp_path / "in", "books", tmp_path / "lib").close()
+    collection = Collection.open(tmp_path / "lib" / "books.raclib")
+    resolver = ImageResolver(collection.fetch, BucketCache(tmp_path / "cache"), close=collection.close)
+    server = DeliveryServer(("127.0.0.1", 0), resolver)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    conn = http.client.HTTPConnection("127.0.0.1", server.server_address[1], timeout=10)
+
+    def get(key):
+        conn.request("GET", f"/image?title=Book&page={key}")
+        with conn.getresponse() as response:
+            return response.status, response.getheader("X-RacLib-Source"), response.read()
+
+    try:
+        assert get("0001") == (200, "library", payloads["0001"])  # builds the index's slot table
+        for key in ("0000", "0300", "0599"):
+            ref = collection.index.lookup("Book", key).to_ref(collection.store.record_size)
+            got = []
+            counted = cold_read_bytes(tmp_path / "lib" / "books.raclib", lambda: got.append(get(key)))
+            assert got == [(200, "library", payloads[key])]
+            assert 0 < counted <= allowed(ref.start * collection.store.record_size, ref.byte_length), (key, counted)
+    finally:
+        conn.close()
+        server.shutdown()
+        server.server_close()
+        resolver.close()
