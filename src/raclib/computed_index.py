@@ -107,6 +107,20 @@ def pack_entries(entries: Iterable[GroupEntry]) -> bytearray:
     return packed
 
 
+def pack_tiling(counts: Iterable[int]) -> bytearray:
+    """``pack_entries`` of one entry per group count, each group starting where the one before ends."""
+    packed = bytearray()
+    start = 0
+    for count in counts:
+        if not (0 <= count <= _MAX_COUNT and start <= _MAX_START):
+            GroupEntry(start, count)  # raises, naming the value out of range
+        packed += b"%010d %08d\n" % (start, count)
+        start += count
+    if len(packed) != INDEX_FILE_SIZE:
+        raise ValueError(f"expected {GROUP_COUNT} entries, got {len(packed) // ENTRY_WIDTH}")
+    return packed
+
+
 class ComputedIndex(Closeable):
     """A codec over one fixed-geometry, read-only record store."""
 
@@ -123,7 +137,7 @@ class ComputedIndex(Closeable):
 
     @classmethod
     def create_packed(cls, path: str | Path, records) -> "ComputedIndex":
-        """Create the index from the bytes ``pack_entries`` returned, in one write and one fsync."""
+        """Create the index from the bytes ``pack_entries`` or ``pack_tiling`` returned, in one write and one fsync."""
         if len(records) != INDEX_FILE_SIZE:
             raise ValueError(f"an index is {INDEX_FILE_SIZE} bytes, got {len(records)}")
         return cls(RecordStore.create_fixed(path, ENTRY_WIDTH, records))

@@ -16,15 +16,15 @@ This module never opens or parses an index file itself.
 
 A run is decoded in one pass over its bytes: each 16-byte record is checked
 and split into its three axis tokens by one compiled pattern, and each
-token is looked up in a table of the 1,999 canonical tokens. A record that
-fails either step is decoded by ``decode_coord``, so it raises as that does;
+token is looked up in a table of the canonical tokens met so far. A record
+that fails either step is decoded by ``decode_coord``, so it raises as that
+does, and adds its tokens to the table if it is canonical;
 ``decode_coord`` stays the strict parser of names from outside.
 """
 
 from __future__ import annotations
 
 import re
-from functools import cache
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
@@ -119,22 +119,19 @@ def _unpack_coord(raw: bytes) -> Voxel:
     return decode_coord(raw.rstrip(b"\x00").decode("ascii"))
 
 
-@cache
-def _axis_values() -> dict[bytes, int]:
-    """Every canonical axis token and its component: b"n41" -> -41; b"p01" and b"n0" are absent.
-
-    Built on the first voxel read, not at import (~0.2 MB that only atlas reads use).
-    """
-    return {_axis_code(value).encode("ascii"): value for value in range(-COORD_BOUND, COORD_BOUND + 1)}
+# Canonical axis tokens met so far and their components: b"n41" -> -41. Filled as
+# records are decoded, so it holds the tokens a process reads, not all 1,999 (198 KB).
+_AXIS_VALUES: dict[bytes, int] = {}
 
 
 def _unpack_run(data: bytes) -> list[Voxel]:
     """``_unpack_coord`` of each record of ``data``, in one pass: a split and three table lookups per record.
 
     A record that is not three canonical tokens and NUL padding goes through
-    ``_unpack_coord``, so it raises as that does.
+    ``_unpack_coord``, so it raises as that does; so does one whose tokens
+    are not in the table yet, which then adds them.
     """
-    values = _axis_values()
+    values = _AXIS_VALUES
     split = _RECORD_RE.fullmatch
     new = tuple.__new__
     voxels = []
@@ -142,27 +139,39 @@ def _unpack_run(data: bytes) -> list[Voxel]:
         try:
             x, y, z = split(data, o, o + COORD_RECORD_SIZE).groups()
             voxel = new(Voxel, (values[x], values[y], values[z]))
-        except (AttributeError, KeyError):  # no match, or a token that is not canonical
-            voxel = None
-        voxels.append(voxel or _unpack_coord(data[o : o + COORD_RECORD_SIZE]))
+        except (AttributeError, KeyError):  # no match, or a token not met yet
+            voxel = _unpack_coord(data[o : o + COORD_RECORD_SIZE])
+            values.update(zip((x, y, z), voxel))  # canonical, so split matched: these are its tokens
+        voxels.append(voxel)
     return voxels
 
 
-def _blocks(region: str, voxels: Iterable[Voxel], codes: _ComponentCodes) -> dict[str, list[Voxel]]:
-    """A region's voxels grouped by block in first-use order; a repeated or invalid voxel raises."""
+def _block_records(region: str, voxels: Iterable[Voxel], codes: _ComponentCodes) -> dict[tuple, bytearray]:
+    """A region's packed records, one buffer per block in first-use order; a repeated or invalid voxel raises.
+
+    One pass: each voxel is checked, and its record appended to its block's
+    buffer, which is keyed by the block's three decade codes.
+    """
     seen: set[Voxel] = set()
-    grouped: dict[str, list[Voxel]] = {}
+    blocks: dict[tuple, bytearray] = {}
     for voxel in voxels:
         if type(voxel) is not Voxel:  # a Voxel is immutable, so it is kept, not copied
             voxel = Voxel(*voxel)
         x, y, z = voxel
         if type(x) is not int or type(y) is not int or type(z) is not int:
             raise ValueError(f"coordinate components must be ints: {voxel}")
-        if voxel in seen:
-            raise ValueError(f"duplicate voxel {voxel} in region {region}")
+        size = len(seen)
         seen.add(voxel)
-        grouped.setdefault(f"{codes[x][1]}_x{codes[y][1]}_y{codes[z][1]}_z", []).append(voxel)
-    return grouped
+        if len(seen) == size:
+            raise ValueError(f"duplicate voxel {voxel} in region {region}")
+        (cx, dx), (cy, dy), (cz, dz) = codes[x], codes[y], codes[z]
+        record = (cx + cy + cz).ljust(COORD_RECORD_SIZE, b"\x00")
+        block = blocks.get((dx, dy, dz))
+        if block is None:
+            blocks[dx, dy, dz] = bytearray(record)
+        else:
+            block += record
+    return blocks
 
 
 class RegionLibrary(Library):
@@ -186,12 +195,12 @@ class RegionLibrary(Library):
         entries = []
         start = 0
         for region, voxels in regions.items():
-            for block, members in _blocks(region, voxels, codes).items():
-                assert len(members) <= BLOCK_CAPACITY
-                for x, y, z in members:
-                    blob += (codes[x][0] + codes[y][0] + codes[z][0]).ljust(COORD_RECORD_SIZE, b"\x00")
-                entries.append(SerialIndexEntry(region, block, start, len(members)))
-                start += len(members)
+            for (dx, dy, dz), records in _block_records(region, voxels, codes).items():
+                count = len(records) // COORD_RECORD_SIZE
+                assert count <= BLOCK_CAPACITY
+                blob += records
+                entries.append(SerialIndexEntry(region, f"{dx}_x{dy}_y{dz}_z", start, count))
+                start += count
 
         out_dir = Path(out_dir)
         payloads = iter([blob])
@@ -239,10 +248,11 @@ def read_atlas_tsv(path: str | Path) -> dict[str, list[Voxel]]:
     # call: held by the module, it would cost every raclib process ~0.4 MB of
     # RSS that only an atlas parse uses.
     shared = {str(value): value for value in range(-COORD_BOUND, COORD_BOUND + 1)}
+    new = tuple.__new__
     regions: dict[str, list[Voxel]] = {}
-    for lineno, (region, x, y, z) in read_tsv(path, 4, "region<TAB>x<TAB>y<TAB>z"):
+    for lineno, (region, x, y, z), _ in read_tsv(path, 4, "region<TAB>x<TAB>y<TAB>z"):
         try:
-            voxel = Voxel(shared[x], shared[y], shared[z])
+            voxel = new(Voxel, (shared[x], shared[y], shared[z]))
         except KeyError:  # leading zeros, out of range (build rejects it) or not an integer
             if not all(map(_INTEGER_RE.fullmatch, (x, y, z))):
                 raise ValueError(f"{path}:{lineno}: coordinates must match -?[0-9]+: {x!r} {y!r} {z!r}") from None

@@ -8,8 +8,9 @@ one contiguous run of records, whatever the library size.
 A search checks every record it reads once, with one compiled pattern per
 record that accepts exactly what ``DeathRecord.unpack`` accepts (a record
 the pattern refuses goes through ``unpack``, which raises naming the field).
-A non-hit is rejected on its fixed-width name bytes, without decoding; the
-remaining candidates are built once each and filtered by ``matches``.
+A non-hit is rejected on its fixed-width name and year bytes, without
+decoding; the remaining candidates are built once each and filtered by
+``matches``.
 
 Record layout (64 bytes, one line of plain ASCII per person):
 
@@ -28,14 +29,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .computed_index import (
-    GROUP_COUNT,
-    ComputedIndex,
-    GroupEntry,
-    letters_only,
-    name_ordinal,
-    pack_entries,
-)
+from .computed_index import GROUP_COUNT, ComputedIndex, letters_only, name_ordinal, pack_tiling
 from .store import Library, read_tsv
 
 RECORD_SIZE = 64
@@ -47,8 +41,15 @@ INDEX_FILE = "groups.index"
 
 _DATE_RE = re.compile(r"[0-9]{8}")
 _SSN_RE = re.compile(r"[0-9]{9}")
+_WELL_FORMED_DATE = r"[0-9]{4}(?:0[0-9]|1[0-2])(?:[0-2][0-9]|3[01])"
 # ssn, birth and death concatenated, when all three are well formed.
-_NUMBERS_RE = re.compile(r"[0-9]{9}(?:[0-9]{4}(?:0[0-9]|1[0-2])(?:[0-2][0-9]|3[01])){2}")
+_NUMBERS_RE = re.compile(rf"[0-9]{{9}}(?:{_WELL_FORMED_DATE}){{2}}")
+# A plain TSV line: names ``DeathRecord`` stores as they are, and numbers ``_NUMBERS_RE`` accepts.
+# ``read_records_tsv`` takes its groups with no check; a line it refuses is checked field by field.
+_PLAIN_LINE = re.compile(
+    rf"([A-Z]{{1,{SURNAME_WIDTH}}})\t([A-Z]{{1,{GIVEN_WIDTH}}})\t([0-9]{{9}})"
+    rf"\t({_WELL_FORMED_DATE})\t({_WELL_FORMED_DATE})\n"
+)
 # A packed record that ``DeathRecord.unpack`` accepts, for ``fullmatch(data, o, o + 64)``: ASCII
 # names with no NUL or newline, then what _NUMBERS_RE accepts, two ASCII bytes and a newline.
 # Stricter than ``unpack`` only on a name field with a newline that strip() would remove;
@@ -57,7 +58,8 @@ _NUMBERS_RE = re.compile(r"[0-9]{9}(?:[0-9]{4}(?:0[0-9]|1[0-2])(?:[0-2][0-9]|3[0
 _RECORD_RE = re.compile(
     rb"[\x01-\x09\x0b-\x7f]{36}" + _NUMBERS_RE.pattern.encode("ascii") + rb"[\x00-\x7f]{2}\n"
 )
-_UPPER_RE = re.compile(rb"[A-Z]+")
+# A name field that is its own normalized form: upper-case letters, then space padding.
+_PLAIN_NAME_RE = re.compile(rb"[A-Z]* *")
 
 
 def _check_date(field: str, value: str) -> None:
@@ -78,7 +80,7 @@ def _stored_name(field: str, value: str, width: int) -> str:
     return stored
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeathRecord:
     """One person. Names are held in their stored (upper-case) form."""
 
@@ -110,23 +112,29 @@ class DeathRecord:
 
     def pack(self) -> bytes:
         line = (
-            f"{self.surname:<{SURNAME_WIDTH}}{self.given:<{GIVEN_WIDTH}}"
-            f"{self.ssn}{self.birth_date}{self.death_date}  \n"
+            self.surname.ljust(SURNAME_WIDTH) + self.given.ljust(GIVEN_WIDTH)
+            + self.ssn + self.birth_date + self.death_date + "  \n"
         )
         return line.encode("ascii")
 
     @classmethod
+    def _from_fields(cls, surname: str, given: str, ssn: str, birth_date: str, death_date: str) -> "DeathRecord":
+        """The record of fields its checks would store unchanged, not checked again."""
+        record = object.__new__(cls)
+        _set_surname(record, surname)
+        _set_given(record, given)
+        _set_ssn(record, ssn)
+        _set_birth_date(record, birth_date)
+        _set_death_date(record, death_date)
+        return record
+
+    @classmethod
     def _from_checked(cls, text: str) -> "DeathRecord":
         """``unpack`` of a record ``_RECORD_RE`` accepted: the same fields, not checked again."""
-        record = object.__new__(cls)
-        # Set as __init__ sets them: touching __dict__ would give each record a dict of its own.
-        set_field = object.__setattr__
-        set_field(record, "surname", text[:24].rstrip().upper().strip())
-        set_field(record, "given", text[24:36].rstrip().upper().strip())
-        set_field(record, "ssn", text[36:45])
-        set_field(record, "birth_date", text[45:53])
-        set_field(record, "death_date", text[53:61])
-        return record
+        return cls._from_fields(
+            text[:24].rstrip().upper().strip(), text[24:36].rstrip().upper().strip(),
+            text[36:45], text[45:53], text[53:61],
+        )
 
     @classmethod
     def unpack(cls, raw: bytes) -> "DeathRecord":
@@ -140,6 +148,13 @@ class DeathRecord:
             birth_date=text[45:53],
             death_date=text[53:61],
         )
+
+
+# Each field's slot setter: a record built from checked fields sets each once, faster than object.__setattr__.
+_set_surname, _set_given, _set_ssn, _set_birth_date, _set_death_date = (
+    DeathRecord.surname.__set__, DeathRecord.given.__set__, DeathRecord.ssn.__set__,
+    DeathRecord.birth_date.__set__, DeathRecord.death_date.__set__,
+)
 
 
 @dataclass(frozen=True)
@@ -208,12 +223,18 @@ class SsdiLibrary(Library):
             nonlocal index_records
             groups: list[bytearray | None] = [None] * GROUP_COUNT
             for record in records:
-                ordinal = name_ordinal(record.surname, record.given)
+                line = record.pack()
+                # Key letters that are the stored name's first bytes give the ordinal with no normalizing.
+                s1, s2, g1 = line[0], line[1], line[SURNAME_WIDTH]
+                if 65 <= s1 <= 90 and 65 <= s2 <= 90 and 65 <= g1 <= 90:
+                    ordinal = 676 * s1 + 26 * s2 + g1 - 45_695  # 703 * ord("A")
+                else:
+                    ordinal = name_ordinal(record.surname, record.given)
                 group = groups[ordinal]
                 if group is None:
                     group = groups[ordinal] = bytearray()
-                group += record.pack()
-            index_records = pack_entries(_tiling(len(group) // RECORD_SIZE if group else 0 for group in groups))
+                group += line
+            index_records = pack_tiling(len(group) // RECORD_SIZE if group else 0 for group in groups)
             for ordinal, group in enumerate(groups):
                 if group is not None:
                     groups[ordinal] = None  # so each group is released once it is written
@@ -232,30 +253,36 @@ class SsdiLibrary(Library):
     def search(self, query: SearchQuery) -> list[DeathRecord]:
         """One index fetch, one contiguous group read, then one pass over the group's bytes.
 
-        A checked record whose name bytes are upper-case letters other than
-        the query's prefix is rejected on those bytes, where ``matches``
-        would reject it; the others are built once and go through ``matches``.
+        A checked record is rejected on its bytes where ``matches`` would
+        reject it: on a name field of upper-case letters and padding that
+        does not start with the query's letters, or on year digits other than
+        the query's. The others are built once and go through ``matches``:
+        only the hits, unless a stored name holds other characters.
         """
         surname, given = letters_only(query.surname), letters_only(query.given)
         if not surname and not given:
             raise ValueError("search needs at least one name letter to derive key letters")
         entry = self.index.read_group_entry(name_ordinal(surname, given))
         data = self.store.read_records(entry.start, entry.count)
-        # A field's letters start with its first bytes when those are all letters, so a prefix
-        # no longer than its field can be compared with them; a longer one is left to ``matches``.
+        # A name field of letters and padding matches exactly when it starts with the query's
+        # letters; a prefix longer than its field is left to ``matches``.
         surname_b = surname.encode("ascii") if len(surname) <= SURNAME_WIDTH else b""
         given_b = given.encode("ascii") if len(given) <= GIVEN_WIDTH else b""
-        surname_end, given_end = len(surname_b), SURNAME_WIDTH + len(given_b)
-        checked, upper = _RECORD_RE.fullmatch, _UPPER_RE.fullmatch
+        birth = None if query.birth_year is None else _year_key(query.birth_year)
+        low = b"" if query.death_year_from is None else _year_key(query.death_year_from)
+        high = b":" if query.death_year_to is None else _year_key(query.death_year_to)
+        checked, plain_name = _RECORD_RE.fullmatch, _PLAIN_NAME_RE.fullmatch
         results = []
         for o in range(0, len(data), RECORD_SIZE):
             end = o + RECORD_SIZE
             if not checked(data, o, end):
                 record = DeathRecord.unpack(data[o:end])
             elif (
-                surname_b and not data.startswith(surname_b, o) and upper(data, o, o + surname_end)
+                surname_b and not data.startswith(surname_b, o) and plain_name(data, o, o + SURNAME_WIDTH)
                 or given_b and not data.startswith(given_b, o + SURNAME_WIDTH)
-                and upper(data, o + SURNAME_WIDTH, o + given_end)
+                and plain_name(data, o + SURNAME_WIDTH, o + SURNAME_WIDTH + GIVEN_WIDTH)
+                or birth is not None and data[o + 45 : o + 49] != birth
+                or not low <= data[o + 53 : o + 57] <= high
             ):
                 continue
             else:
@@ -265,17 +292,18 @@ class SsdiLibrary(Library):
         return results
 
 
-def _tiling(counts):
-    """Group entries whose starts are the prefix sums of ``counts``."""
-    start = 0
-    for count in counts:
-        yield GroupEntry(start=start, count=count)
-        start += count
+def _year_key(year: int) -> bytes:
+    """Bytes that compare with a checked record's four year digits as ``year`` compares with its year."""
+    return b"" if year < 0 else b":" if year > 9999 else b"%04d" % year
 
 
 def read_records_tsv(path: str | Path):
     """Yield DeathRecords from a surname/given/ssn/birth/death TSV file; a bad row raises naming its line."""
-    for lineno, fields in read_tsv(path, 5, "5 tab-separated fields"):
+    plain = DeathRecord._from_fields
+    for lineno, fields, is_plain in read_tsv(path, 5, "5 tab-separated fields", _PLAIN_LINE):
+        if is_plain:
+            yield plain(*fields)
+            continue
         try:
             record = DeathRecord(*fields)
         except ValueError as e:

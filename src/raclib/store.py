@@ -20,10 +20,10 @@ record count pointing into unwritten data, and each write is a temp
 fsync'd before its rename, so a crash never leaves an empty sidecar.
 
 Appends copy nothing and flush once per call: ``append_payloads`` writes
-each member from the caller's buffer and then its padding, if any, and
-makes one fsync and one sidecar update after its last payload, however many
-it wrote. A builder so holds each record once, as the bytes it hands over,
-and a pack of any number of members costs one data fsync.
+each member from the caller's buffer, with its padding, in one ``pwritev``,
+and makes one fsync and one sidecar update after its last payload, however
+many it wrote. A builder so holds each record once, as the bytes it hands
+over, and a pack of any number of members costs one data fsync.
 
 A file whose format fixes its geometry, such as either index, is a store
 with no sidecar: ``create_fixed`` publishes it whole and fsync'd
@@ -36,6 +36,7 @@ new one, published whole over the old by rename.
 from __future__ import annotations
 
 import os
+import re
 import threading
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
@@ -92,12 +93,16 @@ class IOCounters:
         self.bytes_read = 0
 
 
-def _pwrite_all(fd: int, data, offset: int) -> None:
-    view = memoryview(data).cast("B")
-    while view:
-        n = os.pwrite(fd, view, offset)
-        view = view[n:]
+def _pwritev_all(fd: int, buffers, offset: int) -> None:
+    """Write ``buffers`` back to back at ``offset``, one ``pwritev`` for all of them unless it writes short."""
+    views = [memoryview(buffer).cast("B") for buffer in buffers]
+    while views:
+        n = os.pwritev(fd, views, offset)
         offset += n
+        while views and n >= views[0].nbytes:
+            n -= views.pop(0).nbytes
+        if n:
+            views[0] = views[0][n:]
 
 
 def _pread_all(fd: int, nbytes: int, offset: int) -> bytes:
@@ -146,7 +151,7 @@ def publish_file(path: str | Path, data, replace: bool = False, sync: bool = Tru
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
         try:
-            _pwrite_all(fd, data, 0)
+            _pwritev_all(fd, (data,), 0)
             if sync:
                 os.fsync(fd)
         finally:
@@ -157,12 +162,23 @@ def publish_file(path: str | Path, data, replace: bool = False, sync: bool = Tru
             os.unlink(tmp)
 
 
-def read_tsv(path: str | Path, width: int, expected: str):
-    """Yield ``(lineno, fields)`` for each non-empty line of a UTF-8 text file, split at tabs; a line that
-    is not UTF-8, or of other than ``width`` fields, raises ``ValueError("<path>:<lineno>: ...")``."""
+def read_tsv(path: str | Path, width: int, expected: str, plain: re.Pattern | None = None):
+    """Yield ``(lineno, fields, is_plain)`` for each non-empty line of a UTF-8 text file, split at tabs.
+
+    A line that ``plain`` fully matches, newline included, yields the match's
+    groups with ``is_plain`` true, for the caller to take without checking
+    them: the caller's pattern admits only lines its checks would pass as
+    they are, and only ASCII, so never bytes that are not UTF-8. Every other
+    line yields its tab-split fields with ``is_plain`` false; if it is not
+    UTF-8, or of other than ``width`` fields, it raises
+    ``ValueError("<path>:<lineno>: ...")``.
+    """
     # Bytes that are not UTF-8 decode to lone surrogates, which encode() refuses, line by line.
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, 1):
+            if plain is not None and (m := plain.fullmatch(line)) is not None:
+                yield lineno, m.groups(), True
+                continue
             if not line.isascii():
                 try:
                     line.encode("utf-8")
@@ -173,7 +189,7 @@ def read_tsv(path: str | Path, width: int, expected: str):
                 fields = line.split("\t")
                 if len(fields) != width:
                     raise ValueError(f"{path}:{lineno}: expected {expected}")
-                yield lineno, fields
+                yield lineno, fields, False
 
 
 def _fsync_dir(path: Path) -> None:
@@ -267,8 +283,8 @@ class RecordStore(Closeable):
         """Append members from ``payloads``, in order, each NUL-padded to a record boundary.
 
         Each payload, any bytes-like object, is written from the caller's
-        buffer and its padding by a second write, so nothing is copied, and
-        a caller that yields and drops payloads holds one at a time. One
+        buffer with its padding by one ``pwritev``, so nothing is copied,
+        and a caller that yields and drops payloads holds one at a time. One
         fsync and one sidecar update follow the last payload. If drawing a
         payload raises, the sidecar keeps its old count: the state a crashed
         append leaves, whose written tail no reader reads. An empty payload
@@ -282,10 +298,7 @@ class RecordStore(Closeable):
         for payload in payloads:
             nbytes = memoryview(payload).nbytes
             count = -(-nbytes // rsize)
-            offset = end * rsize
-            _pwrite_all(self._fd, payload, offset)
-            if count * rsize > nbytes:
-                _pwrite_all(self._fd, bytes(count * rsize - nbytes), offset + nbytes)
+            _pwritev_all(self._fd, (payload, bytes(count * rsize - nbytes)), end * rsize)
             del payload  # dropped before the next one is drawn
             refs.append(RecordSetRef(start=end, count=count, byte_length=nbytes))
             end += count

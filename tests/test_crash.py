@@ -1,6 +1,6 @@
 """A build killed at any file-system call leaves no library, or a whole one.
 
-Each build's calls to ``os.open``, ``pwrite``, ``fsync``, ``link``,
+Each build's calls to ``os.open``, ``pwritev``, ``fsync``, ``link``,
 ``replace``, ``unlink`` and ``mkdir`` are recorded once. Then, for each k,
 a forked child reruns the build into a fresh directory and ends with
 ``os._exit`` just before call k + 1, as a kill would end it. What the child
@@ -22,7 +22,7 @@ from raclib.neuro import RegionLibrary, Voxel
 from raclib.pack import Collection, CollectionSet, pack_directory
 from raclib.ssdi import DeathRecord, SearchQuery, SsdiLibrary
 
-CALLS = ("open", "pwrite", "fsync", "link", "replace", "unlink", "mkdir")
+CALLS = ("open", "pwritev", "fsync", "link", "replace", "unlink", "mkdir")
 
 MEMBERS = {f"{i:04d}": random.Random(i).randbytes(300 + 700 * i) for i in range(4)}
 RECORDS = [DeathRecord(*fields) for fields in random_death_fields(random.Random(3), 6)]

@@ -1,18 +1,19 @@
-"""Round trips of the line and record codecs, and a model test of the serial index."""
+"""Round trips of the line and record codecs, a model test of the serial index, and the TSV fast path."""
 
 import tempfile
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from raclib import serial_index
+from raclib import serial_index, ssdi
 from raclib.computed_index import GroupEntry
 from raclib.errors import NotFoundError
 from raclib.neuro import COORD_BOUND, Voxel, decode_coord, encode_coord
 from raclib.serial_index import SerialIndex, SerialIndexEntry
+from raclib.ssdi import DeathRecord, read_records_tsv
 
 tokens = st.text(st.characters(min_codepoint=0x21, max_codepoint=0x7E), min_size=1, max_size=12)
 counts = st.integers(0, 10**12)
@@ -117,3 +118,96 @@ def test_lookups_match_a_scan_of_the_file(written, unterminated, weak, probes):
                         assert index.lookup(n, k) == want
                 assert index.entry_count() == len(path.read_text("ascii").splitlines())
             assert len(builds) == (1 if keys else 0)  # the second handle built no table
+
+
+# -- the TSV fast path: one compiled match per plain line ----------------------
+
+letters = "ABJKNOSZ"
+dates = st.builds("{:04d}{:02d}{:02d}".format, st.integers(0, 9999), st.integers(0, 12), st.integers(0, 31))
+plain_fields = st.tuples(
+    st.text(st.sampled_from(letters), min_size=1, max_size=24),
+    st.text(st.sampled_from(letters), min_size=1, max_size=12),
+    st.text(st.sampled_from("0123456789"), min_size=9, max_size=9),
+    dates, dates,
+).map(list)
+# Characters that one edit of a plain field puts in it, by field: the per-field checks change the
+# result (lower case, padding), take it as it is (punctuation) or refuse it.
+odd_characters = ["Aaz '-\x00ẞ", "Aaz '-\x00ẞ", "0x１ ", "0x１ ", "0x１ "]
+
+
+@st.composite
+def tsv_lines(draw) -> bytes:
+    """A plain line, or one a single edit away from plain; with or without its newline."""
+    fields = draw(plain_fields)
+    change = draw(st.sampled_from(["none", "none", "edit", "edit", "edit", "date", "count", "blank", "bytes"]))
+    if change == "edit":
+        i = draw(st.integers(0, 4))
+        value, odd = fields[i], draw(st.sampled_from(odd_characters[i]))
+        at = draw(st.integers(0, len(value) - 1))
+        fields[i] = draw(st.sampled_from([
+            value[:at] + odd + value[at:], value[:at] + odd + value[at + 1 :], value[:at] + value[at + 1 :],
+            value.lower(), f" {value}", f"{value} ", (value * 30)[: (25, 13, 10, 9, 9)[i]],  # one too long
+        ]))
+    elif change == "date":  # month up to 19, day up to 39
+        fields[draw(st.integers(3, 4))] = draw(
+            st.builds("{:04d}{:02d}{:02d}".format, st.integers(0, 9999), st.integers(0, 19), st.integers(0, 39))
+        )
+    elif change == "count":
+        fields = draw(st.sampled_from([fields[:4], fields + ["x"]]))
+    elif change == "blank":
+        fields = draw(st.sampled_from([[], [" "]]))
+    line = "\t".join(fields).encode("utf-8")
+    if change == "bytes":
+        at = draw(st.integers(0, len(line)))
+        line = line[:at] + draw(st.sampled_from([b"\xff", b"\xc3\xa9"])) + line[at:]  # not UTF-8; UTF-8 "é"
+    return line + draw(st.sampled_from([b"\n", b"\n", b"\r\n", b"\r", b""]))
+
+
+def read_all(path: Path):
+    """The records read before the first error, and its message."""
+    records = []
+    try:
+        for record in read_records_tsv(path):
+            records.append(record)
+    except ValueError as e:
+        return records, str(e)
+    return records, None
+
+
+def edge_line(surname=24, given=12, ssn="123456789", birth="19001231", death="20001131") -> bytes:
+    return f"{'A' * surname}\t{'B' * given}\t{ssn}\t{birth}\t{death}\n".encode()
+
+
+@settings(max_examples=200)
+@given(st.lists(tsv_lines(), max_size=12))
+@example([edge_line(), edge_line(surname=25), edge_line(given=13), edge_line(ssn="12345678")])
+@example([edge_line(birth="19001331"), edge_line(death="20001132"), edge_line(birth="1900123")])
+def test_plain_lines_read_as_the_per_field_checks_read_them(lines):
+    # The lines as one file, whose first bad line ends the read, and each line as a file of its own.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.tsv"
+        for text in [b"".join(lines), *lines]:
+            path.write_bytes(text)
+            fast = read_all(path)
+            with mock.patch.object(ssdi, "_PLAIN_LINE", None):  # every line through the per-field checks
+                assert fast == read_all(path), text
+
+
+def test_only_lines_the_match_refuses_go_through_the_field_checks(tmp_path):
+    path = tmp_path / "records.tsv"
+    path.write_text(
+        "SMITH\tJOHN\t123456789\t19000101\t19700101\r\n"
+        "O'Brien\tMARY\t123456788\t19000000\t19700101\r\n"
+        "\n"
+        "ZZZZZZZZZZZZZZZZZZZZZZZZ\tZZZZZZZZZZZZ\t123456787\t99991231\t00000000\n"
+        "LI\tANN\t123456786\t19000101\t19700101"
+    )
+    checked = []
+    real = DeathRecord.__post_init__
+    with mock.patch.object(DeathRecord, "__post_init__", lambda self: checked.append(self.surname) or real(self)):
+        records = list(read_records_tsv(path))
+    # A CRLF line is read as its LF twin; a punctuated name and a last line with no newline are not plain.
+    assert checked == ["O'Brien", "LI"]
+    assert [(r.surname, r.birth_date) for r in records] == [
+        ("SMITH", "19000101"), ("O'BRIEN", "19000000"), ("Z" * 24, "99991231"), ("LI", "19000101"),
+    ]

@@ -361,6 +361,37 @@ def test_search_equals_matches_over_every_record_of_the_group(records, styles, d
                     assert lib.search(query) == group_search(lib, query), query
 
 
+def test_search_builds_a_record_only_for_a_hit(tmp_path, monkeypatch):
+    names = itertools.product(["JOHNSON", "JOHNS", "JOHN", "JONES"], ["JAMES", "JO"] * 100)  # one group
+    records = [
+        DeathRecord(surname, given, f"{i:09d}", f"{1880 + i % 30}0101", f"{1940 + i % 60}1231")
+        for i, (surname, given) in enumerate(names)
+    ]
+    query = SearchQuery(surname="johns", given="J", birth_year=1890, death_year_from=1960, death_year_to=1985)
+    built = []
+    real = DeathRecord._from_checked.__func__
+    with SsdiLibrary.build(records, tmp_path / "lib") as lib:
+        counted = classmethod(lambda cls, text: built.append(text) or real(cls, text))
+        monkeypatch.setattr(DeathRecord, "_from_checked", counted)
+        hits = lib.search(query)
+    assert hits == [r for r in records if matches(query, r)]
+    assert len(hits) == len(built) == 6  # 400 of the group's 800 records have the names; 6 have the years too
+
+
+@pytest.mark.parametrize("years", [
+    {"birth_year": -1}, {"birth_year": 0}, {"birth_year": 9999}, {"birth_year": 10000}, {"birth_year": 1890},
+    {"death_year_from": -5}, {"death_year_from": 10000}, {"death_year_to": -1}, {"death_year_to": 12345},
+    {"death_year_from": -3, "death_year_to": 0}, {"death_year_from": 9999, "death_year_to": 10001},
+])
+def test_search_takes_any_query_year_as_matches_does(tmp_path, years):
+    dates = ["00000101", "00011231", "18900101", "99991231"]
+    records = [DeathRecord("JONES", "JO", f"{i:09d}", birth, death) for i, (birth, death) in
+               enumerate(itertools.product(dates, dates))]
+    query = SearchQuery(surname="JONES", given="J", **years)
+    with SsdiLibrary.build(records, tmp_path / "lib") as lib:
+        assert lib.search(query) == [r for r in records if matches(query, r)]
+
+
 # Each corrupts KENNER RALPH, the non-hit that shares KENNEDY ROBERT's group.
 CORRUPTIONS = {
     "ssn digit": (40, b"X", "ssn"),
