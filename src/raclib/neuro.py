@@ -28,7 +28,7 @@ import re
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
-from .serial_index import SerialIndex, SerialIndexEntry
+from .serial_index import SerialIndex, SerialIndexEntry, _check_token
 from .store import Library, read_tsv
 
 COORD_BOUND = 999  # 3-digit encoding per axis
@@ -241,8 +241,9 @@ def read_atlas_tsv(path: str | Path) -> dict[str, list[Voxel]]:
     """Parse region/x/y/z TSV lines into a region -> voxels map (file order).
 
     A component is exactly ``-?[0-9]+``; signs, spaces and underscores that
-    ``int()`` would accept raise ``ValueError("path:line: ...")``. Components
-    in range share one int object per value.
+    ``int()`` would accept raise ``ValueError("path:line: ...")``, as does a
+    region an index line cannot hold, checked on the line it first appears.
+    Components in range share one int object per value.
     """
     # Canonical text of every in-range component -> one int object. Built per
     # call: held by the module, it would cost every raclib process ~0.4 MB of
@@ -257,5 +258,12 @@ def read_atlas_tsv(path: str | Path) -> dict[str, list[Voxel]]:
             if not all(map(_INTEGER_RE.fullmatch, (x, y, z))):
                 raise ValueError(f"{path}:{lineno}: coordinates must match -?[0-9]+: {x!r} {y!r} {z!r}") from None
             voxel = Voxel(*[shared[text] if text in shared else int(text) for text in (x, y, z)])
-        regions.setdefault(region, []).append(voxel)
+        voxels = regions.get(region)
+        if voxels is None:
+            try:
+                _check_token("region", region)
+            except ValueError as e:
+                raise ValueError(f"{path}:{lineno}: {e}") from None
+            voxels = regions[region] = []
+        voxels.append(voxel)
     return regions

@@ -92,7 +92,7 @@ def pack_directory(
     else:
         named = {
             path: _indexable(parse_member_filename(path.name), str(path))
-            for path in sorted(input_dir.iterdir())
+            for path in sorted(input_dir.iterdir(), key=lambda p: p.name)
             if path.is_file()
         }
 

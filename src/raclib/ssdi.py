@@ -43,20 +43,20 @@ _DATE_RE = re.compile(r"[0-9]{8}")
 _SSN_RE = re.compile(r"[0-9]{9}")
 _WELL_FORMED_DATE = r"[0-9]{4}(?:0[0-9]|1[0-2])(?:[0-2][0-9]|3[01])"
 # ssn, birth and death concatenated, when all three are well formed.
-_NUMBERS_RE = re.compile(rf"[0-9]{{9}}(?:{_WELL_FORMED_DATE}){{2}}")
-# A plain TSV line: names ``DeathRecord`` stores as they are, and numbers ``_NUMBERS_RE`` accepts.
+_WELL_FORMED_NUMBERS = rf"[0-9]{{9}}(?:{_WELL_FORMED_DATE}){{2}}"
+# A plain TSV line: names ``DeathRecord`` stores as they are, and well-formed numbers.
 # ``read_records_tsv`` takes its groups with no check; a line it refuses is checked field by field.
 _PLAIN_LINE = re.compile(
     rf"([A-Z]{{1,{SURNAME_WIDTH}}})\t([A-Z]{{1,{GIVEN_WIDTH}}})\t([0-9]{{9}})"
     rf"\t({_WELL_FORMED_DATE})\t({_WELL_FORMED_DATE})\n"
 )
 # A packed record that ``DeathRecord.unpack`` accepts, for ``fullmatch(data, o, o + 64)``: ASCII
-# names with no NUL or newline, then what _NUMBERS_RE accepts, two ASCII bytes and a newline.
+# names with no NUL or newline, then well-formed numbers, two ASCII bytes and a newline.
 # Stricter than ``unpack`` only on a name field with a newline that strip() would remove;
 # such a record takes ``unpack``'s path. Never run over a whole group: ``(?:...)*`` makes sre
 # keep state for every record it repeats over, megabytes for a large group.
 _RECORD_RE = re.compile(
-    rb"[\x01-\x09\x0b-\x7f]{36}" + _NUMBERS_RE.pattern.encode("ascii") + rb"[\x00-\x7f]{2}\n"
+    rb"[\x01-\x09\x0b-\x7f]{36}" + _WELL_FORMED_NUMBERS.encode("ascii") + rb"[\x00-\x7f]{2}\n"
 )
 # A name field that is its own normalized form: upper-case letters, then space padding.
 _PLAIN_NAME_RE = re.compile(rb"[A-Z]* *")
@@ -93,14 +93,10 @@ class DeathRecord:
     def __post_init__(self):
         object.__setattr__(self, "surname", _stored_name("surname", self.surname, SURNAME_WIDTH))
         object.__setattr__(self, "given", _stored_name("given", self.given, GIVEN_WIDTH))
-        ssn, birth, death = self.ssn, self.birth_date, self.death_date
-        if len(ssn) == 9 and len(birth) == 8 and len(death) == 8 and _NUMBERS_RE.fullmatch(ssn + birth + death):
-            return
-        # Not all well formed: the first check to fail names the field.
-        if not _SSN_RE.fullmatch(ssn):
-            raise ValueError(f"ssn must be 9 digits, got {ssn!r}")
-        _check_date("birth_date", birth)
-        _check_date("death_date", death)
+        if not _SSN_RE.fullmatch(self.ssn):
+            raise ValueError(f"ssn must be 9 digits, got {self.ssn!r}")
+        _check_date("birth_date", self.birth_date)
+        _check_date("death_date", self.death_date)
 
     @property
     def birth_year(self) -> int:

@@ -17,7 +17,9 @@ store concurrently. A member read is one ``pread`` of exactly the member's
 own bytes: the padding after it is never read. The sidecar is written
 only after the appended bytes are fsync'd, so a crash never leaves the
 record count pointing into unwritten data, and each write is a temp
-fsync'd before its rename, so a crash never leaves an empty sidecar.
+fsync'd before its rename, so a crash never leaves an empty sidecar. A
+new store has no sidecar until its first append commits, so a store
+killed before then is a data file that ``open`` refuses.
 
 Appends copy nothing and flush once per call: ``append_payloads`` writes
 each member from the caller's buffer, with its padding, in one ``pwritev``,
@@ -218,21 +220,11 @@ class RecordStore(Closeable):
 
     @classmethod
     def create(cls, path: str | Path, record_size: int = DEFAULT_RECORD_SIZE) -> "RecordStore":
-        """Create an empty writable store. Fails if one already exists."""
+        """Create an empty writable store, whose file must not exist; its first append publishes its sidecar."""
         if record_size < 1:
             raise ValueError(f"record_size must be >= 1, got {record_size}")
         path = Path(path)
-        meta = _meta_path(path)
-        if meta.exists():
-            raise FileExistsError(f"store already exists: {path}")
-        fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o644)
-        try:
-            _write_meta(meta, record_size, 0)
-        except BaseException:
-            os.close(fd)
-            path.unlink()
-            raise
-        return cls(path, fd, record_size, 0, writable=True)
+        return cls(path, os.open(path, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o644), record_size, 0, writable=True)
 
     @classmethod
     def open(cls, path: str | Path) -> "RecordStore":
@@ -285,10 +277,13 @@ class RecordStore(Closeable):
         Each payload, any bytes-like object, is written from the caller's
         buffer with its padding by one ``pwritev``, so nothing is copied,
         and a caller that yields and drops payloads holds one at a time. One
-        fsync and one sidecar update follow the last payload. If drawing a
-        payload raises, the sidecar keeps its old count: the state a crashed
-        append leaves, whose written tail no reader reads. An empty payload
-        takes no records. Returns one ref per payload.
+        fsync and one sidecar update follow the last payload, if any took
+        records or the store holds none yet: so a new store's first call
+        publishes its sidecar, and a call that appends nothing to a store
+        that holds records syncs nothing. If drawing a payload raises, the
+        sidecar keeps its old count, or a new store stays without one: the
+        state a crashed append leaves, whose written tail no reader reads.
+        An empty payload takes no records. Returns one ref per payload.
         """
         if not self._writable:
             raise PermissionError(f"store {self.path} is read-only")
@@ -302,7 +297,7 @@ class RecordStore(Closeable):
             del payload  # dropped before the next one is drawn
             refs.append(RecordSetRef(start=end, count=count, byte_length=nbytes))
             end += count
-        if end > start:
+        if end > start or start == 0:
             self._commit(end)
         return refs
 
@@ -387,15 +382,24 @@ class Library(Closeable):
         raises, the store and index are closed and the index, then the store
         and its sidecar, as far as they got, are deleted, and nothing else: a
         rerun can succeed, and a kill midway through leaves no index without
-        its store. The store returned is published: it refuses appends.
+        its store. Each directory the build made is kept through a crash as
+        well, by an fsync of its parent after the index directory's. The
+        store returned is published: it refuses appends.
         """
         if index_path.exists():
             raise FileExistsError(f"index already exists: {index_path}")
+        made = []  # the directories mkdir makes, deepest first
+        directory = index_path.parent
+        while not directory.is_dir():
+            made.append(directory)
+            directory = directory.parent
         index_path.parent.mkdir(parents=True, exist_ok=True)
         store = RecordStore.create(store_path, record_size)
         try:
             with closed_on_error(cls(store, create_index(index_path, store.append_payloads(payloads)))) as library:
                 _fsync_dir(index_path.parent)
+                for directory in made:
+                    _fsync_dir(directory.parent)
                 store._writable = False
                 return library
         except BaseException:

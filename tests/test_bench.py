@@ -50,8 +50,8 @@ def test_synth_library_is_one_fsync_and_one_sidecar_update(tmp_path, monkeypatch
     monkeypatch.setattr(store, "_write_meta", lambda *args: sidecars.append(args) or real_write_meta(*args))
     with synth_library(tmp_path / "a", 100, record_size=64, seed=7) as synth:
         assert synth.record_count == 100
-    assert fsyncs == [".a.meta.tmp", "a", ".a.meta.tmp"]  # one data fsync; each sidecar's temp before its rename
-    assert [count for _, _, count in sidecars] == [0, 100]  # create, then the one update
+    assert fsyncs == ["a", ".a.meta.tmp"]  # one data fsync, then the sidecar's temp before its rename
+    assert [count for _, _, count in sidecars] == [100]  # published once, by the commit
     assert (tmp_path / "a").stat().st_size == 100 * 64
 
 

@@ -5,11 +5,12 @@ import os
 from pathlib import Path
 
 import pytest
-from helpers import fd_name, open_fd_count
+from helpers import fd_name, open_fd_count, record_fsyncs
 
 from raclib import store
 from raclib.computed_index import ComputedIndex
-from raclib.neuro import RegionLibrary, Voxel, block_of
+from raclib.errors import NotFoundError
+from raclib.neuro import COORD_RECORD_SIZE, RegionLibrary, Voxel, block_of
 from raclib.pack import CollectionSet, pack_directory
 from raclib.serial_index import SerialIndex, SerialIndexEntry
 from raclib.ssdi import DeathRecord, SearchQuery, SsdiLibrary
@@ -84,6 +85,46 @@ def test_a_built_library_refuses_appends_and_leaves_its_files_alone(tmp_path, bu
     assert {p.name: p.read_bytes() for p in path.parent.iterdir()} == published
     with store.RecordStore.open(path) as reopened:
         assert reopened.record_count == 1
+
+
+@pytest.mark.parametrize(
+    "build, store_name, index_name",
+    [(build_ssdi, "records.raclib", "groups.index"), (build_atlas, "voxels.raclib", "regions.index")],
+)
+def test_a_build_publishes_its_sidecar_once_after_its_data_fsync(tmp_path, monkeypatch, build, store_name, index_name):
+    sidecars = []
+    real_write_meta = store._write_meta
+    fsyncs = record_fsyncs(monkeypatch)
+    monkeypatch.setattr(store, "_write_meta", lambda *args: sidecars.append(args) or real_write_meta(*args))
+    build(tmp_path).close()
+    # The data, the sidecar's and the index's temps, the new directory "out", then its parent.
+    assert fsyncs == [store_name, f".{store_name}.meta.tmp", f".{index_name}.tmp", "out", tmp_path.name]
+    assert [count for _, _, count in sidecars] == [1]
+
+
+def test_a_build_fsyncs_each_directory_it_made_once(tmp_path, monkeypatch):
+    fsyncs = record_fsyncs(monkeypatch)
+    RegionLibrary.build({"r": [Voxel(-41, 12, -35)]}, tmp_path / "a" / "b" / "lib").close()
+    assert fsyncs == ["voxels.raclib", ".voxels.raclib.meta.tmp", ".regions.index.tmp", "lib", "b", "a", tmp_path.name]
+    fsyncs.clear()
+    RegionLibrary.build({"r": [Voxel(-41, 12, -35)]}, tmp_path / "a").close()  # made nothing: only its own
+    assert fsyncs == ["voxels.raclib", ".voxels.raclib.meta.tmp", ".regions.index.tmp", "a"]
+
+
+def test_empty_builds_publish_their_sidecar_and_reopen(tmp_path):
+    RegionLibrary.build({}, tmp_path / "atlas").close()
+    (tmp_path / "in").mkdir()
+    pack_directory(tmp_path / "in", "c", tmp_path / "pack").close()
+    assert (tmp_path / "atlas" / "voxels.raclib.meta").read_text() == f"record_size={COORD_RECORD_SIZE}\nrecord_count=0\n"
+    assert (tmp_path / "pack" / "c.raclib.meta").read_text() == f"record_size={store.DEFAULT_RECORD_SIZE}\nrecord_count=0\n"
+    with RegionLibrary.open(tmp_path / "atlas") as atlas:
+        assert atlas.store.record_count == 0
+        with pytest.raises(NotFoundError):
+            atlas.region_voxels("r")
+    with CollectionSet.load_dir(tmp_path / "pack") as collections:
+        assert [collection.store.record_count for collection in collections.collections] == [0]
+        with pytest.raises(NotFoundError):
+            collections.fetch("TallyHo1965", "0001")
 
 
 def test_failed_build_deletes_its_index_before_its_store(tmp_path, monkeypatch):

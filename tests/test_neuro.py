@@ -235,6 +235,16 @@ def test_atlas_tsv_accepts_only_plain_integers(tmp_path, component):
         read_atlas_tsv(path)
 
 
+@pytest.mark.parametrize("region", ["left amygdala", "amígdala"])
+def test_atlas_tsv_names_the_line_of_a_region_an_index_cannot_hold(tmp_path, region):
+    path = tmp_path / "atlas.tsv"
+    path.write_text(f"rA\t1\t2\t3\n{region}\t4\t5\t6\n{region}\t7\t8\t9\n", encoding="utf-8")
+    message = f"{path}:2: region must be ASCII without whitespace: {region!r}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        RegionLibrary.build(read_atlas_tsv(path), tmp_path / "lib")
+    assert not (tmp_path / "lib").exists()
+
+
 def test_atlas_tsv_reads_leading_zeros_and_shares_components(tmp_path):
     path = tmp_path / "atlas.tsv"
     path.write_text("rA\t007\t-0\t-041\nrA\t-999\t999\t1000\nrB\t-999\t999\t12\n")

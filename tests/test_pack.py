@@ -359,10 +359,10 @@ def test_pack_is_one_fsync_and_one_sidecar_update(tmp_path, monkeypatch):
         records = sum(-(-len(body) // 512) for body in pages.values())
         assert collection.store.record_count == records
         assert all(collection.fetch(*member) == body for member, body in pages.items())
-    # One data fsync, not one per member; each sidecar and the index fsync'd as a temp before
-    # its name; the directory once, so the index's name survives a crash.
-    assert fsyncs == [".c.raclib.meta.tmp", "c.raclib", ".c.raclib.meta.tmp", ".c.index.tmp", "out"]
-    assert [count for _, _, count in sidecars] == [0, records]  # create, then the one update
+    # One data fsync, not one per member; the sidecar and the index fsync'd as a temp before
+    # its name; the new directory once, so the index's name survives a crash, then its parent.
+    assert fsyncs == ["c.raclib", ".c.raclib.meta.tmp", ".c.index.tmp", "out", tmp_path.name]
+    assert [count for _, _, count in sidecars] == [records]  # published once, by the commit
 
 
 def test_manifest_skips_blank_lines_and_names_the_line_of_a_short_one(tmp_path):

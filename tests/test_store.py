@@ -20,6 +20,19 @@ def test_create_empty_store(tmp_path):
         assert (tmp_path / "lib").stat().st_size == 0
 
 
+def test_a_new_store_has_no_sidecar_until_its_first_append(tmp_path, monkeypatch):
+    with RecordStore.create(tmp_path / "lib", record_size=16) as store:
+        assert not (tmp_path / "lib.meta").exists()
+        with pytest.raises(FileNotFoundError):
+            RecordStore.open(tmp_path / "lib")
+        fsyncs = record_fsyncs(monkeypatch)
+        assert store.append_payloads([]) == []
+        assert fsyncs == ["lib", ".lib.meta.tmp"]  # the first call commits, though it appends nothing
+        assert (tmp_path / "lib.meta").read_text() == "record_size=16\nrecord_count=0\n"
+    with RecordStore.open(tmp_path / "lib") as again:
+        assert again.record_count == 0
+
+
 def test_create_rejects_zero_record_size(tmp_path):
     with pytest.raises(ValueError):
         RecordStore.create(tmp_path / "lib", record_size=0)
@@ -327,9 +340,8 @@ def test_sidecar_temp_is_fsynced_before_its_rename(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "replace", replace)
     with RecordStore.create(tmp_path / "lib", record_size=16) as store:
         store.append_payload(b"x" * 20)
-    empty, two = b"record_size=16\nrecord_count=0\n", b"record_size=16\nrecord_count=2\n"
+    two = b"record_size=16\nrecord_count=2\n"
     assert events == [
-        ("fsync", ".lib.meta.tmp", empty), ("replace", "lib.meta", empty),
         ("fsync", "lib", b"x" * 20 + bytes(12)),
         ("fsync", ".lib.meta.tmp", two), ("replace", "lib.meta", two),
     ]
