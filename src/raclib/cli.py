@@ -63,7 +63,7 @@ def cmd_fetch(args) -> int:
 def cmd_serve(args) -> int:
     config = load_config(args.config, port=args.port, library_dir=args.library_dir, cache_root=args.cache_root)
     logging.basicConfig(level=SERVE_LOG_LEVEL, format=SERVE_LOG_FORMAT)
-    from . import server  # imported here, so that no other command loads http.server
+    from . import server  # imported here, so that no other command loads socket and socketserver
     server.serve(config)
     return EXIT_OK
 

@@ -8,14 +8,26 @@ Endpoints:
 writes them. Every image response carries ``X-RacLib-Source: cache|library``
 and ``X-RacLib-Millis``, the time its resolve took.
 
+The HTTP/1.1 loop is raclib's own, on ``socketserver``: ``http.server``
+would load ``http.client``, ``email`` and ``ssl``, which no request needs.
+Each request's line and headers are read once with ``readline``, and each
+response (status line, headers, ``Date``, ``Content-Length`` and body) goes
+out in one write. A request past http.server's limits, or one that breaks
+the syntax, is answered with its own status and its connection closed:
+414 for a request line over ``MAX_LINE`` bytes, 431 for a header line over
+``MAX_LINE`` or more than ``MAX_HEADERS`` of them, 400 for a malformed
+request or header line (an obs-fold line included), 505 for a version other
+than HTTP/1.0 or HTTP/1.1, and 501 for a method other than GET.
+
 Connections are HTTP/1.1 and persistent: every response carries
 ``Content-Length``, so a client may send any number of requests on one
 connection, each served by that connection's handler thread. Nagle's
 algorithm is off on accepted sockets, so a response is never held back
 waiting for the client's delayed ACK. A connection idle for
 ``IDLE_TIMEOUT_S`` is closed, which frees its thread. A response after
-which the connection closes carries ``Connection: close``; a request that
-declares a body, which no endpoint reads, ends its connection.
+which the connection closes carries ``Connection: close``: the client asked
+for it, spoke HTTP/1.0 without ``Connection: keep-alive``, sent a request
+the loop rejects, or declared a body, which no endpoint reads.
 
 ``DeliveryServer.server_close`` ends every open connection: a handler
 waiting for its next request sees end of input, a request in flight is
@@ -27,10 +39,11 @@ from __future__ import annotations
 
 import _signal  # signal's core, loaded by the interpreter: importing signal costs memory
 import logging
+import re
 import socket
+import socketserver
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
 from .cache import BucketCache, DeliveryRequest, ImageResolver
@@ -42,6 +55,17 @@ from .store import closed_on_error
 logger = logging.getLogger(__name__)
 
 IDLE_TIMEOUT_S = 5.0  # Apache's default KeepAliveTimeout
+MAX_LINE = 65536  # bytes in a request or header line, CRLF included: http.server's limit
+MAX_HEADERS = 100  # header lines in a request; http.server counted the blank line that ends them too
+
+_BLANK = (b"\r\n", b"\n")
+_VERSIONS = {b"HTTP/1.0": "HTTP/1.0", b"HTTP/1.1": "HTTP/1.1"}
+_VERSION = re.compile(rb"HTTP/[0-9]+\.[0-9]+")
+_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found", 414: "URI Too Long",
+            431: "Request Header Fields Too Large", 500: "Internal Server Error", 501: "Not Implemented",
+            505: "HTTP Version Not Supported"}
+_DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 
 _MAGIC_TYPES = [
     (b"\xff\xd8\xff", "image/jpeg"),
@@ -92,35 +116,111 @@ def respond(resolver: ImageResolver, target: str) -> tuple[int, tuple[tuple[str,
     return 200, headers, result.payload
 
 
-class DeliveryHandler(BaseHTTPRequestHandler):
+class _RequestError(Exception):
+    """A request the loop cannot serve: answered with ``status`` and ``body``, then its connection closes."""
+
+    def __init__(self, status: int, body: bytes):
+        super().__init__(status, body)
+        self.status, self.body = status, body
+
+
+class DeliveryHandler(socketserver.StreamRequestHandler):
+    """Serves one connection: reads each request, has ``respond`` answer it, sends the answer in one write."""
+
     server: "DeliveryServer"
-    protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
     timeout = IDLE_TIMEOUT_S
 
-    def do_GET(self):
-        if "Content-Length" in self.headers or "Transfer-Encoding" in self.headers:
+    def handle(self):
+        self.close_connection = False
+        try:
+            while not self.close_connection:
+                try:
+                    if not self.read_request():
+                        return
+                except _RequestError as err:
+                    self.close_connection = True
+                    self.send(err.status, _TEXT, err.body)
+                else:
+                    self.do_GET()
+        except (TimeoutError, ConnectionError):
+            pass  # idle for IDLE_TIMEOUT_S, or the client went away
+
+    def read_request(self) -> bool:
+        """Read one GET request's line and headers; False at end of input.
+
+        Sets ``path``, ``request_version``, ``headers`` (by lower-cased name)
+        and ``close_connection``. Raises _RequestError for a request that
+        breaks a limit or the syntax, or whose method is not GET.
+        """
+        readline = self.rfile.readline
+        line = readline(MAX_LINE + 1)
+        if line in _BLANK:
+            line = readline(MAX_LINE + 1)  # one empty line before a request is ignored (RFC 9112 §2.2)
+        if not line:
+            return False
+        if len(line) > MAX_LINE:
+            raise _RequestError(414, b"request line too long\n")
+        words = line.split()
+        if len(words) != 3:
+            raise _RequestError(400, b"malformed request line\n")
+        method, target, version = words
+        if version not in _VERSIONS:
+            raise _RequestError(505 if _VERSION.fullmatch(version) else 400, b"only HTTP/1.0 and HTTP/1.1 are served\n")
+        headers = {}
+        for _ in range(MAX_HEADERS + 1):
+            line = readline(MAX_LINE + 1)
+            if line in _BLANK or not line:
+                break
+            if len(line) > MAX_LINE:
+                raise _RequestError(431, b"header line too long\n")
+            name, colon, value = line.partition(b":")
+            if not colon or not name or name[0] in b" \t" or name[-1] in b" \t":
+                # A line folded onto the last (obs-fold), or a name with no colon
+                # or with space before it, which RFC 9112 §5 says to reject.
+                raise _RequestError(400, b"malformed header line\n")
+            headers[name.lower().decode("latin-1")] = value.strip().decode("latin-1")
+        else:
+            raise _RequestError(431, b"too many header lines\n")
+        if method != b"GET":
+            raise _RequestError(501, b"only GET is served\n")
+        self.path = target.decode("latin-1")
+        if self.path.startswith("//"):
+            self.path = "/" + self.path.lstrip("/")  # as http.server does: not a netloc to urlsplit
+        self.request_version, self.headers = _VERSIONS[version], headers
+        tokens = {token.strip() for token in headers.get("connection", "").lower().split(",")}
+        if self.request_version == "HTTP/1.1":
+            self.close_connection = "close" in tokens
+        else:
+            self.close_connection = "keep-alive" not in tokens
+        if "content-length" in headers or "transfer-encoding" in headers:
             # No endpoint reads a request body; on a kept-alive connection it
             # would be parsed as the next request, so close instead.
             self.close_connection = True
-        status, headers, body = respond(self.server.resolver, self.path)
-        self.send_response(status)
-        for name, value in headers:
-            self.send_header(name, value)
-        self.send_header("Content-Length", str(len(body)))
-        if self.close_connection or self.server.closing:
-            self.send_header("Connection", "close")  # which also sets close_connection
-        self.end_headers()
-        self.wfile.write(body)
+        return True
 
-    def log_message(self, format, *args):
-        if logger.isEnabledFor(logging.DEBUG):
-            logger.debug("%s - %s", self.address_string(), format % args)
+    def do_GET(self):
+        self.send(*respond(self.server.resolver, self.path))
+
+    def send(self, status: int, headers: tuple[tuple[str, str], ...], body: bytes) -> None:
+        """Send the status line, ``headers``, Date, Content-Length and Connection, and ``body``, in one write."""
+        if self.server.closing:
+            self.close_connection = True
+        head = [f"HTTP/1.1 {status} {_REASONS[status]}\r\nDate: {self.server.date()}\r\n"]
+        head.extend(f"{name}: {value}\r\n" for name, value in headers)
+        head.append(f"Content-Length: {len(body)}\r\n")
+        if self.close_connection:
+            head.append("Connection: close\r\n")
+        elif self.request_version == "HTTP/1.0":
+            head.append("Connection: keep-alive\r\n")
+        head.append("\r\n")
+        self.connection.sendall("".join(head).encode("latin-1") + body)
 
 
-class DeliveryServer(ThreadingHTTPServer):
+class DeliveryServer(socketserver.ThreadingTCPServer):
     """Thread-per-connection server; ``server_close`` waits for its handlers."""
 
+    allow_reuse_address = True
     daemon_threads = False  # ThreadingMixIn joins only non-daemon handlers on close
 
     def __init__(self, address: tuple[str, int], resolver: ImageResolver):
@@ -129,6 +229,18 @@ class DeliveryServer(ThreadingHTTPServer):
         self.closing = False
         self._connections: set[socket.socket] = set()
         self._connections_lock = threading.Lock()
+        self._date = (0, "")
+
+    def date(self) -> str:
+        """The ``Date`` header's value (RFC 9110 §5.6.7), formatted again only when the second changes."""
+        second, text = self._date
+        now = int(time.time())
+        if now != second:
+            t = time.gmtime(now)
+            text = (f"{_DAYS[t.tm_wday]}, {t.tm_mday:02d} {_MONTHS[t.tm_mon - 1]} {t.tm_year} "
+                    f"{t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT")
+            self._date = (now, text)
+        return text
 
     def process_request(self, request, client_address):
         with self._connections_lock:

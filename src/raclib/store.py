@@ -145,11 +145,13 @@ def publish_file(path: str | Path, data, replace: bool = False, sync: bool = Tru
     ``*.index`` glob matches (``.<name>.<pid>.<thread>.tmp``), are fsync'd
     there, and only then appear at ``path``: through ``os.link``, which
     raises FileExistsError if ``path`` exists, or with ``replace`` through
-    ``os.replace``. The temp is removed whatever happens, and no fd is left.
-    Without ``sync``, for a copy that need not survive a crash, no fsync.
+    ``os.replace``, which moves the temp. Any temp left, after a link or a
+    failure, is removed, and no fd is left. Without ``sync``, for a copy
+    that need not survive a crash, no fsync.
     """
     head, name = os.path.split(path)
     tmp = os.path.join(head, f".{name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    moved = False
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
         try:
@@ -158,10 +160,15 @@ def publish_file(path: str | Path, data, replace: bool = False, sync: bool = Tru
                 os.fsync(fd)
         finally:
             os.close(fd)
-        (os.replace if replace else os.link)(tmp, path)
+        if replace:
+            os.replace(tmp, path)
+            moved = True
+        else:
+            os.link(tmp, path)
     finally:
-        with suppress(FileNotFoundError):
-            os.unlink(tmp)
+        if not moved:
+            with suppress(FileNotFoundError):
+                os.unlink(tmp)
 
 
 def read_tsv(path: str | Path, width: int, expected: str, plain: re.Pattern | None = None):

@@ -236,6 +236,13 @@ def test_importing_the_cli_loads_no_http_server():
     assert out.stdout.split() == ["False", "False"], out.stderr
 
 
+def test_importing_the_server_loads_no_http_library_email_or_ssl():
+    unwanted = ("http.server", "http.client", "email.parser", "ssl")
+    child = f"import sys, raclib.server; print([name for name in {unwanted!r} if name in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, timeout=60)
+    assert out.stdout == "[]\n", out.stderr
+
+
 def test_reads_outside_the_store_exit_1_with_one_error_line(tmp_path):
     (tmp_path / "in").mkdir()
     for key in ("0001", "0002", "0003"):

@@ -1,5 +1,7 @@
+import email.utils
 import http.client
 import logging
+import re
 import socket
 import threading
 import time
@@ -12,7 +14,8 @@ from helpers import open_fd_count
 from raclib.cache import BucketCache, DeliveryRequest, ImageResolver
 from raclib.config import Config
 from raclib.pack import Collection, pack_directory
-from raclib.server import IDLE_TIMEOUT_S, DeliveryHandler, DeliveryServer, build_resolver, sniff_content_type
+from raclib.server import (IDLE_TIMEOUT_S, MAX_HEADERS, MAX_LINE, DeliveryHandler, DeliveryServer, build_resolver,
+                           sniff_content_type)
 
 from test_pack import NEW_SIZES, OLD_SIZES, make_pages, repack_over, write_members
 
@@ -340,3 +343,104 @@ def test_close_answers_the_request_in_flight_then_ends_its_connection(counted_se
     assert not closer.is_alive() and not requester.is_alive()
     assert answers == [(200, "close", pages["TallyHo1965", "0003"])]
     assert conn.connects == 1
+
+
+def read_response(replies):
+    """The next response on ``replies``: (status line, headers by name, body), read by its Content-Length."""
+    status = replies.readline().rstrip(b"\r\n")
+    headers = {}
+    while (line := replies.readline()) not in (b"\r\n", b""):
+        name, value = line.rstrip(b"\r\n").split(b": ", 1)
+        assert name not in headers, name
+        headers[name] = value
+    return status, headers, replies.read(int(headers[b"Content-Length"]))
+
+
+def exchange(port, data):
+    """Every response to ``data``, sent in one write on a new connection, read until the server closes it."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as raw:
+        raw.sendall(data)
+        with raw.makefile("rb") as replies:
+            answers = []
+            while replies.peek(1):
+                answers.append(read_response(replies))
+    return answers
+
+
+def test_http_1_0_closes_unless_kept_alive(counted):
+    conn, _, _ = counted
+    [(status, headers, body)] = exchange(conn.port, b"GET /health HTTP/1.0\r\n\r\n")
+    assert (status, headers[b"Connection"], body) == (b"HTTP/1.1 200 OK", b"close", b"ok\n")
+    with socket.create_connection(("127.0.0.1", conn.port), timeout=5) as raw, raw.makefile("rb") as replies:
+        for _ in range(2):
+            raw.sendall(b"GET /health HTTP/1.0\r\nConnection: keep-alive\r\n\r\n")
+            status, headers, body = read_response(replies)
+            assert (status, headers[b"Connection"], body) == (b"HTTP/1.1 200 OK", b"keep-alive", b"ok\n")
+
+
+def test_pipelined_requests_are_answered_in_order(counted_server):
+    server, conn, _, pages = counted_server
+    started = time.time()
+    first, second = image_path("TallyHo1965", "0002"), image_path("TallyHo1965", "0001")
+    answers = exchange(conn.port, f"GET {first} HTTP/1.1\r\nHost: x\r\n\r\n"
+                                  f"GET {second} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n".encode())
+    assert [(status, body) for status, _, body in answers] == [
+        (b"HTTP/1.1 200 OK", pages["TallyHo1965", "0002"]), (b"HTTP/1.1 200 OK", pages["TallyHo1965", "0001"])]
+    assert [headers.get(b"Connection") for _, headers, _ in answers] == [None, b"close"]
+    dates = {email.utils.formatdate(second, usegmt=True).encode() for second in (int(started), int(time.time()))}
+    for _, headers, _ in answers:
+        assert headers[b"Date"] in dates
+        assert b"Server" not in headers
+
+
+GET_HEALTH = b"GET /health HTTP/1.1\r\n"
+LONG_TARGET = b"/" + b"a" * (MAX_LINE - len(b"GET / HTTP/1.1\r\n"))  # a request line of MAX_LINE bytes
+
+
+@pytest.mark.parametrize("request_bytes, status", [
+    # At the limits, served.
+    (b"GET " + LONG_TARGET + b" HTTP/1.1\r\nConnection: close\r\n\r\n", 404),
+    (GET_HEALTH + b"X: " + b"a" * (MAX_LINE - 5) + b"\r\nConnection: close\r\n\r\n", 200),
+    (GET_HEALTH + b"X: y\r\n" * (MAX_HEADERS - 1) + b"Connection: close\r\n\r\n", 200),
+    # Past them, or broken; each request is whole as far as the server reads before it answers.
+    (b"GET /" + b"a" * (MAX_LINE - 4), 414),
+    (GET_HEALTH + b"X: " + b"a" * (MAX_LINE - 2), 431),
+    (GET_HEALTH + b"X: y\r\n" * (MAX_HEADERS + 1), 431),
+    (b"GET /health\r\n", 400),
+    (b"GET /health HTTP/1.1 extra\r\n", 400),
+    (b"GET /health HTTP/x\r\n", 400),
+    (GET_HEALTH + b"Host: x\r\n folded\r\n", 400),
+    (GET_HEALTH + b"Host x\r\n", 400),
+    (GET_HEALTH + b"Content-Length : 0\r\n", 400),
+    (b"HEAD /health HTTP/1.1\r\n\r\n", 501),
+    (b"POST /health HTTP/1.1\r\n\r\n", 501),
+    (b"GET /health HTTP/2.0\r\n", 505),
+    (b"GET /health HTTP/0.9\r\n", 505),
+], ids=["line-at-limit", "header-at-limit", "headers-at-limit", "line-too-long", "header-too-long",
+        "too-many-headers", "two-words", "four-words", "bad-version", "obs-fold", "no-colon", "space-before-colon",
+        "head", "post", "http-2", "http-0.9"])
+def test_each_rejected_request_has_its_status_and_ends_its_connection(counted, request_bytes, status):
+    conn, _, _ = counted
+    [(status_line, headers, _)] = exchange(conn.port, request_bytes)
+    assert re.fullmatch(rb"HTTP/1\.1 %d [A-Za-z ]+" % status, status_line), status_line
+    assert headers[b"Connection"] == b"close"
+
+
+def test_a_response_is_sent_in_one_write(counted, monkeypatch):
+    conn, _, pages = counted
+    writes = []
+    for name in ("send", "sendall", "sendmsg", "sendfile"):
+        def counting(sock, *args, real=getattr(socket.socket, name), name=name, **kwargs):
+            if sock.getsockname()[1] == conn.port:  # a socket the server accepted
+                writes.append(name)
+            return real(sock, *args, **kwargs)
+
+        monkeypatch.setattr(socket.socket, name, counting)
+    request = f"GET {image_path('TallyHo1965', '0003')} HTTP/1.1\r\nHost: x\r\n\r\n".encode()
+    with socket.create_connection(("127.0.0.1", conn.port), timeout=5) as raw, raw.makefile("rb") as replies:
+        for source in (b"library", b"cache"):
+            raw.sendall(request)
+            status, headers, body = read_response(replies)
+            assert (status, headers[b"X-RacLib-Source"], body) == (b"HTTP/1.1 200 OK", source, pages["TallyHo1965", "0003"])
+            assert writes == ["sendall"]
+            writes.clear()

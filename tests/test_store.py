@@ -365,3 +365,34 @@ def test_failed_temp_fsync_leaves_the_target_as_it_was_and_no_temp(tmp_path, mon
     assert [path.name for path in tmp_path.iterdir()] == ([] if existing is None else ["target"])
     if existing is not None:
         assert target.read_bytes() == existing
+
+
+@pytest.mark.parametrize("replace, existing, unlinks", [(False, None, 1), (True, None, 0), (True, b"old", 0)])
+def test_publish_unlinks_only_a_temp_that_is_left(tmp_path, monkeypatch, replace, existing, unlinks):
+    target = tmp_path / "target"
+    if existing is not None:
+        target.write_bytes(existing)
+    real_unlink, unlinked = os.unlink, []
+
+    def unlink(path, *args, **kwargs):
+        unlinked.append(os.path.basename(path))
+        real_unlink(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "unlink", unlink)
+    publish_file(target, b"new", replace=replace)
+    assert len(unlinked) == unlinks and all(name.endswith(".tmp") for name in unlinked)
+    assert [path.name for path in tmp_path.iterdir()] == ["target"]
+    assert target.read_bytes() == b"new"
+
+
+@pytest.mark.parametrize("replace", [False, True])
+def test_a_failed_link_or_replace_leaves_no_temp(tmp_path, replace):
+    target = tmp_path / "target"
+    target.mkdir()
+    (target / "held").write_bytes(b"")  # neither a link nor a replace can take a non-empty directory's name
+    before = open_fd_count()
+    with pytest.raises(OSError):
+        publish_file(target, b"new", replace=replace)
+    assert open_fd_count() == before
+    assert [path.name for path in tmp_path.iterdir()] == ["target"]
+    assert [path.name for path in target.iterdir()] == ["held"]
