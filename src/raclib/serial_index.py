@@ -46,7 +46,6 @@ import sys
 import threading
 from _blake2 import blake2b  # hashlib.blake2b, without the OpenSSL that importing hashlib maps: 0.6 MB of RSS
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -57,31 +56,33 @@ from .store import Closeable, RecordSetRef, RecordStore, publish_file
 
 logger = logging.getLogger(__name__)
 
-# A slot is one 64-bit word, tag | line offset | line length, zero when empty.
+# A slot is one 64-bit word, tag | line offset | line tail, zero when empty.
 # Tag and home slot are disjoint bits of a 64-bit BLAKE2b of "name key" keyed
 # by the table's random salt, so keys sent from outside cannot be chosen to
 # collide. A probe reads a line only on a tag match, 1 in 16M per word passed,
-# so a miss reads none. A line of LONG_LINE bytes or more keeps its exact
-# length in the long-line words, found by bisecting their offsets.
+# so a miss reads none. The tail is the line's length less its first two
+# tokens and two separators, so a hit on (name, key) reads exactly its line:
+# len(name) + len(key) + 2 + tail bytes. A line with over MAX_TAIL bytes
+# after its key (only zero-padded numbers or runs of blanks make one) fails
+# its own lookup.
 TAG_BITS = 24
 OFFSET_BITS = 32  # so an index must stay under 4 GiB
-LENGTH_BITS = 8
+TAIL_BITS = 8
 TAG_MASK = (1 << TAG_BITS) - 1
 OFFSET_MASK = (1 << OFFSET_BITS) - 1
-LONG_LINE = (1 << LENGTH_BITS) - 1  # length field of a line this long or longer
+MAX_TAIL = (1 << TAIL_BITS) - 1
 SLOTS_PER_ENTRY = 1.5  # a load sizes the table at this many slots per line
 MIN_SLOTS = 8
 BLOCK_BYTES = 1 << 14  # a build pass holds one block's lines at a time: a few hundred, not thousands
 
 # <index>.slots is native 64-bit words, the only encoding of the table: the
 # magic, which carries the format version and byte order, with the 16-byte
-# salt (3 words); the index's stamp, as _stamp gives it (4); the slot and
-# long-line counts (2); the slots; the long lines' offsets, in file order,
-# then their lengths; a checksum of every word before it.
+# salt (3 words); the index's stamp, as _stamp gives it (4); the slot count
+# (1); the slots; a checksum of every word before it.
 SLOTS_SUFFIX = ".slots"
-SLOTS_MAGIC = b"RACSLT2" + sys.byteorder[0].upper().encode("ascii")
+SLOTS_MAGIC = b"RACSLT3" + sys.byteorder[0].upper().encode("ascii")
 SALT_BYTES = 16
-HEADER_WORDS = 9
+HEADER_WORDS = 8
 
 
 def _check_token(field: str, value: str) -> None:
@@ -161,30 +162,24 @@ def _lines(records: RecordStore, size: int) -> Iterator[bytes]:
 
 def _load(records: RecordStore, size: int) -> array:
     """The words of the slot file of the first ``size`` bytes of ``records``, built in one array: count the
-    lines, size the table for them, then one pass under a new salt fills its slots and measures the long lines."""
+    lines, size the table for them, then one pass under a new salt fills its slots."""
     stamp = _stamp(records, size)  # taken before the passes, so a file changed during them gets a stale stamp
     n = max(MIN_SLOTS, int(_count_lines(records, size) * SLOTS_PER_ENTRY) + 1)
     words = array("Q", [0]) * (HEADER_WORDS + n + 1)
     salt = os.urandom(SALT_BYTES)
-    words[:8] = array("Q", SLOTS_MAGIC + salt) + array("Q", (*stamp, n))
-    slots = memoryview(words)[HEADER_WORDS:HEADER_WORDS + n]
-    long_lines = array("Q")  # offset, length, offset, ...
+    words[:HEADER_WORDS] = array("Q", SLOTS_MAGIC + salt) + array("Q", (*stamp, n))
+    slots = memoryview(words)[HEADER_WORDS:-1]
     offset = 0
     for line in _lines(records, size):
         tokens = line.split(None, 2)
         if len(tokens) >= 2:
             h = _hash(salt, tokens[0], tokens[1])
-            length = min(len(line) + 1, size - offset)
+            tail = min(len(line) + 1, size - offset) - len(tokens[0]) - len(tokens[1]) - 2
             i = (h >> TAG_BITS) % n
             while slots[i]:
                 i = i + 1 if i + 1 < n else 0
-            slots[i] = ((h & TAG_MASK) << OFFSET_BITS | offset) << LENGTH_BITS | min(length, LONG_LINE)
-            if length >= LONG_LINE:
-                long_lines.extend((offset, length))
+            slots[i] = ((h & TAG_MASK) << OFFSET_BITS | offset) << TAIL_BITS | min(max(tail, 0), MAX_TAIL)
         offset += len(line) + 1
-    slots.release()  # an array with a view exported refuses to resize
-    words[8] = len(long_lines) // 2
-    words[HEADER_WORDS + n:-1] = long_lines[::2] + long_lines[1::2]  # resizes only where there are long lines
     words[-1] = _checksum(memoryview(words)[:-1])
     return words
 
@@ -214,17 +209,15 @@ def _read_slots(path: Path, stamp: tuple[int, ...]) -> memoryview | None:
     words = memoryview(data).cast("Q")
     if len(words) <= HEADER_WORDS or data[:8] != SLOTS_MAGIC or tuple(words[3:7]) != stamp:
         return None
-    if len(words) != HEADER_WORDS + words[7] + 2 * words[8] + 1 or words[-1] != _checksum(words[:-1]):
+    if len(words) != HEADER_WORDS + words[7] + 1 or words[-1] != _checksum(words[:-1]):
         return None
     return words
 
 
-def _views(words) -> tuple[bytes, memoryview, tuple[memoryview, memoryview]]:
-    """A lookup's table over checked slot-file words, read or built: salt, slots, long-line offsets and lengths."""
+def _views(words) -> tuple[bytes, memoryview]:
+    """A lookup's table over checked slot-file words, read or built: salt and slots."""
     words = memoryview(words)
-    offsets_at = HEADER_WORDS + words[7]
-    lengths_at = offsets_at + words[8]
-    return words[1:3].tobytes(), words[HEADER_WORDS:offsets_at], (words[offsets_at:lengths_at], words[lengths_at:-1])
+    return words[1:3].tobytes(), words[HEADER_WORDS:-1]
 
 
 def _load_table(records: RecordStore, size: int):
@@ -272,7 +265,7 @@ class SerialIndex(Closeable):
         if self.records.record_count >> OFFSET_BITS:
             self.close()
             raise ValueError(f"index {path} is {self.records.record_count} B, not under the {1 << OFFSET_BITS} B limit")
-        self._table: tuple[bytes, memoryview, tuple[memoryview, memoryview]] | None = None  # salt, slots, long lines
+        self._table: tuple[bytes, memoryview] | None = None  # salt, slots
         self._runs: dict | None = None
         self._failed: dict[str, tuple] = {}  # attr -> the args of the ValueError its build raised
         self._lock = threading.Lock()
@@ -302,26 +295,27 @@ class SerialIndex(Closeable):
             return getattr(self, attr)
 
     def lookup(self, name: str, key: str) -> SerialIndexEntry:
-        """The first line whose name and key tokens both match exactly."""
+        """The first line whose name and key tokens both match exactly; ValueError if it is malformed."""
         table = self._table
         if table is None:
             table = self._kept("_table", _load_table)
-        salt, slots, long_lines = table
+        salt, slots = table
         if name.isascii() and key.isascii():  # else no line of the ASCII file can match
             h = _hash(salt, name.encode("ascii"), key.encode("ascii"))
             tag = h & TAG_MASK
             n = len(slots)
             i = (h >> TAG_BITS) % n
             while word := slots[i]:
-                if word >> (OFFSET_BITS + LENGTH_BITS) == tag:
-                    offset = word >> LENGTH_BITS & OFFSET_MASK
-                    length = word & LONG_LINE
-                    if length == LONG_LINE:
-                        offsets, lengths = long_lines
-                        length = lengths[bisect_left(offsets, offset)]
+                if word >> (OFFSET_BITS + TAIL_BITS) == tag:
+                    offset = word >> TAIL_BITS & OFFSET_MASK
+                    size = self.records.record_count
+                    # A true hit's first two tokens are (name, key), whatever blanks surround them.
+                    length = min(len(name) + len(key) + 2 + (word & MAX_TAIL), size - offset)
                     text = self.records.read_records(offset, length).decode("ascii")
                     tokens = text.split()
                     if len(tokens) >= 2 and tokens[0] == name and tokens[1] == key:
+                        if text[-1] != "\n" and offset + length < size:
+                            raise ValueError(f"index line at byte {offset} has over {MAX_TAIL} B after its key")
                         return SerialIndexEntry.parse(text)
                 i = i + 1 if i + 1 < n else 0
         raise NotFoundError(f"no index entry for ({name}, {key})")

@@ -12,8 +12,9 @@ The HTTP/1.1 loop is raclib's own, on ``socketserver``: ``http.server``
 would load ``http.client``, ``email`` and ``ssl``, which no request needs.
 Each request's line and headers are read once with ``readline``, and each
 response (status line, headers, ``Date``, ``Content-Length`` and body) goes
-out in one write. A request past http.server's limits, or one that breaks
-the syntax, is answered with its own status and its connection closed:
+out in one ``send``, or in as many as a slow client takes. A request past
+http.server's limits, or one that breaks the syntax, is answered with its
+own status and its connection closed:
 414 for a request line over ``MAX_LINE`` bytes, 431 for a header line over
 ``MAX_LINE`` or more than ``MAX_HEADERS`` of them, 400 for a malformed
 request or header line (an obs-fold line included), 505 for a version other
@@ -23,8 +24,10 @@ Connections are HTTP/1.1 and persistent: every response carries
 ``Content-Length``, so a client may send any number of requests on one
 connection, each served by that connection's handler thread. Nagle's
 algorithm is off on accepted sockets, so a response is never held back
-waiting for the client's delayed ACK. A connection idle for
-``IDLE_TIMEOUT_S`` is closed, which frees its thread. A response after
+waiting for the client's delayed ACK. A connection that makes no progress
+for ``IDLE_TIMEOUT_S``, no request read and no response byte taken, is
+closed, which frees its thread. At the descriptor limit, accepting pauses
+for ``ACCEPT_PAUSE_S`` rather than retrying at once. A response after
 which the connection closes carries ``Connection: close``: the client asked
 for it, spoke HTTP/1.0 without ``Connection: keep-alive``, sent a request
 the loop rejects, or declared a body, which no endpoint reads.
@@ -38,6 +41,7 @@ handler thread has finished, so the resolver may be closed after it.
 from __future__ import annotations
 
 import _signal  # signal's core, loaded by the interpreter: importing signal costs memory
+import errno
 import logging
 import re
 import socket
@@ -55,6 +59,7 @@ from .store import closed_on_error
 logger = logging.getLogger(__name__)
 
 IDLE_TIMEOUT_S = 5.0  # Apache's default KeepAliveTimeout
+ACCEPT_PAUSE_S = 0.1  # after accept fails for want of a descriptor, which leaves the listening socket readable
 MAX_LINE = 65536  # bytes in a request or header line, CRLF included: http.server's limit
 MAX_HEADERS = 100  # header lines in a request; http.server counted the blank line that ends them too
 
@@ -203,7 +208,10 @@ class DeliveryHandler(socketserver.StreamRequestHandler):
         self.send(*respond(self.server.resolver, self.path))
 
     def send(self, status: int, headers: tuple[tuple[str, str], ...], body: bytes) -> None:
-        """Send the status line, ``headers``, Date, Content-Length and Connection, and ``body``, in one write."""
+        """Send the status line, ``headers``, Date, Content-Length and Connection, and ``body``, in one write.
+
+        Each ``send`` waits at most ``timeout`` for room, so only a client that takes nothing for that long
+        is dropped; ``sendall`` would bound the whole response by it, cutting off a slow client."""
         if self.server.closing:
             self.close_connection = True
         head = [f"HTTP/1.1 {status} {_REASONS[status]}\r\nDate: {self.server.date()}\r\n"]
@@ -214,7 +222,9 @@ class DeliveryHandler(socketserver.StreamRequestHandler):
         elif self.request_version == "HTTP/1.0":
             head.append("Connection: keep-alive\r\n")
         head.append("\r\n")
-        self.connection.sendall("".join(head).encode("latin-1") + body)
+        data = memoryview("".join(head).encode("latin-1") + body)
+        while data:
+            data = data[self.connection.send(data):]
 
 
 class DeliveryServer(socketserver.ThreadingTCPServer):
@@ -241,6 +251,14 @@ class DeliveryServer(socketserver.ThreadingTCPServer):
                     f"{t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT")
             self._date = (now, text)
         return text
+
+    def get_request(self):
+        try:
+            return super().get_request()
+        except OSError as error:
+            if error.errno in (errno.EMFILE, errno.ENFILE):
+                time.sleep(ACCEPT_PAUSE_S)  # the pending connection keeps the socket readable: no busy retry
+            raise
 
     def process_request(self, request, client_address):
         with self._connections_lock:

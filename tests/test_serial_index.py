@@ -163,6 +163,22 @@ def test_long_line_hit_is_one_read_of_exactly_its_line(tmp_path, length):
         assert (index.counters.reads, index.counters.bytes_read) == (1, length)
 
 
+def test_line_too_long_after_its_key_fails_only_its_own_lookup(tmp_path):
+    written = [SerialIndexEntry("a", "1", 0, 1), SerialIndexEntry("b", "1", 11, 1, 255)]
+    too_long = "z 1 " + "0" * 300 + "9 2\n"  # a zero-padded start: 304 B after the key's separator
+    padded = "y 2 9" + " " * 252 + "2\n"  # blanks before the count: exactly 255 B after the key's separator
+    path = tmp_path / "i"
+    path.write_text(written[0].line() + too_long + padded + written[1].line())
+    assert [len(line) - 4 for line in (too_long, padded)] == [304, serial_index.MAX_TAIL]
+    with SerialIndex(path) as index:
+        with pytest.raises(ValueError, match=f"byte {len(written[0].line())} "):
+            index.lookup("z", "1")
+        assert index.lookup("y", "2") == SerialIndexEntry("y", "2", 9, 2)
+        assert all(index.lookup(e.name, e.key) == e for e in written)
+        with pytest.raises(NotFoundError):
+            index.lookup("z", "2")
+
+
 def test_long_line_read_stops_at_the_size_at_open(tmp_path):
     path = tmp_path / "i"
     long_name = "N" * 300
@@ -218,7 +234,7 @@ def test_tag_collisions_never_return_another_entry(tmp_path, monkeypatch):
     path.write_text("T 1 100 5\nT 1 900 9\n" + "".join(e.line() for e in written))
     with SerialIndex(path) as index:
         assert all(index.lookup(e.name, e.key) == e for e in written)
-        _, slots, _ = index._table
+        _, slots = index._table
         assert len(slots) == 8
         assert index.lookup("T", "1").start == 100
         with pytest.raises(NotFoundError):
@@ -414,6 +430,11 @@ def version_one(path, written):
     rewrite_slots(path, lambda data: data.__setitem__(slice(6, 7), b"1"))
 
 
+def version_two(path, written):
+    """The slot file as the previous version wrote it: its header held a long-line count, here 0."""
+    rewrite_slots(path, lambda data: data.__setitem__(slice(6, 64), b"2" + data[7:64] + bytes(8)))
+
+
 def wrong_byte_order(path, written):
     rewrite_slots(path, lambda data: data.__setitem__(slice(7, 8), b"X"))
 
@@ -427,7 +448,7 @@ def slots_of_another_index(path, written):
 
 @pytest.mark.parametrize("damage", [
     replace_index, append_in_place, truncate_slots, flip_one_slot_byte, wrong_version, version_one,
-    wrong_byte_order, slots_of_another_index,
+    version_two, wrong_byte_order, slots_of_another_index,
 ])
 def test_stale_or_damaged_slot_file_is_never_trusted(tmp_path, monkeypatch, damage):
     path = tmp_path / "i"
@@ -507,12 +528,13 @@ def test_table_is_views_over_the_slot_file_words_whether_built_or_read(tmp_path)
     for _ in range(2):  # the first handle builds the words and publishes them, the second reads them
         with SerialIndex(path) as index:
             assert all(index.lookup(e.name, e.key) == e for e in written)
-            salt, slots, (offsets, lengths) = index._table
+            salt, slots = index._table
             words = bytes(slots.obj)
             assert words == serial_index.slots_path(path).read_bytes()
             assert salt == words[8:24]
-            assert offsets.tolist() == [len(lines[0]), len("".join(lines[:3]))]  # in file order
-            assert lengths.tolist() == [len(lines[1]), len(lines[3])]
+            # Each word holds its line's tail, what follows the key's separator: the long lines are no exception.
+            tails = sorted(word & serial_index.MAX_TAIL for word in slots if word)
+            assert tails == sorted(len(line.split(" ", 2)[2]) for line in lines)
 
 
 def test_cold_build_holds_one_copy_of_the_table(tmp_path):

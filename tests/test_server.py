@@ -3,6 +3,8 @@ import http.client
 import logging
 import re
 import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -11,13 +13,14 @@ import urllib.request
 import pytest
 from helpers import open_fd_count
 
-from raclib.cache import BucketCache, DeliveryRequest, ImageResolver
+from raclib.cache import BucketCache, DeliveryRequest, DeliveryResult, ImageResolver
 from raclib.config import Config
 from raclib.pack import Collection, pack_directory
 from raclib.server import (IDLE_TIMEOUT_S, MAX_HEADERS, MAX_LINE, DeliveryHandler, DeliveryServer, build_resolver,
                            sniff_content_type)
 
 from test_pack import NEW_SIZES, OLD_SIZES, make_pages, repack_over, write_members
+from test_respond import FakeResolver
 
 
 def test_sniff_content_type():
@@ -402,6 +405,9 @@ LONG_TARGET = b"/" + b"a" * (MAX_LINE - len(b"GET / HTTP/1.1\r\n"))  # a request
     (b"GET " + LONG_TARGET + b" HTTP/1.1\r\nConnection: close\r\n\r\n", 404),
     (GET_HEALTH + b"X: " + b"a" * (MAX_LINE - 5) + b"\r\nConnection: close\r\n\r\n", 200),
     (GET_HEALTH + b"X: y\r\n" * (MAX_HEADERS - 1) + b"Connection: close\r\n\r\n", 200),
+    # Served: one empty line before the request line is skipped, and a target of "//image" is not a netloc.
+    (b"\r\n" + GET_HEALTH + b"Connection: close\r\n\r\n", 200),
+    (b"GET //image?title=TallyHo1965&page=0002 HTTP/1.1\r\nConnection: close\r\n\r\n", 200),
     # Past them, or broken; each request is whole as far as the server reads before it answers.
     (b"GET /" + b"a" * (MAX_LINE - 4), 414),
     (GET_HEALTH + b"X: " + b"a" * (MAX_LINE - 2), 431),
@@ -416,9 +422,9 @@ LONG_TARGET = b"/" + b"a" * (MAX_LINE - len(b"GET / HTTP/1.1\r\n"))  # a request
     (b"POST /health HTTP/1.1\r\n\r\n", 501),
     (b"GET /health HTTP/2.0\r\n", 505),
     (b"GET /health HTTP/0.9\r\n", 505),
-], ids=["line-at-limit", "header-at-limit", "headers-at-limit", "line-too-long", "header-too-long",
-        "too-many-headers", "two-words", "four-words", "bad-version", "obs-fold", "no-colon", "space-before-colon",
-        "head", "post", "http-2", "http-0.9"])
+], ids=["line-at-limit", "header-at-limit", "headers-at-limit", "empty-line-first", "double-slash", "line-too-long",
+        "header-too-long", "too-many-headers", "two-words", "four-words", "bad-version", "obs-fold", "no-colon",
+        "space-before-colon", "head", "post", "http-2", "http-0.9"])
 def test_each_rejected_request_has_its_status_and_ends_its_connection(counted, request_bytes, status):
     conn, _, _ = counted
     [(status_line, headers, _)] = exchange(conn.port, request_bytes)
@@ -442,5 +448,114 @@ def test_a_response_is_sent_in_one_write(counted, monkeypatch):
             raw.sendall(request)
             status, headers, body = read_response(replies)
             assert (status, headers[b"X-RacLib-Source"], body) == (b"HTTP/1.1 200 OK", source, pages["TallyHo1965", "0003"])
-            assert writes == ["sendall"]
+            assert writes == ["send"]
             writes.clear()
+
+
+@pytest.fixture
+def big_server(monkeypatch):
+    """A server whose every image is 16 MiB, more than the loopback socket buffers hold, with a 0.5 s
+    timeout on each read or send of a connection; and that image."""
+    monkeypatch.setattr(DeliveryHandler, "timeout", 0.5)
+    payload = b"\xff\xd8\xff" + bytes(16 << 20)
+    server = DeliveryServer(("127.0.0.1", 0), FakeResolver(DeliveryResult(payload, "library")))
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server, payload
+    server.shutdown()
+    server.server_close()
+
+
+def ask_for_image(server):
+    """A connection whose client buffers 256 KiB, having sent one image request."""
+    raw = socket.socket()
+    raw.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 256 << 10)  # fixed, so it does not grow to hold the body
+    raw.settimeout(5)
+    raw.connect(server.server_address)
+    raw.sendall(f"GET {image_path('T', '1')} HTTP/1.1\r\nHost: x\r\n\r\n".encode())
+    return raw
+
+
+def test_a_slow_client_gets_the_whole_response(big_server):
+    # About 10 MB/s: the response takes over a second to drain, each send far less than the timeout.
+    server, payload = big_server
+    received = bytearray()
+    with ask_for_image(server) as raw:
+        started = time.perf_counter()
+        while (end := received.find(b"\r\n\r\n")) < 0 or len(received) < end + 4 + len(payload):
+            if not (chunk := raw.recv(512 << 10)):
+                break
+            received += chunk
+            time.sleep(0.05)
+        elapsed = time.perf_counter() - started
+    head, _, body = bytes(received).partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 200 OK\r\n") and b"\r\nContent-Length: %d" % len(payload) in head
+    assert body == payload, f"{len(body)} of {len(payload)} B arrived"
+    assert elapsed > 2 * DeliveryHandler.timeout
+
+
+def test_a_client_that_stops_reading_is_dropped(big_server):
+    server, payload = big_server
+    with ask_for_image(server) as raw:
+        raw.recv(1, socket.MSG_PEEK)  # the response has begun, so the server holds the connection
+        deadline = time.perf_counter() + 5
+        while server._connections and time.perf_counter() < deadline:
+            time.sleep(0.05)
+        assert not server._connections, "the connection was kept"
+        received = 0
+        try:
+            while chunk := raw.recv(1 << 20):
+                received += len(chunk)
+        except ConnectionResetError:
+            pass
+    assert received < len(payload)
+
+
+ACCEPTOR = """
+import resource, sys, threading, time
+from raclib.server import DeliveryServer
+
+server = DeliveryServer(("127.0.0.1", 0), None)
+resource.setrlimit(resource.RLIMIT_NOFILE, (16, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+threading.Thread(target=server.serve_forever, daemon=True).start()
+print(server.server_address[1], flush=True)
+for _ in sys.stdin:  # each line asks for the CPU time the process has used
+    print(time.process_time(), flush=True)
+server.shutdown()
+server.server_close()
+"""
+
+
+def test_the_acceptor_does_not_spin_at_the_descriptor_limit():
+    # 16 descriptors hold about a dozen connections; the rest wait to be accepted, which keeps the listening
+    # socket readable while accept fails with EMFILE.
+    with subprocess.Popen([sys.executable, "-c", ACCEPTOR], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                          text=True) as child:
+        clients = []
+        try:
+            port = int(child.stdout.readline())
+
+            def cpu_seconds():
+                child.stdin.write("\n")
+                child.stdin.flush()
+                return float(child.stdout.readline())
+
+            for _ in range(40):
+                client = socket.socket()
+                clients.append(client)
+                client.setblocking(False)
+                client.connect_ex(("127.0.0.1", port))  # idle: no request, so each accepted one holds a handler
+            time.sleep(0.5)
+            before = cpu_seconds()
+            time.sleep(2)
+            assert cpu_seconds() - before < 0.3
+            for client in clients:
+                client.close()
+            with socket.create_connection(("127.0.0.1", port), timeout=5) as raw, raw.makefile("rb") as replies:
+                raw.sendall(b"GET /health HTTP/1.1\r\nConnection: close\r\n\r\n")
+                assert read_response(replies)[0] == b"HTTP/1.1 200 OK"
+        finally:
+            for client in clients:
+                client.close()
+            child.stdin.close()
+            assert child.wait(timeout=10) == 0

@@ -277,6 +277,27 @@ def test_append_payloads_streams_buffers_under_one_fsync(tmp_path, monkeypatch):
         assert len(fsyncs) == 2  # nothing appended, nothing synced
 
 
+def test_short_pwritev_calls_continue_to_the_same_files(tmp_path, monkeypatch):
+    def build(path):
+        with RecordStore.create(path, record_size=64) as store:
+            store.append_payload(bytes(range(256)) * 3 + b"x")
+            store.append_payloads(iter([b"", b"y" * 640, memoryview(b"z" * 100)]))
+        return path.read_bytes(), (tmp_path / f"{path.name}.meta").read_bytes()
+
+    expected = build(tmp_path / "whole")
+    real_pwritev = os.pwritev
+    writes = []
+
+    def short_pwritev(fd, buffers, offset):  # writes at most 25 bytes a call, as a full or slow disk may
+        writes.append(offset)
+        assert len(writes) < 1_000, "the writes do not end"
+        return real_pwritev(fd, [b"".join(buffers)[:25]], offset)
+
+    monkeypatch.setattr(os, "pwritev", short_pwritev)
+    assert build(tmp_path / "short") == expected
+    assert len(writes) > (len(expected[0]) + len(expected[1])) // 25
+
+
 def record_size_and_payloads(record_size):
     """Payloads of any length, empty ones and exact record multiples among them."""
     exact = st.integers(0, 3).map(lambda n: b"r" * (n * record_size))
