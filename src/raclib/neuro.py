@@ -20,11 +20,18 @@ token is looked up in a table of the canonical tokens met so far. A record
 that fails either step is decoded by ``decode_coord``, so it raises as that
 does, and adds its tokens to the table if it is canonical;
 ``decode_coord`` stays the strict parser of names from outside.
+
+A build holds no ``Voxel`` per input row. Each row, a TSV line or a voxel
+of a region -> voxels map, is checked and its 16-byte record appended to
+its (region, block) buffer; the buffers are all the build keeps. A voxel
+repeated in its region repeats in its block, so repeats are looked for one
+buffer at a time, once every row is packed and before any file is made.
 """
 
 from __future__ import annotations
 
 import re
+import struct
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
@@ -34,6 +41,7 @@ from .store import Library, read_tsv
 COORD_BOUND = 999  # 3-digit encoding per axis
 COORD_RECORD_SIZE = 16
 BLOCK_CAPACITY = 1000  # a cm^3 holds at most 10*10*10 lattice points
+WRITE_BYTES = 1 << 16  # a build joins block buffers into writes of about this size, so it copies little at a time
 
 DATA_FILE = "voxels.raclib"
 INDEX_FILE = "regions.index"
@@ -102,16 +110,22 @@ def block_of(v: Voxel) -> str:
 
 
 class _ComponentCodes(dict):
-    """One build's memo: component -> (axis code as ASCII, block decade), -41 -> (b"n41", "n4").
+    """One build's memo: a component's text -> (axis code as ASCII, block decade), "-41" -> (b"n41", "n4").
 
-    An entry is made on first use, which checks the bounds. Lookups do not
-    check the type, so callers pass only ints: 1.0 must not find 1's entry.
+    A miss checks the text: it must match ``-?[0-9]+`` and spell an integer
+    in [-999, 999], else ValueError. Only canonical texts are kept, at most
+    1,999, so non-canonical spellings ("007", "-0") cannot grow the memo.
     """
 
-    def __missing__(self, value: int) -> tuple[bytes, str]:
+    def __missing__(self, text: str) -> tuple[bytes, str]:
+        if not _INTEGER_RE.fullmatch(text):
+            raise ValueError(f"coordinate component must match -?[0-9]+: {text!r}")
+        value = int(text)
         if not -COORD_BOUND <= value <= COORD_BOUND:
-            raise ValueError(f"coordinate component out of range [-999, 999]: {value}")
-        codes = self[value] = (_axis_code(value).encode("ascii"), _decade_code(value))
+            raise ValueError(f"coordinate component out of range [-999, 999]: {text}")
+        codes = (_axis_code(value).encode("ascii"), _decade_code(value))
+        if str(value) == text:
+            self[text] = codes
         return codes
 
 
@@ -146,68 +160,127 @@ def _unpack_run(data: bytes) -> list[Voxel]:
     return voxels
 
 
-def _block_records(region: str, voxels: Iterable[Voxel], codes: _ComponentCodes) -> dict[tuple, bytearray]:
-    """A region's packed records, one buffer per block in first-use order; a repeated or invalid voxel raises.
+class PackedAtlas(NamedTuple):
+    """An atlas, checked and packed: what ``read_atlas_tsv`` returns for ``RegionLibrary.build``.
 
-    One pass: each voxel is checked, and its record appended to its block's
-    buffer, which is keyed by the block's three decade codes.
+    ``regions`` maps each region, in first-use order, to its blocks' decade
+    codes, in first-use order within the region, and each block to its
+    16-byte records, in input order.
     """
-    seen: set[Voxel] = set()
-    blocks: dict[tuple, bytearray] = {}
-    for voxel in voxels:
-        if type(voxel) is not Voxel:  # a Voxel is immutable, so it is kept, not copied
-            voxel = Voxel(*voxel)
-        x, y, z = voxel
-        if type(x) is not int or type(y) is not int or type(z) is not int:
-            raise ValueError(f"coordinate components must be ints: {voxel}")
-        size = len(seen)
-        seen.add(voxel)
-        if len(seen) == size:
-            raise ValueError(f"duplicate voxel {voxel} in region {region}")
-        (cx, dx), (cy, dy), (cz, dz) = codes[x], codes[y], codes[z]
+
+    regions: dict[str, dict[tuple[str, str, str], bytearray]]
+
+
+_RECORD_STRUCT = struct.Struct(f"{COORD_RECORD_SIZE}s")
+
+
+def _check_distinct(region: str, records: bytearray) -> None:
+    """Raise on the first record that repeats in one block's buffer.
+
+    A voxel repeated in a region repeats in the same block, so a check per
+    block finds every repeat, and holds at most one block's records as keys.
+    """
+    if len(set(_RECORD_STRUCT.iter_unpack(records))) < len(records) // COORD_RECORD_SIZE:
+        seen = set()
+        for (record,) in _RECORD_STRUCT.iter_unpack(records):
+            if record in seen:
+                raise ValueError(f"duplicate voxel {_unpack_coord(record)} in region {region}")
+            seen.add(record)
+    assert len(records) <= BLOCK_CAPACITY * COORD_RECORD_SIZE
+
+
+def _pack(rows: Iterable[tuple[int, tuple[str, str, str, str], bool]], source: str | Path | None) -> PackedAtlas:
+    """Pack ``(lineno, (region, x, y, z), _)`` rows, components as text, into a ``PackedAtlas``.
+
+    Each row is checked and its record appended to its (region, block)
+    buffer, so no row is held but as its 16 bytes. A component that is not
+    ``-?[0-9]+`` or is outside [-999, 999], or a region an index line cannot
+    hold (checked where it first appears), raises ValueError, prefixed
+    ``source:lineno: `` when ``source`` is given. Then, once every row is
+    packed, a voxel repeated in its region raises. Each canonical component
+    text is checked and encoded once.
+    """
+    codes = _ComponentCodes()
+    regions: dict[str, dict[tuple[str, str, str], bytearray]] = {}
+    for lineno, (region, x, y, z), _ in rows:
+        try:
+            (cx, dx), (cy, dy), (cz, dz) = codes[x], codes[y], codes[z]
+            blocks = regions.get(region)
+            if blocks is None:
+                _check_token("region", region)
+                blocks = regions[region] = {}
+        except ValueError as e:
+            if source is None:
+                raise
+            raise ValueError(f"{source}:{lineno}: {e}") from None
         record = (cx + cy + cz).ljust(COORD_RECORD_SIZE, b"\x00")
         block = blocks.get((dx, dy, dz))
         if block is None:
             blocks[dx, dy, dz] = bytearray(record)
         else:
             block += record
-    return blocks
+    for region, blocks in regions.items():
+        for records in blocks.values():
+            _check_distinct(region, records)
+    return PackedAtlas(regions)
+
+
+def _voxel_rows(regions: Mapping[str, Iterable[Voxel]]):
+    """A region -> voxels map as ``_pack`` rows; a component that is not an int raises ValueError."""
+    for region, voxels in regions.items():
+        for voxel in voxels:
+            x, y, z = voxel
+            if type(x) is not int or type(y) is not int or type(z) is not int:
+                raise ValueError(f"coordinate components must be ints: {Voxel(*voxel)}")
+            yield 0, (region, str(x), str(y), str(z)), False
+
+
+def _index_entries(atlas: PackedAtlas):
+    """One index line per (region, block) of ``atlas``, in its order, records counted from 0."""
+    start = 0
+    for region, blocks in atlas.regions.items():
+        for (dx, dy, dz), records in blocks.items():
+            count = len(records) // COORD_RECORD_SIZE
+            yield SerialIndexEntry(region, f"{dx}_x{dy}_y{dz}_z", start, count)
+            start += count
+
+
+def _writes(atlas: PackedAtlas):
+    """The records of ``atlas`` in store order: its block buffers joined into writes of about ``WRITE_BYTES``."""
+    chunk, size = [], 0
+    for blocks in atlas.regions.values():
+        for records in blocks.values():
+            chunk.append(records)
+            size += len(records)
+            if size >= WRITE_BYTES:
+                yield b"".join(chunk)
+                chunk, size = [], 0
+    if chunk:
+        yield b"".join(chunk)
 
 
 class RegionLibrary(Library):
     """Voxel store grouped region-by-region, block-by-block."""
 
     @classmethod
-    def build(cls, regions: Mapping[str, Iterable[Voxel]], out_dir: str | Path) -> "RegionLibrary":
-        """Write one library and index for a region -> voxels map.
+    def build(cls, atlas: PackedAtlas | Mapping[str, Iterable[Voxel]], out_dir: str | Path) -> "RegionLibrary":
+        """Write one library and index for ``read_atlas_tsv``'s packed atlas or a region -> voxels map.
 
         Blocks of a region stay contiguous and appear in first-use order;
         voxels keep input order within their block. A voxel may appear only
-        once per region, and its components must be ints in [-999, 999].
-        Every voxel is checked before any file is created. The voxels are
-        held once, as their packed records, which ``Library._build`` appends
-        with no copy and drops; the index is written last, in one write and
-        one fsync, once the voxels are in the library. Each distinct
-        component is encoded once per build.
+        once per region, and its components must be ints in [-999, 999]. A
+        map is packed and checked whole, as ``read_atlas_tsv`` packs a file,
+        before any file or directory is created. The voxels are held once,
+        as their packed records, which go to the store under one fsync in
+        writes of about ``WRITE_BYTES``; the index is written last, in one
+        write and one fsync, once the voxels are in the library.
         """
-        codes = _ComponentCodes()
-        blob = bytearray()
-        entries = []
-        start = 0
-        for region, voxels in regions.items():
-            for (dx, dy, dz), records in _block_records(region, voxels, codes).items():
-                count = len(records) // COORD_RECORD_SIZE
-                assert count <= BLOCK_CAPACITY
-                blob += records
-                entries.append(SerialIndexEntry(region, f"{dx}_x{dy}_y{dz}_z", start, count))
-                start += count
-
+        if not isinstance(atlas, PackedAtlas):
+            atlas = _pack(_voxel_rows(atlas), None)
         out_dir = Path(out_dir)
-        payloads = iter([blob])
-        del blob  # held by the iterator alone, so dropped once on disk, before the index text is built
         return cls._build(
-            out_dir / DATA_FILE, COORD_RECORD_SIZE, payloads,
-            out_dir / INDEX_FILE, lambda path, refs: SerialIndex.create(path, entries),
+            out_dir / DATA_FILE, COORD_RECORD_SIZE, _writes(atlas),
+            out_dir / INDEX_FILE, lambda path, refs: SerialIndex.create(path, _index_entries(atlas)),
         )
 
     @classmethod
@@ -237,33 +310,14 @@ class RegionLibrary(Library):
         return voxels
 
 
-def read_atlas_tsv(path: str | Path) -> dict[str, list[Voxel]]:
-    """Parse region/x/y/z TSV lines into a region -> voxels map (file order).
+def read_atlas_tsv(path: str | Path) -> PackedAtlas:
+    """Parse and check region/x/y/z TSV lines into a ``PackedAtlas``, for ``RegionLibrary.build``.
 
-    A component is exactly ``-?[0-9]+``; signs, spaces and underscores that
-    ``int()`` would accept raise ``ValueError("path:line: ...")``, as does a
-    region an index line cannot hold, checked on the line it first appears.
-    Components in range share one int object per value.
+    A component is exactly ``-?[0-9]+`` and in [-999, 999]; signs, spaces
+    and underscores that ``int()`` would accept, and values out of range,
+    raise ``ValueError("path:line: ...")``, as does a region an index line
+    cannot hold, checked on the line it first appears. A voxel repeated in
+    its region raises once the whole file is read. Each line is held only
+    as its packed 16-byte record.
     """
-    # Canonical text of every in-range component -> one int object. Built per
-    # call: held by the module, it would cost every raclib process ~0.4 MB of
-    # RSS that only an atlas parse uses.
-    shared = {str(value): value for value in range(-COORD_BOUND, COORD_BOUND + 1)}
-    new = tuple.__new__
-    regions: dict[str, list[Voxel]] = {}
-    for lineno, (region, x, y, z), _ in read_tsv(path, 4, "region<TAB>x<TAB>y<TAB>z"):
-        try:
-            voxel = new(Voxel, (shared[x], shared[y], shared[z]))
-        except KeyError:  # leading zeros, out of range (build rejects it) or not an integer
-            if not all(map(_INTEGER_RE.fullmatch, (x, y, z))):
-                raise ValueError(f"{path}:{lineno}: coordinates must match -?[0-9]+: {x!r} {y!r} {z!r}") from None
-            voxel = Voxel(*[shared[text] if text in shared else int(text) for text in (x, y, z)])
-        voxels = regions.get(region)
-        if voxels is None:
-            try:
-                _check_token("region", region)
-            except ValueError as e:
-                raise ValueError(f"{path}:{lineno}: {e}") from None
-            voxels = regions[region] = []
-        voxels.append(voxel)
-    return regions
+    return _pack(read_tsv(path, 4, "region<TAB>x<TAB>y<TAB>z"), path)

@@ -9,6 +9,11 @@ CRLF ends, blank lines, no newline at the end). The BLAKE2b digest of every
 file each build leaves was recorded from the builders as they were before
 the one-match input path and the one-pass atlas build (commit ca85fe1), so
 any byte drift in a builder fails here.
+
+A second atlas interleaves its regions and returns to a region's earlier
+block after other blocks, so the build must regroup records by region and
+then by block. Its digests were recorded from the atlas build as it was
+before it packed each line straight into its block's buffer (commit b4600c7).
 """
 
 import hashlib
@@ -48,6 +53,16 @@ def atlas_tsv() -> str:
     return "\n".join(lines) + "\n"
 
 
+def interleaved_atlas_tsv() -> str:
+    """rA, rB, rA, rC, ... in turn; each region's x decade cycles 0, 1, 2, so its first block comes back."""
+    lines = []
+    for i in range(240):
+        region = ("rA", "rB", "rA", "rC")[i % 4]
+        z = "-005" if i % 7 == 0 else "-5"  # some non-canonical
+        lines.append(f"{region}\t{10 * (i // 4 % 3) + i % 3}\t{i // 12}\t{z}")
+    return "\n".join(lines) + "\n"
+
+
 def file_digests(directory: Path) -> dict[str, str]:
     return {
         path.name: hashlib.blake2b(path.read_bytes(), digest_size=16).hexdigest()
@@ -61,10 +76,12 @@ def build_all(tmp_path: Path) -> dict[str, dict[str, str]]:
         (tmp_path / "in" / f"Book_{i:04d}.jpg").write_bytes(member_bytes(i))
     (tmp_path / "records.tsv").write_text(records_tsv(), "ascii")
     (tmp_path / "atlas.tsv").write_text(atlas_tsv(), "ascii")
+    (tmp_path / "interleaved.tsv").write_text(interleaved_atlas_tsv(), "ascii")
     pack_directory(tmp_path / "in", "books", tmp_path / "pack", record_size=256).close()
     SsdiLibrary.build(read_records_tsv(tmp_path / "records.tsv"), tmp_path / "ssdi").close()
     RegionLibrary.build(read_atlas_tsv(tmp_path / "atlas.tsv"), tmp_path / "atlas").close()
-    return {kind: file_digests(tmp_path / kind) for kind in ("pack", "ssdi", "atlas")}
+    RegionLibrary.build(read_atlas_tsv(tmp_path / "interleaved.tsv"), tmp_path / "interleaved").close()
+    return {kind: file_digests(tmp_path / kind) for kind in ("pack", "ssdi", "atlas", "interleaved")}
 
 
 GOLDEN = {
@@ -82,6 +99,11 @@ GOLDEN = {
         "regions.index": "ce2a60f56b8dabef90dfd443b2bb5277",
         "voxels.raclib": "22995874c072885def4b1bd25fd5505d",
         "voxels.raclib.meta": "6d475a041ac2d783413812ad337f8e4f",
+    },
+    "interleaved": {
+        "regions.index": "b6c346a3af7b61ad5839ff808d6c6aa0",
+        "voxels.raclib": "e736db26cc2e414518a146a5a5009ce4",
+        "voxels.raclib.meta": "5aa4bcb7e972304710344c56ebf3b525",
     },
 }
 

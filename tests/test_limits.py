@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 
+from raclib.neuro import RegionLibrary
 from raclib.pack import Collection
 
 # Reads its own VmPeak after importing the CLI, caps its address space at that plus a margin, then runs argv.
@@ -39,3 +40,33 @@ def test_pack_holds_one_member_at_a_time_under_an_address_space_limit(tmp_path):
     with Collection.open(tmp_path / "lib" / "books.raclib") as collection:
         for key, payload in members.items():
             assert collection.fetch("Book", key) == payload, key
+
+
+def write_atlas_tsv(path, voxels: int) -> None:
+    """``voxels`` voxels in regions of 10,000: region r fills a 25 x 20 x 20 mm box of its own, ~18 cm^3 blocks."""
+    with open(path, "w") as f:
+        for r in range(voxels // 10_000):
+            x0, y0 = r % 10 * 25 - 250, r // 10 * 20 - 100
+            f.write("".join(f"r{r}\t{x0 + i % 25}\t{y0 + i // 25 % 20}\t{i // 500 - 10}\n" for i in range(10_000)))
+
+
+def test_neuro_build_holds_its_packed_records_under_one_address_space_limit(tmp_path):
+    """One 32 MiB margin over the CLI's import peak fits an atlas of 100k voxels and one of 1M.
+
+    The build holds each voxel as its 16-byte record until the library is
+    written, so its memory is proportional to the packed output, 16 MB at
+    1M voxels plus each block buffer's overhead: it is not bounded, and an
+    atlas of a few million voxels would not fit this margin. A build that
+    held a Python object per voxel, ~100 B each, needed over 100 MB at 1M.
+    """
+    for voxels in (100_000, 1_000_000):
+        tsv, lib = tmp_path / f"atlas{voxels}.tsv", tmp_path / f"lib{voxels}"
+        write_atlas_tsv(tsv, voxels)
+        out = subprocess.run(
+            [sys.executable, "-c", LIMITED_CLI, str(32 * MIB), "neuro", "build", "--in", str(tsv), "--out", str(lib)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        with RegionLibrary.open(lib) as library:
+            assert library.store.record_count == voxels
+            assert len(library.region_voxels(f"r{voxels // 10_000 - 1}")) == 10_000

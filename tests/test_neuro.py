@@ -128,8 +128,17 @@ def test_build_empty_map(tmp_path):
 
 
 def test_build_rejects_duplicate_voxel(tmp_path):
-    with pytest.raises(ValueError, match="duplicate voxel"):
+    with pytest.raises(ValueError, match="^" + re.escape("duplicate voxel Voxel(x=1, y=2, z=3) in region r") + "$"):
         RegionLibrary.build({"r": [Voxel(1, 2, 3), Voxel(1, 2, 3)]}, tmp_path / "lib")
+    assert not (tmp_path / "lib").exists()
+
+
+def test_atlas_tsv_rejects_a_voxel_repeated_in_its_region_when_read(tmp_path):
+    # rB may hold rA's voxel; rA's repeat comes after rA's other block and after rB.
+    path = tmp_path / "atlas.tsv"
+    path.write_text("rA\t1\t2\t3\nrB\t1\t2\t3\nrA\t15\t2\t3\nrA\t1\t2\t3\n")
+    with pytest.raises(ValueError, match="^" + re.escape("duplicate voxel Voxel(x=1, y=2, z=3) in region rA") + "$"):
+        read_atlas_tsv(path)
 
 
 @pytest.mark.parametrize(
@@ -213,11 +222,17 @@ def test_unknown_region_and_block(tmp_path):
             lib.block_voxels("r", "p9_xp9_yp9_z")
 
 
+def atlas_of(path, lib_dir) -> dict[str, list[Voxel]]:
+    """Build ``path`` into ``lib_dir`` and read it back: region -> voxels, regions in index order."""
+    with RegionLibrary.build(read_atlas_tsv(path), lib_dir) as lib:
+        regions = dict.fromkeys(e.name for e in lib.index.entries())
+        return {region: lib.region_voxels(region) for region in regions}
+
+
 def test_atlas_tsv_round_trip(tmp_path):
     path = tmp_path / "atlas.tsv"
     path.write_text("rA\t-41\t12\t-35\nrB\t1\t2\t3\nrA\t-42\t13\t-36\n")
-    atlas = read_atlas_tsv(path)
-    assert atlas == {
+    assert atlas_of(path, tmp_path / "lib") == {
         "rA": [Voxel(-41, 12, -35), Voxel(-42, 13, -36)],
         "rB": [Voxel(1, 2, 3)],
     }
@@ -245,12 +260,22 @@ def test_atlas_tsv_names_the_line_of_a_region_an_index_cannot_hold(tmp_path, reg
     assert not (tmp_path / "lib").exists()
 
 
-def test_atlas_tsv_reads_leading_zeros_and_shares_components(tmp_path):
+def test_atlas_tsv_reads_leading_zeros(tmp_path):
     path = tmp_path / "atlas.tsv"
-    path.write_text("rA\t007\t-0\t-041\nrA\t-999\t999\t1000\nrB\t-999\t999\t12\n")
-    atlas = read_atlas_tsv(path)
-    assert atlas == {"rA": [Voxel(7, 0, -41), Voxel(-999, 999, 1000)], "rB": [Voxel(-999, 999, 12)]}
-    assert atlas["rA"][1].x is atlas["rB"][0].x and atlas["rA"][1].y is atlas["rB"][0].y
+    path.write_text("rA\t007\t-0\t-041\nrA\t-999\t0999\t-00999\nrB\t-999\t999\t12\nrB\t7\t0\t-41\n")
+    assert atlas_of(path, tmp_path / "lib") == {
+        "rA": [Voxel(7, 0, -41), Voxel(-999, 999, -999)],
+        "rB": [Voxel(-999, 999, 12), Voxel(7, 0, -41)],
+    }
+
+
+@pytest.mark.parametrize("component", ["1000", "-1000", "01000", "99999999999999999999"])
+def test_atlas_tsv_names_the_line_of_an_out_of_range_component(tmp_path, component):
+    path = tmp_path / "atlas.tsv"
+    path.write_text(f"rA\t-999\t999\t0\nrA\t1\t2\t{component}\nrA\t4\t5\t6\n")
+    message = f"{path}:2: coordinate component out of range [-999, 999]: {component}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        read_atlas_tsv(path)
 
 
 def compact_atlas(seed: int, regions: int, voxels: int) -> dict[str, list[Voxel]]:
@@ -264,14 +289,14 @@ def compact_atlas(seed: int, regions: int, voxels: int) -> dict[str, list[Voxel]
     return atlas
 
 
-def test_build_holds_voxels_once_as_records(tmp_path):
+def test_build_from_a_tsv_holds_each_voxel_once_as_its_record(tmp_path):
     path = tmp_path / "atlas.tsv"
     path.write_text("".join(
         f"{region}\t{v.x}\t{v.y}\t{v.z}\n" for region, voxels in compact_atlas(3, 20, 3000).items() for v in voxels
     ))
-    regions = read_atlas_tsv(path)
-    # Above the parsed input: the 960,000 B of packed records, the index, one region's grouping.
-    assert traced_peak(lambda: RegionLibrary.build(regions, tmp_path / "lib").close()) <= 1_500_000
+    # Parse and build: the 960,000 B of packed records in ~1,200 block buffers, the index, one 64 KiB write.
+    peak = traced_peak(lambda: RegionLibrary.build(read_atlas_tsv(path), tmp_path / "lib").close())
+    assert peak <= 1_500_000
     assert (tmp_path / "lib" / "voxels.raclib").stat().st_size == 60_000 * COORD_RECORD_SIZE
 
 
@@ -474,7 +499,7 @@ def test_unpack_run_equals_decode_coord_per_record(records):
 def test_atlas_tsv_skips_blank_lines_and_names_the_line_of_a_short_one(tmp_path):
     path = tmp_path / "atlas.tsv"
     path.write_text("\nrA\t1\t2\t3\n\nrA\t4\t5\t6\n")
-    assert read_atlas_tsv(path) == {"rA": [Voxel(1, 2, 3), Voxel(4, 5, 6)]}
+    assert atlas_of(path, tmp_path / "lib") == {"rA": [Voxel(1, 2, 3), Voxel(4, 5, 6)]}
     path.write_text("\nrA\t1\t2\t3\n\nrA\t4\t5\n")
     with pytest.raises(ValueError, match="^" + re.escape(f"{path}:4: expected region<TAB>x<TAB>y<TAB>z")):
         read_atlas_tsv(path)
