@@ -198,22 +198,21 @@ class DeliveryResult:
 
 
 class ImageResolver:
-    """Resolve (title, page) requests through the cache, falling back to fetch.
+    """Resolve (title, page) requests through the cache, falling back to the library.
 
-    ``fetch_payload(title, page)`` supplies the library bytes and raises
-    NotFoundError for unknown members. Caching is best-effort: a cache that
-    cannot be read or written degrades to serving the fetched bytes.
-    ``close``, if given, releases what ``fetch_payload`` reads from.
+    ``library`` is anything with ``fetch(title, page)``, which raises
+    NotFoundError for unknown members, and ``close()``: a CollectionSet or
+    a Collection. The resolver owns it and closes it in ``close``. Caching
+    is best-effort: a cache that cannot be read or written degrades to
+    serving the fetched bytes.
     """
 
-    def __init__(self, fetch_payload, cache: BucketCache, close=None):
-        self._fetch = fetch_payload
+    def __init__(self, library, cache: BucketCache):
+        self.library = library
         self.cache = cache
-        self._close = close
 
     def close(self) -> None:
-        if self._close is not None:
-            self._close()
+        self.library.close()
 
     def resolve(self, request: DeliveryRequest) -> DeliveryResult:
         now = self.cache.now()
@@ -223,10 +222,10 @@ class ImageResolver:
             cached = self.cache.find_cached(filename, now)
         except OSError as exc:
             logger.warning("cache unusable, serving without it: %s", exc)
-            return DeliveryResult(self._fetch(request.title, request.page), "library")
+            return DeliveryResult(self.library.fetch(request.title, request.page), "library")
         if cached is not None:
             return DeliveryResult(cached, "cache")
-        payload = self._fetch(request.title, request.page)
+        payload = self.library.fetch(request.title, request.page)
         try:
             self.cache.store_file(filename, payload, now)
         except OSError as exc:

@@ -41,6 +41,7 @@ from .store import Library, read_tsv
 COORD_BOUND = 999  # 3-digit encoding per axis
 COORD_RECORD_SIZE = 16
 BLOCK_CAPACITY = 1000  # a cm^3 holds at most 10*10*10 lattice points
+BLOCK_KEY = "{}_x{}_y{}_z"  # a block's name from its decade codes per axis: "n4", "p1", "n3" -> "n4_xp1_yn3_z"
 WRITE_BYTES = 1 << 16  # a build joins block buffers into writes of about this size, so it copies little at a time
 
 DATA_FILE = "voxels.raclib"
@@ -106,7 +107,7 @@ def block_of(v: Voxel) -> str:
     """
     v = Voxel(*v)
     _check_bounds(v)
-    return "".join(f"{_decade_code(c)}_{axis}" for c, axis in zip(v, "xyz"))
+    return BLOCK_KEY.format(*map(_decade_code, v))
 
 
 class _ComponentCodes(dict):
@@ -239,9 +240,9 @@ def _index_entries(atlas: PackedAtlas):
     """One index line per (region, block) of ``atlas``, in its order, records counted from 0."""
     start = 0
     for region, blocks in atlas.regions.items():
-        for (dx, dy, dz), records in blocks.items():
+        for decades, records in blocks.items():
             count = len(records) // COORD_RECORD_SIZE
-            yield SerialIndexEntry(region, f"{dx}_x{dy}_y{dz}_z", start, count)
+            yield SerialIndexEntry(region, BLOCK_KEY.format(*decades), start, count)
             start += count
 
 

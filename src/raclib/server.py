@@ -4,9 +4,9 @@ Endpoints:
     GET /image?title=<t>&page=<p>  -> image bytes, 404 unknown, 400 malformed
     GET /health                    -> 200
 
-``respond`` chooses every status, header and body; ``DeliveryHandler`` only
-writes them. Every image response carries ``X-RacLib-Source: cache|library``
-and ``X-RacLib-Millis``, the time its resolve took.
+``respond`` chooses the status, headers and body of every request read;
+``DeliveryHandler`` only writes them. An image response carries
+``X-RacLib-Source: cache|library`` and ``X-RacLib-Millis``, its resolve time.
 
 The HTTP/1.1 loop is raclib's own, on ``socketserver``: ``http.server``
 would load ``http.client``, ``email`` and ``ssl``, which no request needs.
@@ -32,10 +32,10 @@ which the connection closes carries ``Connection: close``: the client asked
 for it, spoke HTTP/1.0 without ``Connection: keep-alive``, sent a request
 the loop rejects, or declared a body, which no endpoint reads.
 
-``DeliveryServer.server_close`` ends every open connection: a handler
-waiting for its next request sees end of input, a request in flight is
-answered with ``Connection: close``, and the call returns only when every
-handler thread has finished, so the resolver may be closed after it.
+``DeliveryServer`` owns its resolver, which owns its library. ``server_close``
+ends every open connection (a handler waiting for its next request sees end
+of input, a request in flight is answered with ``Connection: close``), waits
+for every handler thread, then closes the resolver; so does a failed bind.
 """
 
 from __future__ import annotations
@@ -228,18 +228,19 @@ class DeliveryHandler(socketserver.StreamRequestHandler):
 
 
 class DeliveryServer(socketserver.ThreadingTCPServer):
-    """Thread-per-connection server; ``server_close`` waits for its handlers."""
+    """Thread-per-connection server that owns its resolver; ``server_close`` waits for its handlers, then closes it."""
 
     allow_reuse_address = True
     daemon_threads = False  # ThreadingMixIn joins only non-daemon handlers on close
 
     def __init__(self, address: tuple[str, int], resolver: ImageResolver):
-        super().__init__(address, DeliveryHandler)
-        self.resolver = resolver
+        self.resolver = resolver  # this and the rest before TCPServer.__init__, whose failed bind calls server_close
         self.closing = False
         self._connections: set[socket.socket] = set()
         self._connections_lock = threading.Lock()
         self._date = (0, "")
+        with closed_on_error(resolver):  # when socket() fails, before TCPServer.__init__ would call server_close
+            super().__init__(address, DeliveryHandler)
 
     def date(self) -> str:
         """The ``Date`` header's value (RFC 9110 §5.6.7), formatted again only when the second changes."""
@@ -279,23 +280,20 @@ class DeliveryServer(socketserver.ThreadingTCPServer):
                 except OSError:
                     pass  # the client has already gone
         super().server_close()  # closes the listening socket and joins the handlers
+        self.resolver.close()
 
 
 def build_resolver(config: Config) -> ImageResolver:
-    """Wire the collections under library_dir to a rotating cache."""
-    with closed_on_error(CollectionSet.load_dir(config.library_dir)) as collections:
-        return ImageResolver(collections.fetch, BucketCache(config.cache_root), close=collections.close)
+    """Wire the collections under library_dir to a rotating cache; the cache is made first, so a bad root opens nothing."""
+    return ImageResolver(cache=BucketCache(config.cache_root), library=CollectionSet.load_dir(config.library_dir))
 
 
 def serve(config: Config) -> None:
     """Run the delivery service until interrupted (SIGINT or SIGTERM), then close it."""
-    server = DeliveryServer(("", config.port), build_resolver(config))
-    _signal.signal(_signal.SIGTERM, _signal.default_int_handler)  # a service manager's stop, taken as ^C
-    try:
-        logger.info("serving %s on port %d", config.library_dir, config.port)
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
-        server.resolver.close()
+    with DeliveryServer(("", config.port), build_resolver(config)) as server:
+        try:
+            _signal.signal(_signal.SIGTERM, _signal.default_int_handler)  # a service manager's stop, taken as ^C
+            logger.info("serving %s on port %d", config.library_dir, config.port)
+            server.serve_forever()
+        except KeyboardInterrupt:
+            pass

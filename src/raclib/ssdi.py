@@ -207,7 +207,7 @@ class SsdiLibrary(Library):
         ``Library._build`` refuses an existing index before ``records`` is
         read, then reads it once. Each record is validated as a ``DeathRecord``
         and held only as its packed 64 bytes, in one buffer per non-empty
-        group: about 64-70 B per record plus a fixed ~5 MB. Every record and
+        group: about 69 B per record plus under 1 MB. Every record and
         index entry is checked before the first byte is written; the groups
         are then streamed to the store in ordinal order, each dropped once
         written, and the index is written and fsync'd last.

@@ -14,6 +14,7 @@ import threading
 import time
 import urllib.request
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 from helpers import GIVENS, SURNAMES, random_death_fields
 
@@ -184,7 +185,7 @@ def test_criterion_4b_http_last_vs_first_member(tmp_path):
         ), "ascii")
 
         collection = Collection.open(tmp_path / "big.raclib")
-        resolver = ImageResolver(collection.fetch, BucketCache(tmp_path / "cache"), close=collection.close)
+        resolver = ImageResolver(collection, BucketCache(tmp_path / "cache"))
         server = DeliveryServer(("127.0.0.1", 0), resolver)
         threading.Thread(target=server.serve_forever, daemon=True).start()
         base = f"http://127.0.0.1:{server.server_address[1]}/image?title=Book&page="
@@ -221,7 +222,6 @@ def test_criterion_4b_http_last_vs_first_member(tmp_path):
         finally:
             server.shutdown()
             server.server_close()
-            resolver.close()
 
 
 def test_criterion_5_serial_baseline_asymmetry(tmp_path):
@@ -256,7 +256,7 @@ def test_criterion_6_cache_token_protocol(tmp_path):
             return pages[title, page]
 
         cache = BucketCache(tmp_path / "cache", clock=lambda: clock["now"])
-        resolver = ImageResolver(fetch, cache)
+        resolver = ImageResolver(SimpleNamespace(fetch=fetch), cache)
         failures = []
         sources = set()
 

@@ -1,4 +1,5 @@
 import hashlib
+import os
 import random
 
 import pytest
@@ -85,6 +86,8 @@ def test_compare_offsets_interleaves(tmp_path):
         assert len(near.samples) == len(far.samples) == 9
         assert all(s.start == 0 for s in near.samples)
         assert all(s.start == 400 for s in far.samples)
+        with pytest.raises(ValueError, match="trials must be >= 1, got 0"):
+            compare_offsets(store, 0, 400, count=50, trials=0)
 
 
 def archive_members(n, seed=0):
@@ -122,6 +125,15 @@ def test_scan_archive_ordinal_out_of_range(tmp_path):
         scan_extract(tmp_path / "arch", 3)
     with pytest.raises(IndexError):
         scan_extract(tmp_path / "arch", -1)
+
+
+def test_scan_archive_truncated_in_a_header(tmp_path):
+    members = archive_members(3)
+    build_scan_archive(tmp_path / "arch", members)
+    os.truncate(tmp_path / "arch", 16 + len(members[0]) + 5)  # five bytes of the second member's header
+    assert scan_extract(tmp_path / "arch", 0)[0] == members[0]
+    with pytest.raises(ValueError, match="truncated archive header"):
+        scan_extract(tmp_path / "arch", 1)
 
 
 def test_serial_baseline_sample(tmp_path):
@@ -168,6 +180,12 @@ def test_heavy_tail_reaches_top_decade():
     values = [rng.uniform(1, 10) ** 4 for _ in range(500)]  # skewed to the top
     rows = histogram(values, edges=decade_edges(values))
     assert rows[-1][2] > 0
+
+
+@pytest.mark.parametrize("values", [[0, 5], [-1, 5], [5, 0.0]])
+def test_decade_edges_need_positive_values(values):
+    with pytest.raises(ValueError, match="decade bins need positive values"):
+        decade_edges(values)
 
 
 def test_histogram_csv_format():

@@ -1,7 +1,9 @@
 import builtins
 import errno
 import inspect
+import logging
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -119,6 +121,24 @@ def test_sweep_ignores_foreign_entries(tmp_path):
     assert (tmp_path / "notes").is_dir()
 
 
+def test_sweep_logs_a_bucket_it_cannot_delete_and_deletes_the_rest(tmp_path, monkeypatch, caplog):
+    cache = make_cache(tmp_path)
+    for name in ("1649996", "1649997", "1649998"):
+        (tmp_path / name).mkdir()
+    real_rmtree = shutil.rmtree
+
+    def rmtree(path, *args, **kwargs):
+        if path.name == "1649997":
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+        real_rmtree(path, *args, **kwargs)
+
+    monkeypatch.setattr(shutil, "rmtree", rmtree)
+    with caplog.at_level(logging.WARNING, logger="raclib.cache"):
+        assert sorted(cache.sweep_old_buckets()) == ["1649996", "1649998"]
+    assert f"could not delete cache bucket {tmp_path / '1649997'}: [Errno {errno.EACCES}]" in caplog.text
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["1649997"]
+
+
 def test_ensure_bucket_sweeps_expired(tmp_path):
     (tmp_path / "1649997").mkdir()
     cache = make_cache(tmp_path)
@@ -186,12 +206,15 @@ class FakeLibrary:
         self.pages = pages
         self.fetches = 0
 
-    def __call__(self, title, page):
+    def fetch(self, title, page):
         self.fetches += 1
         try:
             return self.pages[title, page]
         except KeyError:
             raise NotFoundError(f"no page {page} of {title}") from None
+
+    def close(self):
+        pass
 
 
 @pytest.fixture

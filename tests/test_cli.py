@@ -191,6 +191,16 @@ def test_bench_cli_pipeline(tmp_path, capsys):
     assert sum(int(line.split(",")[2]) for line in hist_lines[1:]) == 5
 
 
+def test_bench_hist_of_an_empty_or_headerless_csv(tmp_path, capsys):
+    samples = tmp_path / "samples.csv"
+    samples.write_text("\n\n")
+    assert main(["bench", "hist", "--in", str(samples)]) == 1
+    assert capsys.readouterr().err == f"raclib: error: no samples in {samples}\n"
+    samples.write_text("5,x\n50,y\n")  # no header: the samples are the first column
+    assert main(["bench", "hist", "--in", str(samples), "--edges", "1,10,100"]) == 0
+    assert capsys.readouterr().out == "bin_low,bin_high,count\n1,10,1\n10,100,1\n"
+
+
 def test_bench_serial_cli(tmp_path, capsys):
     archive = tmp_path / "members.arch"
     assert main(["bench", "serial", "--archive", str(archive), "--member", "99",

@@ -17,6 +17,7 @@ from raclib.computed_index import (
     key_ordinal,
     letters_only,
     name_ordinal,
+    pack_tiling,
     trigram_of,
 )
 
@@ -93,6 +94,21 @@ def test_key_ordinal_out_of_range():
         TrigramKey(0, -1, 0)
 
 
+@pytest.mark.parametrize("start, count, message", [
+    (-1, 0, "start"), (10**10, 0, "start"), (0, -1, "count"), (0, 10**8, "count"),
+])
+def test_group_entry_out_of_range(start, count, message):
+    with pytest.raises(ValueError, match=f"group {message} out of range"):
+        GroupEntry(start, count)
+
+
+def test_pack_tiling_refuses_a_count_out_of_range_or_too_few_groups():
+    with pytest.raises(ValueError, match="group count out of range: 100000000"):
+        pack_tiling([0, 10**8] + [0] * (GROUP_COUNT - 2))
+    with pytest.raises(ValueError, match=f"expected {GROUP_COUNT} entries, got 5"):
+        pack_tiling([1] * 5)
+
+
 def test_create_fixed_file_size(tmp_path):
     ComputedIndex.create(tmp_path / "g.index").close()
     assert (tmp_path / "g.index").stat().st_size == INDEX_FILE_SIZE == 351_520
@@ -140,9 +156,10 @@ def test_read_counts_as_single_io(tmp_path):
 def test_malformed_entry_bytes(tmp_path):
     with ComputedIndex.create(tmp_path / "g.index") as index:
         with open(tmp_path / "g.index", "r+b") as f:
-            f.write(b"not an entry at all\n")
-        with pytest.raises(ValueError):
-            index.read_group_entry(0)
+            f.write(b"not an entry at all\n" + b"00000000x1 0000000+\n")  # bad layout; good layout, not digits
+        for ordinal in (0, 1):
+            with pytest.raises(ValueError, match="malformed group entry"):
+                index.read_group_entry(ordinal)
 
 
 def test_open_rejects_wrong_size(tmp_path):
@@ -192,4 +209,7 @@ def test_create_with_wrong_entry_count_writes_no_file(tmp_path):
     for entries in ([], [GroupEntry(0, 0)] * (GROUP_COUNT + 1)):
         with pytest.raises(ValueError):
             ComputedIndex.create(tmp_path / "g.index", entries)
+    for size in (INDEX_FILE_SIZE - 1, INDEX_FILE_SIZE + ENTRY_WIDTH):
+        with pytest.raises(ValueError, match=f"an index is {INDEX_FILE_SIZE} bytes, got {size}"):
+            ComputedIndex.create_packed(tmp_path / "g.index", bytes(size))
     assert not (tmp_path / "g.index").exists()

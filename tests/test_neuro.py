@@ -133,6 +133,16 @@ def test_build_rejects_duplicate_voxel(tmp_path):
     assert not (tmp_path / "lib").exists()
 
 
+@pytest.mark.parametrize("atlas, message", [
+    ({"left amygdala": [Voxel(1, 2, 3)]}, "region must be ASCII without whitespace: 'left amygdala'"),
+    ({"r": [Voxel(1, 2, 3), Voxel(1000, 2, 3)]}, "coordinate component out of range [-999, 999]: 1000"),
+])
+def test_build_of_a_map_an_index_cannot_hold_raises_before_making_a_directory(tmp_path, atlas, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        RegionLibrary.build(atlas, tmp_path / "lib")
+    assert not (tmp_path / "lib").exists()
+
+
 def test_atlas_tsv_rejects_a_voxel_repeated_in_its_region_when_read(tmp_path):
     # rB may hold rA's voxel; rA's repeat comes after rA's other block and after rB.
     path = tmp_path / "atlas.tsv"

@@ -28,6 +28,9 @@ class FakeResolver:
             raise self.outcome
         return self.outcome
 
+    def close(self):
+        pass
+
 
 def answer(resolver, target):
     status, headers, body = respond(resolver, target)

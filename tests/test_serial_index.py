@@ -241,6 +241,14 @@ def test_tag_collisions_never_return_another_entry(tmp_path, monkeypatch):
             index.lookup("n1", "1")
 
 
+@pytest.mark.parametrize("start, count, byte_length, message", [
+    (-1, 1, None, "negative start/count"), (0, -1, None, "negative start/count"), (0, 1, -1, "negative byte_length"),
+])
+def test_negative_numbers_rejected(start, count, byte_length, message):
+    with pytest.raises(ValueError, match=message):
+        SerialIndexEntry("A", "1", start, count, byte_length)
+
+
 def test_non_ascii_token_rejected():
     with pytest.raises(ValueError):
         SerialIndexEntry("Tälly", "1", 0, 1)
@@ -330,6 +338,23 @@ def test_parse_refuses_number_spellings_other_than_digits(line):
     with pytest.raises(ValueError) as caught:
         SerialIndexEntry.parse(line)
     assert repr(line) in str(caught.value)
+
+
+@pytest.mark.parametrize("line", ["a 1 3\n", "a 1 3 2 7 9\n"])
+def test_parse_refuses_a_line_of_other_than_four_or_five_fields(line):
+    with pytest.raises(ValueError, match="must have 4 or 5 fields") as caught:
+        SerialIndexEntry.parse(line)
+    assert repr(line) in str(caught.value)
+
+
+def test_an_index_of_4_gib_is_refused_holding_no_fd(tmp_path):
+    path = tmp_path / "huge.index"
+    path.write_bytes(b"")
+    os.truncate(path, 1 << serial_index.OFFSET_BITS)  # sparse: no disk block is written
+    before = open_fd_count()
+    with pytest.raises(ValueError, match="not under the 4294967296 B limit"):
+        SerialIndex(path)
+    assert open_fd_count() == before
 
 
 def counted_loads(monkeypatch) -> list[int]:

@@ -1,6 +1,8 @@
 import email.utils
+import errno
 import http.client
 import logging
+import os
 import re
 import socket
 import subprocess
@@ -49,7 +51,6 @@ def service(tmp_path):
     yield f"http://127.0.0.1:{server.server_address[1]}", pages
     server.shutdown()
     server.server_close()
-    server.resolver.close()
 
 
 def get(url):
@@ -104,7 +105,6 @@ def test_repack_renamed_under_a_running_server_serves_the_pack_it_opened(tmp_pat
     finally:
         server.shutdown()
         server.server_close()
-        server.resolver.close()
 
 
 def test_unknown_image_404(service):
@@ -138,7 +138,6 @@ def test_every_name_pack_accepts_is_served_and_cached_in_its_bucket(tmp_path):
     finally:
         server.shutdown()
         server.server_close()
-        server.resolver.close()
     buckets = [path for path in (tmp_path / "cache").iterdir() if path.is_dir()]
     assert len(buckets) == 1
     assert [path.name for path in buckets[0].iterdir()] == ["Smith%2FJones_0001.jpg"]
@@ -177,6 +176,41 @@ def test_unmakeable_cache_root_fails_startup_holding_no_fd(tmp_path):
     assert open_fd_count() == before
 
 
+def test_a_busy_port_fails_startup_with_its_oserror_holding_no_fd(tmp_path):
+    pack_pages(tmp_path)
+    config = Config(library_dir=tmp_path / "lib", cache_root=tmp_path / "cache")
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        port = taken.getsockname()[1]
+        before = open_fd_count()
+        resolver = build_resolver(config)
+        with pytest.raises(OSError) as err:
+            DeliveryServer(("127.0.0.1", port), resolver)
+        assert err.value.errno == errno.EADDRINUSE
+        assert_closed(resolver.library.collections[0])
+        assert open_fd_count() == before  # the listening socket too
+        served = subprocess.run([sys.executable, "-m", "raclib.cli", "serve", "--port", str(port),
+                                 "--library-dir", str(config.library_dir), "--cache-root", str(config.cache_root)],
+                                capture_output=True, text=True, timeout=60)
+    assert (served.returncode, served.stderr) == (
+        1, f"raclib: error: [Errno {errno.EADDRINUSE}] {os.strerror(errno.EADDRINUSE)}\n")
+
+
+def test_a_socket_that_cannot_be_made_closes_the_resolver(tmp_path, monkeypatch):
+    pack_pages(tmp_path)
+    resolver = build_resolver(Config(library_dir=tmp_path / "lib", cache_root=tmp_path / "cache"))
+
+    def no_descriptor(*args, **kwargs):
+        raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+    monkeypatch.setattr(socket, "socket", no_descriptor)
+    with pytest.raises(OSError) as err:
+        DeliveryServer(("127.0.0.1", 0), resolver)
+    assert err.value.errno == errno.EMFILE
+    assert_closed(resolver.library.collections[0])
+
+
 class CountingConnection(http.client.HTTPConnection):
     """An ``http.client`` connection that counts the TCP connections it opens."""
 
@@ -199,8 +233,7 @@ def counted_server(tmp_path):
     """A server over one packed collection whose I/O counters the test can read."""
     pages = pack_pages(tmp_path)
     collection = Collection.open(tmp_path / "lib" / "yearbooks.raclib")
-    resolver = ImageResolver(collection.fetch, BucketCache(tmp_path / "cache"), close=collection.close)
-    server = DeliveryServer(("127.0.0.1", 0), resolver)
+    server = DeliveryServer(("127.0.0.1", 0), ImageResolver(collection, BucketCache(tmp_path / "cache")))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     conn = CountingConnection(server.server_address[1])
@@ -208,12 +241,19 @@ def counted_server(tmp_path):
     conn.close()
     server.shutdown()
     server.server_close()
-    resolver.close()
 
 
 @pytest.fixture
 def counted(counted_server):
     return counted_server[1:]
+
+
+def assert_closed(collection):
+    """Both files of ``collection`` are closed: asking either for its status fails with EBADF."""
+    for store in (collection.store, collection.index.records):
+        with pytest.raises(OSError) as err:
+            store.fstat()
+        assert err.value.errno == errno.EBADF
 
 
 def image_path(title, page):
@@ -307,7 +347,7 @@ def test_close_ends_an_idle_connection_before_the_store_closes(counted_server):
     started = time.perf_counter()
     server.server_close()
     assert time.perf_counter() - started < 1.0, "the idle connection did not hold up the close"
-    collection.close()
+    assert_closed(collection)
     # The kept-alive connection is gone: no answer from the closed store.
     with pytest.raises((http.client.RemoteDisconnected, ConnectionError)):
         conn.get(image_path("TallyHo1965", "0002"))
@@ -345,6 +385,7 @@ def test_close_answers_the_request_in_flight_then_ends_its_connection(counted_se
     requester.join(5)
     assert not closer.is_alive() and not requester.is_alive()
     assert answers == [(200, "close", pages["TallyHo1965", "0003"])]
+    assert_closed(collection)
     assert conn.connects == 1
 
 
@@ -515,7 +556,11 @@ ACCEPTOR = """
 import resource, sys, threading, time
 from raclib.server import DeliveryServer
 
-server = DeliveryServer(("127.0.0.1", 0), None)
+class StubResolver:
+    def close(self):
+        pass
+
+server = DeliveryServer(("127.0.0.1", 0), StubResolver())
 resource.setrlimit(resource.RLIMIT_NOFILE, (16, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
 threading.Thread(target=server.serve_forever, daemon=True).start()
 print(server.server_address[1], flush=True)

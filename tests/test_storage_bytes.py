@@ -121,7 +121,7 @@ def test_evicted_member_served_over_http_fetches_only_its_pages(tmp_path):
         (tmp_path / "in" / f"Book_{key}.jpg").write_bytes(payload)
     pack_directory(tmp_path / "in", "books", tmp_path / "lib").close()
     collection = Collection.open(tmp_path / "lib" / "books.raclib")
-    resolver = ImageResolver(collection.fetch, BucketCache(tmp_path / "cache"), close=collection.close)
+    resolver = ImageResolver(collection, BucketCache(tmp_path / "cache"))
     server = DeliveryServer(("127.0.0.1", 0), resolver)
     threading.Thread(target=server.serve_forever, daemon=True).start()
     conn = http.client.HTTPConnection("127.0.0.1", server.server_address[1], timeout=10)
@@ -143,4 +143,3 @@ def test_evicted_member_served_over_http_fetches_only_its_pages(tmp_path):
         conn.close()
         server.shutdown()
         server.server_close()
-        resolver.close()

@@ -218,11 +218,29 @@ def test_read_only_handle_rejects_append(tmp_path):
 
 def test_open_shorter_than_metadata_is_error(tmp_path):
     store = RecordStore.create(tmp_path / "lib")
-    store.append_payload(b"x" * 3000)
-    store.close()
+    ref = store.append_payload(b"x" * 3000)
     os.truncate(tmp_path / "lib", 1024)
+    with pytest.raises(OSError, match="short read"):  # the store open before the cut reads up to it, then stops
+        store.read_payload(ref)
+    store.close()
     with pytest.raises(ValueError):
         RecordStore.open(tmp_path / "lib")
+
+
+@pytest.mark.parametrize("sidecar, message", [
+    ("record_size=16\n", "malformed"),
+    ("record_count=0\nrecord_size=16\n", "malformed"),
+    ("record_size=16\nrecord_count=0\nextra=1\n", "malformed"),
+    ("record_size=0\nrecord_count=0\n", "invalid"),
+    ("record_size=16\nrecord_count=-1\n", "invalid"),
+])
+def test_open_rejects_a_sidecar_that_is_not_its_two_lines(tmp_path, sidecar, message):
+    (tmp_path / "lib").write_bytes(b"")
+    (tmp_path / "lib.meta").write_text(sidecar)
+    before = open_fd_count()
+    with pytest.raises(ValueError, match=f"{message} store metadata"):
+        RecordStore.open(tmp_path / "lib")
+    assert open_fd_count() == before
 
 
 def test_fixed_store_round_trip_without_sidecar(tmp_path):
