@@ -18,6 +18,7 @@ reader never sees a partial write.
 
 from __future__ import annotations
 
+import errno
 import logging
 import os
 import shutil
@@ -147,15 +148,16 @@ class BucketCache:
         return BucketOutcome.FORCED
 
     def sweep_old_buckets(self, now: float | None = None) -> list[str]:
-        """Delete buckets older than every live one; failures are reported, not raised."""
+        """Delete buckets older than every live one, and no other entry; failures are reported, not raised."""
         if now is None:
             now = self.now()
         cutoff = self.live_bucket_ids(now)[-1]
         deleted = []
         for child in self.root.iterdir():
-            if not child.is_dir() or not child.name.isdigit():
+            name = child.name  # a bucket is a name bucket_name gives: ASCII digits, no leading zero, >= the floor's
+            if not (name.isascii() and name.isdigit() and name[0] != "0" and child.is_dir()):
                 continue
-            if int(child.name) < cutoff:
+            if EPOCH_FLOOR // BUCKET_SECONDS <= int(name) < cutoff:
                 try:
                     shutil.rmtree(child)
                     deleted.append(child.name)
@@ -204,7 +206,7 @@ class ImageResolver:
     NotFoundError for unknown members, and ``close()``: a CollectionSet or
     a Collection. The resolver owns it and closes it in ``close``. Caching
     is best-effort: a cache that cannot be read or written degrades to
-    serving the fetched bytes.
+    serving the fetched bytes, and a name too long to cache is not cached.
     """
 
     def __init__(self, library, cache: BucketCache):
@@ -221,7 +223,8 @@ class ImageResolver:
             self.cache.ensure_bucket(now)
             cached = self.cache.find_cached(filename, now)
         except OSError as exc:
-            logger.warning("cache unusable, serving without it: %s", exc)
+            if exc.errno != errno.ENAMETOOLONG:  # a name too long for the file system is served uncached, unlogged
+                logger.warning("cache unusable, serving without it: %s", exc)
             return DeliveryResult(self.library.fetch(request.title, request.page), "library")
         if cached is not None:
             return DeliveryResult(cached, "cache")
@@ -229,5 +232,6 @@ class ImageResolver:
         try:
             self.cache.store_file(filename, payload, now)
         except OSError as exc:
-            logger.warning("cache write failed for %s: %s", filename, exc)
+            if exc.errno != errno.ENAMETOOLONG:
+                logger.warning("cache write failed for %s: %s", filename, exc)
         return DeliveryResult(payload, "library")

@@ -7,12 +7,13 @@ covers (-4[0-9], 1[0-9], -3[0-9]). Coordinates of one (region, block) group
 are stored as consecutive fixed-width records, one serial-index line per
 group, so a block query is one index lookup plus one contiguous read.
 
-A region query reads the region's lines as the serial index's ``runs``:
-its (start, count) record runs in index order, adjacent groups merged into
-one run, built on the first query and kept while the library is open. So a
-region query is a dict probe and one contiguous read per run; a built
-library stores each region's groups back to back, so that is one read.
-This module never opens or parses an index file itself.
+A region query reads the region's (start, count) record runs, in index
+order, adjacent groups merged into one run. The library builds the runs of
+every region in one pass over the serial index's ``entries()`` on the first
+region query and keeps them while it is open. So a region query is a dict
+probe and one contiguous read per run; a built library stores each region's
+groups back to back, so that is one read. This module never opens or parses
+an index file itself: ``entries()`` parses its lines.
 
 A run is decoded in one pass over its bytes: each 16-byte record is checked
 and split into its three axis tokens by one compiled pattern, and each
@@ -32,11 +33,13 @@ from __future__ import annotations
 
 import re
 import struct
+import threading
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
+from .errors import NotFoundError
 from .serial_index import SerialIndex, SerialIndexEntry, _check_token
-from .store import Library, read_tsv
+from .store import Library, RecordStore, read_tsv
 
 COORD_BOUND = 999  # 3-digit encoding per axis
 COORD_RECORD_SIZE = 16
@@ -260,8 +263,26 @@ def _writes(atlas: PackedAtlas):
         yield b"".join(chunk)
 
 
+def _region_runs(entries: Iterable[SerialIndexEntry]) -> dict[str, tuple[tuple[int, int], ...]]:
+    """Each region's (start, count) runs in line order; a line that follows on from its region's last run extends it."""
+    runs: dict[str, list[list[int]]] = {}
+    for entry in entries:
+        named = runs.setdefault(entry.name, [])
+        if named and named[-1][0] + named[-1][1] == entry.start:
+            named[-1][1] += entry.count
+        elif entry.count:
+            named.append([entry.start, entry.count])
+    return {name: tuple(map(tuple, named)) for name, named in runs.items()}
+
+
 class RegionLibrary(Library):
     """Voxel store grouped region-by-region, block-by-block."""
+
+    def __init__(self, store: RecordStore, index: SerialIndex):
+        super().__init__(store, index)
+        self._runs: dict[str, tuple[tuple[int, int], ...]] | None = None  # built by the first region query
+        self._failed: tuple | None = None  # the args of the ValueError that build raised: the index is constant
+        self._lock = threading.Lock()
 
     @classmethod
     def build(cls, atlas: PackedAtlas | Mapping[str, Iterable[Voxel]], out_dir: str | Path) -> "RegionLibrary":
@@ -301,14 +322,35 @@ class RegionLibrary(Library):
         """The records of every index line named for the region, in file order.
 
         Duplicate lines are read as often as they appear. The cost is a
-        probe of the index's runs and one contiguous read per run of
+        probe of the region runs and one contiguous read per run of
         adjacent groups: one read for a library written by ``build``.
-        An unknown region raises NotFoundError without reading the store.
+        An unknown region raises NotFoundError without reading the store. A
+        malformed index line's ValueError is raised afresh by every region
+        query, with no read; after an OSError the next query builds again.
         """
+        runs = self._runs
+        if runs is None:
+            with self._lock:
+                if self._failed is not None:
+                    raise ValueError(*self._failed)
+                if self._runs is None:
+                    try:
+                        self._runs = _region_runs(self.index.entries())
+                    except ValueError as error:
+                        self._failed = error.args
+                        raise
+                runs = self._runs
+        found = runs.get(region)
+        if found is None:
+            raise NotFoundError(f"no index entry named {region!r}")
         voxels = []
-        for start, count in self.index.runs(region):
+        for start, count in found:
             voxels.extend(self._read_run(start, count))
         return voxels
+
+    def close(self) -> None:
+        super().close()
+        self._runs = None
 
 
 def read_atlas_tsv(path: str | Path) -> PackedAtlas:

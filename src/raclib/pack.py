@@ -48,9 +48,11 @@ def _indexable(member: tuple[str, str], where: str) -> tuple[str, str]:
 
 
 def read_manifest(path: str | Path, input_dir: str | Path) -> dict[str, tuple[str, str]]:
-    """Parse a filename -> (name, key) manifest (three tab-separated fields) of files in ``input_dir``, each once."""
+    """Parse a filename -> (name, key) manifest (three tab-separated fields) of plain names in ``input_dir``, each once."""
     members = {}
     for lineno, (filename, name, key), _ in read_tsv(path, 3, "filename<TAB>name<TAB>key"):
+        if "/" in filename or filename in (".", ".."):
+            raise ValueError(f"{path}:{lineno}: {filename} is not a plain file name in {input_dir}")
         if filename in members:
             raise ValueError(f"{path}:{lineno}: {filename} is listed twice")
         members[filename] = _indexable((name, key), f"{path}:{lineno}")

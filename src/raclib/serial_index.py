@@ -32,10 +32,6 @@ probe points at (normally exactly one, none for a miss), each in one store
 read of exactly its bytes, whatever its length, then matches the name and
 key tokens of that line exactly, never by substring, so "040" does not hit
 "0404". When a file holds the same (name, key) twice, the first line wins.
-
-``runs(name)`` gives the record runs of every line named ``name``. One pass
-over the file on the first query builds the runs of all names, kept for the
-life of the index.
 """
 
 from __future__ import annotations
@@ -234,28 +230,14 @@ def _load_table(records: RecordStore, size: int):
     return _views(words)
 
 
-def _load_runs(records: RecordStore, size: int) -> dict[str, tuple[tuple[int, int], ...]]:
-    """Each name's (start, count) runs in line order; a line that follows on from its name's last run extends it."""
-    runs: dict[str, list[list[int]]] = {}
-    for line in _lines(records, size):
-        entry = SerialIndexEntry.parse(line.decode("ascii"))
-        named = runs.setdefault(entry.name, [])
-        if named and named[-1][0] + named[-1][1] == entry.start:
-            named[-1][1] += entry.count
-        elif entry.count:
-            named.append([entry.start, entry.count])
-    return {name: tuple(map(tuple, named)) for name, named in runs.items()}
-
-
 class SerialIndex(Closeable):
     """A codec over one sidecar-less store of 1-byte records: the index file as it was at open.
 
-    The slot table and the runs are each built once, on first use, and
-    kept; the slot table is read from its slot file instead where that
-    holds it for this file. ``counters`` are the store's: they count the
-    line reads made to answer lookups, each one read of exactly its line;
-    the slot-file read and the passes that build the table and the runs are
-    not counted.
+    The slot table is built once, on the first lookup, and kept, or read
+    from its slot file instead where that holds it for this file.
+    ``counters`` are the store's: they count the line reads made to answer
+    lookups, each one read of exactly its line; the slot-file read and the
+    passes that build the table or read ``entries`` are not counted.
     """
 
     def __init__(self, path: str | Path):
@@ -266,8 +248,6 @@ class SerialIndex(Closeable):
             self.close()
             raise ValueError(f"index {path} is {self.records.record_count} B, not under the {1 << OFFSET_BITS} B limit")
         self._table: tuple[bytes, memoryview] | None = None  # salt, slots
-        self._runs: dict | None = None
-        self._failed: dict[str, tuple] = {}  # attr -> the args of the ValueError its build raised
         self._lock = threading.Lock()
 
     @classmethod
@@ -278,28 +258,13 @@ class SerialIndex(Closeable):
         publish_file(path, "".join(entry.line() for entry in entries).encode("ascii"))
         return cls(path)
 
-    def _kept(self, attr: str, build):
-        """``build(records, size)``, made under the lock by the first caller and kept in ``attr``.
-
-        The file is constant, so a ``ValueError`` the build raises is raised
-        afresh by every later call, with no read; an ``OSError`` is not kept."""
-        with self._lock:
-            if attr in self._failed:
-                raise ValueError(*self._failed[attr])
-            if getattr(self, attr) is None:
-                try:
-                    setattr(self, attr, build(self.records, self.records.record_count))
-                except ValueError as error:
-                    self._failed[attr] = error.args
-                    raise
-            return getattr(self, attr)
-
     def lookup(self, name: str, key: str) -> SerialIndexEntry:
         """The first line whose name and key tokens both match exactly; ValueError if it is malformed."""
-        table = self._table
-        if table is None:
-            table = self._kept("_table", _load_table)
-        salt, slots = table
+        if self._table is None:
+            with self._lock:  # one build, by the first lookup
+                if self._table is None:
+                    self._table = _load_table(self.records, self.records.record_count)
+        salt, slots = self._table
         if name.isascii() and key.isascii():  # else no line of the ASCII file can match
             h = _hash(salt, name.encode("ascii"), key.encode("ascii"))
             tag = h & TAG_MASK
@@ -320,20 +285,6 @@ class SerialIndex(Closeable):
                 i = i + 1 if i + 1 < n else 0
         raise NotFoundError(f"no index entry for ({name}, {key})")
 
-    def runs(self, name: str) -> tuple[tuple[int, int], ...]:
-        """The (start, count) record runs of every line named ``name``, in file order.
-
-        Adjacent lines are merged; a repeated line gives a run each time it
-        appears. Raises NotFoundError if no line is named ``name``, and
-        ValueError, on every call, if a line of the file is malformed."""
-        runs = self._runs
-        if runs is None:
-            runs = self._kept("_runs", _load_runs)
-        found = runs.get(name)
-        if found is None:
-            raise NotFoundError(f"no index entry named {name!r}")
-        return found
-
     def entries(self):
         """Yield all entries in file order."""
         for line in _lines(self.records, self.records.record_count):
@@ -345,4 +296,4 @@ class SerialIndex(Closeable):
 
     def close(self) -> None:
         self.records.close()
-        self._table = self._runs = None
+        self._table = None

@@ -21,8 +21,10 @@ from raclib.cache import (
     bucket_name,
 )
 from raclib.errors import NotFoundError
+from raclib.server import respond
 
 T0 = 1_650_000_000
+PAYLOAD = b"\xff\xd8\xff jpeg bytes"
 
 
 class FakeClock:
@@ -116,9 +118,18 @@ def test_sweep_ignores_foreign_entries(tmp_path):
     (tmp_path / "token").touch()
     (tmp_path / "notes").mkdir()
     (tmp_path / "1000000").mkdir()
+    # Digits that bucket_name never gives: a year, leading zeros, a superscript that int() refuses.
+    foreign = ["2019", "007", "\u00b2", "01649990"]
+    for name in foreign:
+        (tmp_path / name).mkdir()
+    (tmp_path / "2019" / "notes.txt").write_text("kept")
     assert cache.sweep_old_buckets() == ["1000000"]
     assert (tmp_path / "token").exists()
     assert (tmp_path / "notes").is_dir()
+    (tmp_path / "token").unlink()
+    assert cache.ensure_bucket() == BucketOutcome.CREATED  # its sweep raises nothing either
+    assert all((tmp_path / name).is_dir() for name in foreign)
+    assert (tmp_path / "2019" / "notes.txt").read_text() == "kept"
 
 
 def test_sweep_logs_a_bucket_it_cannot_delete_and_deletes_the_rest(tmp_path, monkeypatch, caplog):
@@ -303,6 +314,18 @@ def test_unreadable_cache_serves_the_library_uncached(resolver, monkeypatch):
     result = res.resolve(DeliveryRequest("TallyHo1965", "0404"))
     assert (result.source, result.payload) == ("library", b"\xff\xd8\xff jpeg bytes")
     assert stored == []
+
+
+@pytest.mark.parametrize("length", [300, 240])  # too long to open; fits, but its temp name does not
+def test_name_too_long_for_the_file_system_is_served_uncached_and_unlogged(tmp_path, caplog, length):
+    title = "T" * length  # a name holds at most 255 bytes on ext4, xfs, btrfs and tmpfs
+    res = ImageResolver(FakeLibrary({(title, "0001"): PAYLOAD}), BucketCache(tmp_path, clock=FakeClock()))
+    with caplog.at_level(logging.WARNING, logger="raclib.cache"):
+        for _ in range(2):
+            assert respond(res, f"/image?title={title}&page=0001")[::2] == (200, PAYLOAD)
+            assert respond(res, f"/image?title={title}&page=0002")[::2] == (404, b"unknown title/page\n")
+    assert caplog.records == []
+    assert [(path.name, path.is_dir()) for path in tmp_path.rglob("*")] == [("1650000", True)]
 
 
 def test_resolve_unknown_page(resolver):

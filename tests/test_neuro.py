@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import open_fd_count, traced_peak
 
-from raclib import serial_index
+from raclib import neuro
 from raclib.errors import NotFoundError
 from raclib.neuro import (
     COORD_RECORD_SIZE,
@@ -23,6 +23,7 @@ from raclib.neuro import (
     _unpack_run,
     read_atlas_tsv,
 )
+from raclib.serial_index import SerialIndex
 from raclib.store import RecordStore
 
 
@@ -339,13 +340,13 @@ def test_region_query_is_one_read_of_its_records(tmp_path):
 
 def count_index_passes(monkeypatch):
     passes = []
-    real_load = serial_index._load_runs
+    real_load = neuro._region_runs
 
-    def counting_load(fd, size):
-        passes.append(size)
-        return real_load(fd, size)
+    def counting_load(entries):
+        passes.append(entries)
+        return real_load(entries)
 
-    monkeypatch.setattr(serial_index, "_load_runs", counting_load)
+    monkeypatch.setattr(neuro, "_region_runs", counting_load)
     return passes
 
 
@@ -426,6 +427,71 @@ def test_concurrent_region_queries_build_runs_once(tmp_path, monkeypatch):
         for _ in range(10):
             assert lib.region_voxels("b") == b
         assert len(passes) == 1
+
+
+def test_malformed_line_fails_every_region_query_with_one_build(tmp_path, monkeypatch):
+    passes = count_index_passes(monkeypatch)
+    v = Voxel(1, 2, 3)
+    RegionLibrary.build({"a": [v]}, tmp_path / "lib").close()
+    path = tmp_path / "lib" / "regions.index"
+    path.unlink()
+    path.write_text(f"a {block_of(v)} 0 1\nb {block_of(v)} x 1\n")  # the second line's start is not a number
+    with RegionLibrary.open(tmp_path / "lib") as lib:
+        errors = []
+        for region in ("a", "a", "b", "nope"):
+            with pytest.raises(ValueError) as caught:
+                lib.region_voxels(region)
+            errors.append(caught.value)
+        assert len(passes) == 1  # the file is constant: later queries read nothing
+        assert len({str(e) for e in errors}) == 1
+        assert len({id(e) for e in errors}) == 4  # each query raises a fresh error
+        assert lib.block_voxels("a", block_of(v)) == [v]  # a lookup does not parse the other lines
+
+
+def test_region_runs_build_retries_after_an_os_error(tmp_path, monkeypatch):
+    failures = [OSError("transient")]
+    real_load = neuro._region_runs
+
+    def flaky_load(entries):
+        if failures:
+            raise failures.pop()
+        return real_load(entries)
+
+    monkeypatch.setattr(neuro, "_region_runs", flaky_load)
+    with RegionLibrary.build({"a": [Voxel(1, 2, 3)]}, tmp_path / "lib") as lib:
+        with pytest.raises(OSError):
+            lib.region_voxels("a")
+        assert lib.region_voxels("a") == [Voxel(1, 2, 3)]
+
+
+def test_open_atlas_builds_its_runs_from_the_index_it_opened(tmp_path):
+    v = Voxel(1, 2, 3)
+    RegionLibrary.build({"a": [v]}, tmp_path / "lib").close()
+    with RegionLibrary.open(tmp_path / "lib") as lib:
+        (tmp_path / "new").write_text(f"b {block_of(v)} 5 1\na {block_of(v)} 7 1\n")
+        os.replace(tmp_path / "new", tmp_path / "lib" / "regions.index")
+        assert lib.region_voxels("a") == [v]  # the first region query: the runs are built now
+        with pytest.raises(NotFoundError):
+            lib.region_voxels("b")
+
+
+def test_block_query_makes_no_pass_over_the_index(tmp_path, monkeypatch):
+    calls = []
+    real_entries = SerialIndex.entries
+
+    def counting_entries(index):
+        calls.append(index)
+        return real_entries(index)
+
+    monkeypatch.setattr(SerialIndex, "entries", counting_entries)
+    v = Voxel(1, 2, 3)
+    RegionLibrary.build({"a": [v, Voxel(15, 2, 3)]}, tmp_path / "lib").close()
+    with RegionLibrary.open(tmp_path / "lib") as lib:
+        for _ in range(3):
+            assert lib.block_voxels("a", block_of(v)) == [v]
+        assert calls == []
+        assert lib.region_voxels("a") == [v, Voxel(15, 2, 3)]
+        assert len(calls) == 1
 
 
 STORE_RECORDS = 40

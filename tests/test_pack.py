@@ -136,6 +136,21 @@ def test_unindexable_manifest_row_names_its_line(tmp_path):
         read_manifest(manifest, tmp_path)
 
 
+@pytest.mark.parametrize("form", ["../outside.jpg", "absolute", "sub/inside.jpg", ".", ".."])
+def test_manifest_filename_outside_the_input_directory_names_its_line_and_writes_nothing(tmp_path, form):
+    indir = tmp_path / "in"
+    (indir / "sub").mkdir(parents=True)
+    (indir / "a.jpg").write_bytes(b"a")
+    (indir / "sub" / "inside.jpg").write_bytes(b"in a subdirectory")
+    (tmp_path / "outside.jpg").write_bytes(b"outside the input directory")
+    filename = str(tmp_path / "outside.jpg") if form == "absolute" else form
+    manifest = tmp_path / "members.tsv"
+    manifest.write_text(f"a.jpg\tT\t1\n{filename}\tT\t2\n")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{manifest}:2: {filename} is not a plain file name")):
+        pack_directory(indir, "c", tmp_path / "out", manifest=manifest)
+    assert not (tmp_path / "out").exists()
+
+
 def test_unindexable_file_name_names_the_file(tmp_path):
     indir = tmp_path / "in"
     indir.mkdir()

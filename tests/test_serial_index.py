@@ -285,50 +285,8 @@ def test_open_index_reads_only_the_file_it_opened(tmp_path):
         assert index.lookup("a", "1").start == 0
         with pytest.raises(NotFoundError):
             index.lookup("b", "2")
-        assert index.runs("a") == ((0, 1),)
-        with pytest.raises(NotFoundError):
-            index.runs("b")
         assert [e.start for e in index.entries()] == [0]
         assert index.entry_count() == 1
-
-
-def test_malformed_line_fails_every_runs_query_with_one_build(tmp_path, monkeypatch):
-    path = tmp_path / "i"
-    path.write_text("a 1 0 1\nb 2 x 1\n")  # the second line's start is not a number
-    builds = []
-    real_load_runs = serial_index._load_runs
-
-    def counting_load_runs(records, size):
-        builds.append(size)
-        return real_load_runs(records, size)
-
-    monkeypatch.setattr(serial_index, "_load_runs", counting_load_runs)
-    with SerialIndex(path) as index:
-        errors = []
-        for _ in range(3):
-            with pytest.raises(ValueError) as caught:
-                index.runs("a")
-            errors.append(caught.value)
-        assert builds == [path.stat().st_size]  # the file is constant: later calls read nothing
-        assert len({str(e) for e in errors}) == 1
-        assert len({id(e) for e in errors}) == 3  # each call raises a fresh error
-        assert index.lookup("a", "1").start == 0  # the slot table does not parse the lines
-
-
-def test_runs_build_retries_after_an_os_error(tmp_path, monkeypatch):
-    failures = [OSError("transient")]
-    real_load_runs = serial_index._load_runs
-
-    def flaky_load_runs(records, size):
-        if failures:
-            raise failures.pop()
-        return real_load_runs(records, size)
-
-    monkeypatch.setattr(serial_index, "_load_runs", flaky_load_runs)
-    with SerialIndex.create(tmp_path / "i", [SerialIndexEntry("a", "1", 0, 1)]) as index:
-        with pytest.raises(OSError):
-            index.runs("a")
-        assert index.runs("a") == ((0, 1),)
 
 
 @pytest.mark.parametrize("line", [

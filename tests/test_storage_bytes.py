@@ -105,8 +105,9 @@ def test_evicted_ssdi_search_fetches_only_its_group(tmp_path):
 def test_evicted_region_query_fetches_only_its_records(tmp_path):
     RegionLibrary.build(compact_atlas(7, 9, 8_000), tmp_path / "lib").close()  # 1.15 MB of voxel records
     with RegionLibrary.open(tmp_path / "lib") as library:
-        (start, count), = library.index.runs("region_4")  # builds the runs of every region
-        expected = library.region_voxels("region_4")
+        lines = [entry for entry in library.index.entries() if entry.name == "region_4"]
+        start, count = lines[0].start, sum(entry.count for entry in lines)  # its blocks are back to back: one run
+        expected = library.region_voxels("region_4")  # builds the runs of every region
         got = []
         counted = cold_read_bytes(tmp_path / "lib" / VOXELS_FILE, lambda: got.append(library.region_voxels("region_4")))
     assert got == [expected]
