@@ -193,8 +193,8 @@ def _check_distinct(region: str, records: bytearray) -> None:
     assert len(records) <= BLOCK_CAPACITY * COORD_RECORD_SIZE
 
 
-def _pack(rows: Iterable[tuple[int, tuple[str, str, str, str], bool]], source: str | Path | None) -> PackedAtlas:
-    """Pack ``(lineno, (region, x, y, z), _)`` rows, components as text, into a ``PackedAtlas``.
+def _pack(rows: Iterable[tuple[int, tuple[str, str, str, str]]], source: str | Path | None) -> PackedAtlas:
+    """Pack ``(lineno, (region, x, y, z))`` rows, components as text, into a ``PackedAtlas``.
 
     Each row is checked and its record appended to its (region, block)
     buffer, so no row is held but as its 16 bytes. A component that is not
@@ -206,7 +206,7 @@ def _pack(rows: Iterable[tuple[int, tuple[str, str, str, str], bool]], source: s
     """
     codes = _ComponentCodes()
     regions: dict[str, dict[tuple[str, str, str], bytearray]] = {}
-    for lineno, (region, x, y, z), _ in rows:
+    for lineno, (region, x, y, z) in rows:
         try:
             (cx, dx), (cy, dy), (cz, dz) = codes[x], codes[y], codes[z]
             blocks = regions.get(region)
@@ -236,7 +236,7 @@ def _voxel_rows(regions: Mapping[str, Iterable[Voxel]]):
             x, y, z = voxel
             if type(x) is not int or type(y) is not int or type(z) is not int:
                 raise ValueError(f"coordinate components must be ints: {Voxel(*voxel)}")
-            yield 0, (region, str(x), str(y), str(z)), False
+            yield 0, (region, str(x), str(y), str(z))
 
 
 def _index_entries(atlas: PackedAtlas):

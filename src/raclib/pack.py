@@ -50,7 +50,7 @@ def _indexable(member: tuple[str, str], where: str) -> tuple[str, str]:
 def read_manifest(path: str | Path, input_dir: str | Path) -> dict[str, tuple[str, str]]:
     """Parse a filename -> (name, key) manifest (three tab-separated fields) of plain names in ``input_dir``, each once."""
     members = {}
-    for lineno, (filename, name, key), _ in read_tsv(path, 3, "filename<TAB>name<TAB>key"):
+    for lineno, (filename, name, key) in read_tsv(path, 3, "filename<TAB>name<TAB>key"):
         if "/" in filename or filename in (".", ".."):
             raise ValueError(f"{path}:{lineno}: {filename} is not a plain file name in {input_dir}")
         if filename in members:

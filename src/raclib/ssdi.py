@@ -12,6 +12,11 @@ A non-hit is rejected on its fixed-width name and year bytes, without
 decoding; the remaining candidates are built once each and filtered by
 ``matches``.
 
+A build holds each record in a compact form, its five stored fields each
+ended by a newline, in one buffer per non-empty group, and expands a group
+to its 64-byte records only as it writes it. ``read_records_tsv`` packs a
+plain TSV line from its bytes, with no ``DeathRecord`` and no field text.
+
 Record layout (64 bytes, one line of plain ASCII per person):
 
     surname   24 bytes, upper-case, space-padded
@@ -28,9 +33,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, NamedTuple
 
 from .computed_index import GROUP_COUNT, ComputedIndex, letters_only, name_ordinal, pack_tiling
-from .store import Library, read_tsv
+from .store import Library, tsv_fields
 
 RECORD_SIZE = 64
 SURNAME_WIDTH = 24
@@ -45,11 +51,13 @@ _WELL_FORMED_DATE = r"[0-9]{4}(?:0[0-9]|1[0-2])(?:[0-2][0-9]|3[01])"
 # ssn, birth and death concatenated, when all three are well formed.
 _WELL_FORMED_NUMBERS = rf"[0-9]{{9}}(?:{_WELL_FORMED_DATE}){{2}}"
 # A plain TSV line: names ``DeathRecord`` stores as they are, and well-formed numbers.
-# ``read_records_tsv`` takes its groups with no check; a line it refuses is checked field by field.
+# ``read_records_tsv`` packs its bytes with no check; a line it refuses is checked field by field.
 _PLAIN_LINE = re.compile(
-    rf"([A-Z]{{1,{SURNAME_WIDTH}}})\t([A-Z]{{1,{GIVEN_WIDTH}}})\t([0-9]{{9}})"
-    rf"\t({_WELL_FORMED_DATE})\t({_WELL_FORMED_DATE})\n"
+    rf"[A-Z]{{1,{SURNAME_WIDTH}}}\t[A-Z]{{1,{GIVEN_WIDTH}}}\t[0-9]{{9}}"
+    rf"\t{_WELL_FORMED_DATE}\t{_WELL_FORMED_DATE}\n".encode("ascii")
 )
+# One record as the library holds it, for ``%`` with the five fields of its compact form.
+_PADDED_RECORD = b"%-24b%-12b%b%b%b  \n"
 # A packed record that ``DeathRecord.unpack`` accepts, for ``fullmatch(data, o, o + 64)``: ASCII
 # names with no NUL or newline, then well-formed numbers, two ASCII bytes and a newline.
 # Stricter than ``unpack`` only on a name field with a newline that strip() would remove;
@@ -114,23 +122,15 @@ class DeathRecord:
         return line.encode("ascii")
 
     @classmethod
-    def _from_fields(cls, surname: str, given: str, ssn: str, birth_date: str, death_date: str) -> "DeathRecord":
-        """The record of fields its checks would store unchanged, not checked again."""
-        record = object.__new__(cls)
-        _set_surname(record, surname)
-        _set_given(record, given)
-        _set_ssn(record, ssn)
-        _set_birth_date(record, birth_date)
-        _set_death_date(record, death_date)
-        return record
-
-    @classmethod
     def _from_checked(cls, text: str) -> "DeathRecord":
         """``unpack`` of a record ``_RECORD_RE`` accepted: the same fields, not checked again."""
-        return cls._from_fields(
-            text[:24].rstrip().upper().strip(), text[24:36].rstrip().upper().strip(),
-            text[36:45], text[45:53], text[53:61],
-        )
+        record = object.__new__(cls)
+        _set_surname(record, text[:24].rstrip().upper().strip())
+        _set_given(record, text[24:36].rstrip().upper().strip())
+        _set_ssn(record, text[36:45])
+        _set_birth_date(record, text[45:53])
+        _set_death_date(record, text[53:61])
+        return record
 
     @classmethod
     def unpack(cls, raw: bytes) -> "DeathRecord":
@@ -193,48 +193,87 @@ def _matches(query: SearchQuery, surname: str, given: str, record: DeathRecord) 
     return True
 
 
+class PackedRecords(NamedTuple):
+    """Records, checked and packed: what ``read_records_tsv`` returns for ``SsdiLibrary.build``.
+
+    ``groups`` holds, at each group's ordinal, its records in input order,
+    each in its compact form: its five stored fields, each ended by a
+    newline, which no field can hold. An empty group holds None. ``counts``
+    holds each group's record count. ``SsdiLibrary.build`` drops each
+    group from ``groups`` once it is written.
+    """
+
+    groups: list[bytearray | None]
+    counts: list[int]
+
+
+def _compact(record: DeathRecord) -> bytes:
+    """A record's compact form, as ``PackedRecords`` holds it."""
+    return f"{record.surname}\n{record.given}\n{record.ssn}\n{record.birth_date}\n{record.death_date}\n".encode("ascii")
+
+
+def _pack(compact_records: Iterable[bytes]) -> PackedRecords:
+    """Sort records in compact form into their groups, in input order, and count them."""
+    groups: list[bytearray | None] = [None] * GROUP_COUNT
+    counts = [0] * GROUP_COUNT
+    for record in compact_records:
+        # Key letters that are the stored names' first bytes give the ordinal with no normalizing.
+        s1, s2, g1 = record[0], record[1], record[record.index(10) + 1]
+        if s2 == 10:  # a one-letter surname, whose second key letter is A
+            s2 = 65
+        if 65 <= s1 <= 90 and 65 <= s2 <= 90 and 65 <= g1 <= 90:
+            ordinal = 676 * s1 + 26 * s2 + g1 - 45_695  # 703 * ord("A")
+        else:
+            surname, given, _ = record.split(b"\n", 2)
+            ordinal = name_ordinal(surname.decode("ascii"), given.decode("ascii"))
+        group = groups[ordinal]
+        if group is None:
+            groups[ordinal] = bytearray(record)
+        else:
+            group += record
+        counts[ordinal] += 1
+    return PackedRecords(groups, counts)
+
+
+def _padded(group: bytearray, count: int) -> bytes:
+    """A group's ``count`` records in compact form as the library's 64-byte records: ``DeathRecord.pack``'s bytes."""
+    fields = group.split(b"\n")
+    del fields[-1]  # the empty field after the last newline
+    return _PADDED_RECORD * count % tuple(fields)
+
+
 class SsdiLibrary(Library):
     """A built record library plus its computed group index."""
 
     @classmethod
-    def build(cls, records, out_dir: str | Path) -> "SsdiLibrary":
+    def build(cls, records: PackedRecords | Iterable[DeathRecord], out_dir: str | Path) -> "SsdiLibrary":
         """Group records by key letters and write the library and its index.
 
+        ``records`` is what ``read_records_tsv`` returns, or any iterable of
+        ``DeathRecord``s, packed here as ``read_records_tsv`` packs a file.
         Record order within a group is input order. Every one of the 17,576
         group entries is written; empty groups carry count 0 at their tiling
         position, so starts are always the prefix sums of counts.
 
         ``Library._build`` refuses an existing index before ``records`` is
-        read, then reads it once. Each record is validated as a ``DeathRecord``
-        and held only as its packed 64 bytes, in one buffer per non-empty
-        group: about 69 B per record plus under 1 MB. Every record and
-        index entry is checked before the first byte is written; the groups
-        are then streamed to the store in ordinal order, each dropped once
-        written, and the index is written and fsync'd last.
+        read, then reads it once. Each record is held in its compact form,
+        in one buffer per non-empty group: about 45 B per record plus under
+        1 MB. The index is tiled from the group counts before the first byte
+        is written; the groups are then streamed to the store in ordinal
+        order, each expanded to 64-byte records only as it is written and
+        dropped once written, and the index is written and fsync'd last.
         """
         out_dir = Path(out_dir)
         index_records = None
 
         def group_payloads():
             nonlocal index_records
-            groups: list[bytearray | None] = [None] * GROUP_COUNT
-            for record in records:
-                line = record.pack()
-                # Key letters that are the stored name's first bytes give the ordinal with no normalizing.
-                s1, s2, g1 = line[0], line[1], line[SURNAME_WIDTH]
-                if 65 <= s1 <= 90 and 65 <= s2 <= 90 and 65 <= g1 <= 90:
-                    ordinal = 676 * s1 + 26 * s2 + g1 - 45_695  # 703 * ord("A")
-                else:
-                    ordinal = name_ordinal(record.surname, record.given)
-                group = groups[ordinal]
-                if group is None:
-                    group = groups[ordinal] = bytearray()
-                group += line
-            index_records = pack_tiling(len(group) // RECORD_SIZE if group else 0 for group in groups)
+            groups, counts = records if isinstance(records, PackedRecords) else _pack(map(_compact, records))
+            index_records = pack_tiling(counts)
             for ordinal, group in enumerate(groups):
                 if group is not None:
                     groups[ordinal] = None  # so each group is released once it is written
-                    yield group
+                    yield _padded(group, counts[ordinal])
 
         return cls._build(
             out_dir / DATA_FILE, RECORD_SIZE, group_payloads(),
@@ -293,18 +332,43 @@ def _year_key(year: int) -> bytes:
     return b"" if year < 0 else b":" if year > 9999 else b"%04d" % year
 
 
-def read_records_tsv(path: str | Path):
-    """Yield DeathRecords from a surname/given/ssn/birth/death TSV file; a bad row raises naming its line."""
-    plain = DeathRecord._from_fields
-    for lineno, fields, is_plain in read_tsv(path, 5, "5 tab-separated fields", _PLAIN_LINE):
-        if is_plain:
-            yield plain(*fields)
-            continue
-        try:
-            record = DeathRecord(*fields)
-        except ValueError as e:
-            raise ValueError(f"{path}:{lineno}: {e}") from None
-        yield record
+def read_records_tsv(path: str | Path) -> PackedRecords:
+    """Check and pack every line of a surname/given/ssn/birth/death TSV file, for ``SsdiLibrary.build``.
+
+    The file is read once, in binary, and each line is held only in its
+    compact form. A plain line is packed from its bytes as they are; any
+    other line is decoded as UTF-8 and checked by ``DeathRecord``. Lines end
+    and are numbered as text mode reads them, at ``\\r\\n``, ``\\r`` or
+    ``\\n``, and blank lines are skipped. A bad line raises
+    ``ValueError("path:lineno: ...")`` before this returns.
+    """
+    return _pack(_compact_lines(path))
+
+
+def _compact_lines(path: str | Path):
+    """Each non-blank line of a records TSV file in compact form, read as ``read_records_tsv`` says."""
+    plain = _PLAIN_LINE.fullmatch
+    extra = 0  # lines text mode would read so far beyond the binary ones: a lone \r ends one
+    with open(path, "rb") as f:
+        for number, line in enumerate(f, 1):
+            if plain(line):
+                yield line.replace(b"\t", b"\n")
+                continue
+            lines = [line]
+            if b"\r" in line:  # text mode ends a line at \r\n or a lone \r too, and reads either as \n
+                lines = line.replace(b"\r\n", b"\n").replace(b"\r", b"\n").splitlines(keepends=True)
+            for lineno, line in enumerate(lines, number + extra):
+                if plain(line):
+                    yield line.replace(b"\t", b"\n")
+                    continue
+                fields = tsv_fields(path, lineno, line.decode("utf-8", "surrogateescape"), 5, "5 tab-separated fields")
+                if fields is not None:
+                    try:
+                        record = DeathRecord(*fields)
+                    except ValueError as e:
+                        raise ValueError(f"{path}:{lineno}: {e}") from None
+                    yield _compact(record)
+            extra += len(lines) - 1
 
 
 def record_tsv_line(record: DeathRecord) -> str:

@@ -38,7 +38,6 @@ new one, published whole over the old by rename.
 from __future__ import annotations
 
 import os
-import re
 import threading
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
@@ -151,9 +150,9 @@ def publish_file(path: str | Path, data, replace: bool = False, sync: bool = Tru
     """
     head, name = os.path.split(path)
     tmp = os.path.join(head, f".{name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)  # if it raises, there is no temp to remove
     moved = False
     try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
         try:
             _pwritev_all(fd, (data,), 0)
             if sync:
@@ -171,34 +170,34 @@ def publish_file(path: str | Path, data, replace: bool = False, sync: bool = Tru
                 os.unlink(tmp)
 
 
-def read_tsv(path: str | Path, width: int, expected: str, plain: re.Pattern | None = None):
-    """Yield ``(lineno, fields, is_plain)`` for each non-empty line of a UTF-8 text file, split at tabs.
-
-    A line that ``plain`` fully matches, newline included, yields the match's
-    groups with ``is_plain`` true, for the caller to take without checking
-    them: the caller's pattern admits only lines its checks would pass as
-    they are, and only ASCII, so never bytes that are not UTF-8. Every other
-    line yields its tab-split fields with ``is_plain`` false; if it is not
-    UTF-8, or of other than ``width`` fields, it raises
-    ``ValueError("<path>:<lineno>: ...")``.
-    """
-    # Bytes that are not UTF-8 decode to lone surrogates, which encode() refuses, line by line.
+def read_tsv(path: str | Path, width: int, expected: str):
+    """Yield ``(lineno, fields)`` for each non-empty line of a UTF-8 text file, split at tabs by ``tsv_fields``."""
+    # Bytes that are not UTF-8 decode to lone surrogates, which tsv_fields finds, line by line.
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, 1):
-            if plain is not None and (m := plain.fullmatch(line)) is not None:
-                yield lineno, m.groups(), True
-                continue
-            if not line.isascii():
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise ValueError(f"{path}:{lineno}: not UTF-8") from None
-            line = line.rstrip("\n")
-            if line:
-                fields = line.split("\t")
-                if len(fields) != width:
-                    raise ValueError(f"{path}:{lineno}: expected {expected}")
-                yield lineno, fields, False
+            fields = tsv_fields(path, lineno, line, width, expected)
+            if fields is not None:
+                yield lineno, fields
+
+
+def tsv_fields(path: str | Path, lineno: int, line: str, width: int, expected: str) -> list[str] | None:
+    """The tab-split fields of one line, decoded with ``surrogateescape``, or None if it is blank.
+
+    A line that is not UTF-8, or of other than ``width`` fields, raises
+    ``ValueError("<path>:<lineno>: ...")``.
+    """
+    if not line.isascii():
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"{path}:{lineno}: not UTF-8") from None
+    line = line.rstrip("\n")
+    if not line:
+        return None
+    fields = line.split("\t")
+    if len(fields) != width:
+        raise ValueError(f"{path}:{lineno}: expected {expected}")
+    return fields
 
 
 def _fsync_dir(path: Path) -> None:

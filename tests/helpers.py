@@ -5,6 +5,8 @@ import random
 import re
 import tracemalloc
 
+from raclib.ssdi import DeathRecord
+
 SURNAMES = [
     "JOHNSON", "JONES", "JONAS", "KENNEDY", "KENNER", "KENT", "SMITH", "SMYTHE",
     "O'NEIL", "O'BRIEN", "MC-GEE", "DE LA CRUZ", "LI", "NG", "U", "AARON",
@@ -37,6 +39,16 @@ def random_death_fields(rng: random.Random, n: int):
             f"{birth_year:04d}{month:02d}{day:02d}",
             f"{death_year:04d}{rng.randrange(0, 13):02d}{rng.randrange(0, 29):02d}",
         )
+
+
+def unpacked_records(packed) -> list[DeathRecord]:
+    """The records of a ``PackedRecords``, group by group, each read back from its compact form by ``DeathRecord``."""
+    records = []
+    for group, count in zip(packed.groups, packed.counts):
+        fields = bytes(group or b"").decode("ascii").split("\n")[:-1]
+        assert len(fields) == 5 * count
+        records += [DeathRecord(*fields[i : i + 5]) for i in range(0, len(fields), 5)]
+    return records
 
 
 _TEMP_SUFFIX = re.compile(r"\.\d+\.\d+\.tmp$")

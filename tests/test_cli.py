@@ -148,6 +148,19 @@ def test_ssdi_search_without_names_exits_1(tmp_path, capsys):
     assert main(["ssdi", "search", "--lib", str(tmp_path / "lib")]) == 1
 
 
+def test_ssdi_build_of_a_bad_row_names_its_line_and_writes_nothing(tmp_path, capsys):
+    tsv = tmp_path / "records.tsv"
+    write_ssdi_tsv(tsv, [
+        ("SMITH", "JOHN", "123456789", "19000101", "19700101"),
+        ("SMITH", "JOAN", "123456786", "19051301", "19750101"),
+    ])
+    assert main(["ssdi", "build", "--in", str(tsv), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"raclib: error: {tsv}:2: birth_date has impossible month/day: '19051301'\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_neuro_build_and_query(tmp_path, capsys):
     atlas = tmp_path / "atlas.tsv"
     atlas.write_text("L_ctx\t-41\t12\t-35\nL_ctx\t-42\t13\t-36\nR_ctx\t40\t12\t35\n")

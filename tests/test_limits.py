@@ -11,6 +11,7 @@ import sys
 
 from raclib.neuro import RegionLibrary
 from raclib.pack import Collection
+from raclib.ssdi import SearchQuery, SsdiLibrary
 
 # Reads its own VmPeak after importing the CLI, caps its address space at that plus a margin, then runs argv.
 LIMITED_CLI = """
@@ -70,3 +71,45 @@ def test_neuro_build_holds_its_packed_records_under_one_address_space_limit(tmp_
         with RegionLibrary.open(lib) as library:
             assert library.store.record_count == voxels
             assert len(library.region_voxels(f"r{voxels // 10_000 - 1}")) == 10_000
+
+
+LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
+
+def record_names(i: int) -> tuple[str, str]:
+    """Record ``i``'s surname and given name: its key letters count through the 17,576 groups in turn."""
+    return f"{LETTERS[i % 26]}{LETTERS[i // 26 % 26]}SMITH", f"{LETTERS[i // 676 % 26]}OHN"
+
+
+def write_records_tsv(path, records: int) -> None:
+    """``records`` plain lines of 45 bytes, record ``i`` named by ``record_names(i)``."""
+    with open(path, "w") as f:
+        for low in range(0, records, 10_000):
+            f.write("".join(
+                "{}\t{}\t{:09d}\t19000101\t19700101\n".format(*record_names(i), i)
+                for i in range(low, min(records, low + 10_000))
+            ))
+
+
+def test_ssdi_build_holds_its_compact_records_under_one_address_space_limit(tmp_path):
+    """One 60 MiB margin over the CLI's import peak fits a build of 100k records and one of 1M.
+
+    The build holds each record in its compact form, its five fields each
+    ended by a newline, until its group is written: ~47 MiB of address
+    space at 1M records of 45 bytes. Its memory is proportional to the
+    input, not bounded, and a build of a few million records would not fit
+    this margin. A build that held each record as its padded 64 bytes,
+    ~74 MiB at 1M, did not fit it.
+    """
+    for records in (100_000, 1_000_000):
+        tsv, lib = tmp_path / f"records{records}.tsv", tmp_path / f"lib{records}"
+        write_records_tsv(tsv, records)
+        out = subprocess.run(
+            [sys.executable, "-c", LIMITED_CLI, str(60 * MIB), "ssdi", "build", "--in", str(tsv), "--out", str(lib)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        with SsdiLibrary.open(lib) as library:
+            assert library.store.record_count == records
+            surname, given = record_names(records - 1)
+            assert f"{records - 1:09d}" in [r.ssn for r in library.search(SearchQuery(surname=surname, given=given))]

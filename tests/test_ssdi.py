@@ -7,7 +7,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from helpers import open_fd_count, random_death_fields, traced_peak
+from helpers import open_fd_count, random_death_fields, traced_peak, unpacked_records
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -229,7 +229,7 @@ def test_tsv_round_trip(tmp_path):
     records = [DeathRecord(*f) for f in random_death_fields(rng, 50)]
     tsv = tmp_path / "records.tsv"
     tsv.write_text("".join(record_tsv_line(r) + "\n" for r in records), "ascii")
-    assert list(read_records_tsv(tsv)) == records
+    assert unpacked_records(read_records_tsv(tsv)) == sorted(records, key=_oracle_ordinal)
 
 
 def test_tsv_rejects_wrong_field_count(tmp_path):
@@ -435,23 +435,31 @@ def test_search_peak_stays_within_twice_the_group_bytes(tmp_path):
 
 # -- memory and output oracles of the build -----------------------------------
 
-def build_peak(tmp_path, n: int) -> int:
+def build_peak(tmp_path, n: int, packed: bool) -> int:
     """Traced peak of building ``n`` records drawn in turn from a pool of 5,000.
 
-    The build holds each record as its packed bytes whatever object it came
+    The build holds each record in its compact form whatever object it came
     from, so a pool measures the same memory as ``n`` distinct records, and
-    it keeps record generation out of the traced time.
+    it keeps record generation out of the traced time. With ``packed``, the
+    records are written to a TSV file, and ``read_records_tsv`` of it is
+    traced with the build.
     """
     pool = [DeathRecord(*fields) for fields in random_death_fields(random.Random(17), 5_000)]
     records = itertools.islice(itertools.cycle(pool), n)
-    return traced_peak(lambda: SsdiLibrary.build(records, tmp_path / f"lib{n}").close())
+    lib = tmp_path / f"lib{n}{'packed' * packed}"
+    if not packed:
+        return traced_peak(lambda: SsdiLibrary.build(records, lib).close())
+    tsv = tmp_path / f"records{n}.tsv"
+    tsv.write_text("".join(record_tsv_line(r) + "\n" for r in records), "ascii")
+    return traced_peak(lambda: SsdiLibrary.build(read_records_tsv(tsv), lib).close())
 
 
 def test_build_holds_each_record_once(tmp_path):
-    peak_100k = build_peak(tmp_path, 100_000)
-    peak_200k = build_peak(tmp_path, 200_000)
-    assert peak_100k <= 10_000_000
-    assert peak_200k - peak_100k <= 8_000_000  # at most 80 B per added record
+    for packed in (False, True):  # DeathRecords, and the PackedRecords of a TSV file
+        peak_50k = build_peak(tmp_path, 50_000, packed)
+        peak_100k = build_peak(tmp_path, 100_000, packed)
+        assert peak_50k <= 5_000_000, packed
+        assert peak_100k - peak_50k <= 2_800_000, packed  # at most 56 B per added record
 
 
 names = st.text(st.sampled_from("ABKZ '-"), max_size=8)
@@ -484,11 +492,21 @@ def test_build_output_is_sorted_records_and_prefix_sums(records):
 
 def test_tsv_skips_blank_lines_and_names_the_line_of_a_short_one(tmp_path):
     tsv = tmp_path / "records.tsv"
+    tsv.write_text("\n" + record_tsv_line(KENNEDY) + "\n\n", "ascii")
+    assert unpacked_records(read_records_tsv(tsv)) == [KENNEDY]
     tsv.write_text("\n" + record_tsv_line(KENNEDY) + "\n\nKENNEDY\tROBERT\t123456789\t19251120\n", "ascii")
-    rows = read_records_tsv(tsv)
-    assert next(rows) == KENNEDY
     with pytest.raises(ValueError, match="^" + re.escape(f"{tsv}:4: expected 5 tab-separated fields")):
-        next(rows)
+        read_records_tsv(tsv)
+
+
+def test_tsv_ends_and_numbers_lines_as_text_mode_does(tmp_path):
+    tsv = tmp_path / "records.tsv"
+    line = record_tsv_line(KENNEDY).encode()
+    tsv.write_bytes(line + b"\r" + line + b"\r\n\r" + line + b"\n" + line + b"\tx\r")  # a lone \r ends lines 1 and 3
+    with pytest.raises(ValueError, match="^" + re.escape(f"{tsv}:5: expected 5 tab-separated fields")):
+        read_records_tsv(tsv)
+    tsv.write_bytes(line + b"\r" + line + b"\r\n\r" + line + b"\n")
+    assert unpacked_records(read_records_tsv(tsv)) == [KENNEDY] * 3
 
 
 BAD_ROWS = {

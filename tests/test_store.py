@@ -435,3 +435,14 @@ def test_a_failed_link_or_replace_leaves_no_temp(tmp_path, replace):
     assert open_fd_count() == before
     assert [path.name for path in tmp_path.iterdir()] == ["target"]
     assert [path.name for path in target.iterdir()] == ["held"]
+
+
+def test_a_temp_that_cannot_be_created_raises_its_own_error_alone(tmp_path):
+    target = tmp_path / ("t" * 250)  # a name the file system takes, but not with the temp's prefix and suffix
+    before = open_fd_count()
+    with pytest.raises(OSError) as raised:
+        publish_file(target, b"new")
+    assert raised.value.errno == errno.ENAMETOOLONG
+    assert raised.value.__context__ is None
+    assert open_fd_count() == before
+    assert list(tmp_path.iterdir()) == []
