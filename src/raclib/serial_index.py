@@ -1,4 +1,4 @@
-"""Human-readable line-per-member index, found through an in-memory slot table.
+"""Human-readable line-per-member index, found through an in-memory bucketed table.
 
 Each line locates one record set in a companion library:
 
@@ -15,23 +15,24 @@ rename. ``SerialIndex`` reads the file through one sidecar-less
 at open, so an index renamed over its path is not seen: the open index
 answers for the file it opened until it is closed.
 
-The file stays the only copy of the entries. Its lookup table, an
-open-addressed table of fixed-layout words, is derived data, kept beside it
-in ``<index>.slots`` (12 B per line) so that it is built once per file, not
+The file stays the only copy of the entries. Its lookup table, a directory of
+buckets over one fixed-layout word per line, is derived data, kept beside it in
+``<index>.slots`` (about 8.5 B per line) so that it is built once per file, not
 once per process. The words of that file are the table's only encoding: a
 lookup uses them in place, whether they were read or just built. A handle's
-first lookup reads the slot file in one uncounted read, if the file is
-whole (its checksum matches) and was made for the bytes this handle reads:
-the same inode, size, mtime and ctime. Otherwise it reads the index twice:
-it counts the lines, sizes the slot file's words once, then fills them in
-one pass, and publishes them for the next handle, by rename and without
-fsync, since after a crash the checksum refuses a torn file. Where the slot
-file cannot be written (a read-only directory, a full quota), the words are
-kept in memory only. A lookup probes the table and reads only the lines its
-probe points at (normally exactly one, none for a miss), each in one store
-read of exactly its bytes, whatever its length, then matches the name and
-key tokens of that line exactly, never by substring, so "040" does not hit
-"0404". When a file holds the same (name, key) twice, the first line wins.
+first lookup reads the slot file in one uncounted read, if the file is whole
+(its checksum matches) and was made for the bytes this handle reads: the same
+inode, size, mtime and ctime. Otherwise it reads the index three times, to
+count its lines, which sizes the directory, then each bucket's, then to place
+each word in one array sized once, and publishes the words for the next handle,
+by rename and without fsync, since after a crash the checksum refuses a torn
+file. Where the slot file cannot be written (a read-only directory, a full
+quota), the words are kept in memory only. A lookup scans its bucket's words,
+about 16, in file order, and reads only the lines whose tag matches (normally
+exactly one, none for a miss), each in one store read of exactly its bytes,
+whatever its length, then matches the name and key tokens of that line exactly,
+never by substring, so "040" does not hit "0404". When a file holds the same
+(name, key) twice, the first line wins.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import threading
 from _blake2 import blake2b  # hashlib.blake2b, without the OpenSSL that importing hashlib maps: 0.6 MB of RSS
 from array import array
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -52,31 +53,30 @@ from .store import Closeable, RecordSetRef, RecordStore, publish_file
 
 logger = logging.getLogger(__name__)
 
-# A slot is one 64-bit word, tag | line offset | line tail, zero when empty.
-# Tag and home slot are disjoint bits of a 64-bit BLAKE2b of "name key" keyed
-# by the table's random salt, so keys sent from outside cannot be chosen to
-# collide. A probe reads a line only on a tag match, 1 in 16M per word passed,
-# so a miss reads none. The tail is the line's length less its first two
-# tokens and two separators, so a hit on (name, key) reads exactly its line:
-# len(name) + len(key) + 2 + tail bytes. A line with over MAX_TAIL bytes
-# after its key (only zero-padded numbers or runs of blanks make one) fails
-# its own lookup.
+# Each line of two or more tokens has one 64-bit word, tag | line offset | line
+# tail. The top bits of a 64-bit BLAKE2b of "name key", keyed by the table's
+# random salt so that keys sent from outside cannot be chosen to collide,
+# choose its bucket, and the next TAG_BITS are its tag. A lookup reads a line
+# only on a tag match, 1 in 16M per word scanned, so a miss reads none. The
+# tail is the line's length less its first two tokens and two separators, so a
+# hit on (name, key) reads exactly its line: len(name) + len(key) + 2 + tail
+# bytes. A line with over MAX_TAIL bytes after its key (only zero-padded
+# numbers or runs of blanks make one) fails its own lookup.
 TAG_BITS = 24
 OFFSET_BITS = 32  # so an index must stay under 4 GiB
 TAIL_BITS = 8
 TAG_MASK = (1 << TAG_BITS) - 1
 OFFSET_MASK = (1 << OFFSET_BITS) - 1
 MAX_TAIL = (1 << TAIL_BITS) - 1
-SLOTS_PER_ENTRY = 1.5  # a load sizes the table at this many slots per line
-MIN_SLOTS = 8
 BLOCK_BYTES = 1 << 14  # a build pass holds one block's lines at a time: a few hundred, not thousands
 
 # <index>.slots is native 64-bit words, the only encoding of the table: the
 # magic, which carries the format version and byte order, with the 16-byte
-# salt (3 words); the index's stamp, as _stamp gives it (4); the slot count
-# (1); the slots; a checksum of every word before it.
+# salt (3 words); the index's stamp, as _stamp gives it (4); the bucket count
+# B (1); the directory (B + 1): bucket b is words[dir[b]:dir[b + 1]] of the
+# words after it, in file order; a checksum of every word before it.
 SLOTS_SUFFIX = ".slots"
-SLOTS_MAGIC = b"RACSLT3" + sys.byteorder[0].upper().encode("ascii")
+SLOTS_MAGIC = b"RACSLT4" + sys.byteorder[0].upper().encode("ascii")
 SALT_BYTES = 16
 HEADER_WORDS = 8
 
@@ -133,6 +133,11 @@ def _hash(salt: bytes, name: bytes, key: bytes) -> int:
     return int.from_bytes(blake2b(name + b" " + key, digest_size=8, key=salt).digest(), "little")
 
 
+def _place(h: int, buckets: int) -> tuple[int, int]:
+    """The bucket of hash ``h`` among ``buckets``, from its top bits, and its tag, from the next TAG_BITS."""
+    return h * buckets >> 64, h * buckets >> 64 - TAG_BITS & TAG_MASK
+
+
 def _checksum(data) -> int:
     return int.from_bytes(blake2b(data, digest_size=8).digest(), "little")
 
@@ -156,26 +161,34 @@ def _lines(records: RecordStore, size: int) -> Iterator[bytes]:
     return chain.from_iterable(blocks())
 
 
-def _load(records: RecordStore, size: int) -> array:
-    """The words of the slot file of the first ``size`` bytes of ``records``, built in one array: count the
-    lines, size the table for them, then one pass under a new salt fills its slots."""
-    stamp = _stamp(records, size)  # taken before the passes, so a file changed during them gets a stale stamp
-    n = max(MIN_SLOTS, int(_count_lines(records, size) * SLOTS_PER_ENTRY) + 1)
-    words = array("Q", [0]) * (HEADER_WORDS + n + 1)
-    salt = os.urandom(SALT_BYTES)
-    words[:HEADER_WORDS] = array("Q", SLOTS_MAGIC + salt) + array("Q", (*stamp, n))
-    slots = memoryview(words)[HEADER_WORDS:-1]
+def _placed(records: RecordStore, size: int, salt: bytes, buckets: int) -> Iterator[tuple[int, int]]:
+    """The bucket and word of each line of two or more tokens in the first ``size`` bytes of ``records``."""
     offset = 0
     for line in _lines(records, size):
         tokens = line.split(None, 2)
         if len(tokens) >= 2:
-            h = _hash(salt, tokens[0], tokens[1])
+            bucket, tag = _place(_hash(salt, tokens[0], tokens[1]), buckets)
             tail = min(len(line) + 1, size - offset) - len(tokens[0]) - len(tokens[1]) - 2
-            i = (h >> TAG_BITS) % n
-            while slots[i]:
-                i = i + 1 if i + 1 < n else 0
-            slots[i] = ((h & TAG_MASK) << OFFSET_BITS | offset) << TAIL_BITS | min(max(tail, 0), MAX_TAIL)
+            yield bucket, (tag << OFFSET_BITS | offset) << TAIL_BITS | min(max(tail, 0), MAX_TAIL)
         offset += len(line) + 1
+
+
+def _load(records: RecordStore, size: int) -> array:
+    """The words of the slot file of the first ``size`` bytes of ``records``, built in one array: the line
+    count sizes the directory, a pass under a new salt counts each bucket's words, then a second places them."""
+    stamp = _stamp(records, size)  # taken before the passes, so a file changed during them gets a stale stamp
+    buckets = 1 << (_count_lines(records, size) // 16).bit_length()  # a power of two: 8 to 16 lines a bucket
+    salt = os.urandom(SALT_BYTES)
+    starts = array("Q", [0]) * (buckets + 1)
+    for bucket, _ in _placed(records, size, salt, buckets):
+        starts[bucket + 1] += 1
+    starts = array("Q", accumulate(starts))  # the directory, then each bucket's next free word
+    words = array("Q", [0]) * (HEADER_WORDS + buckets + 1 + starts[-1] + 1)
+    words[:HEADER_WORDS + buckets + 1] = array("Q", SLOTS_MAGIC + salt) + array("Q", (*stamp, buckets)) + starts
+    slots = memoryview(words)[HEADER_WORDS + buckets + 1:-1]
+    for bucket, word in _placed(records, size, salt, buckets):
+        slots[starts[bucket]] = word
+        starts[bucket] += 1
     words[-1] = _checksum(memoryview(words)[:-1])
     return words
 
@@ -205,15 +218,17 @@ def _read_slots(path: Path, stamp: tuple[int, ...]) -> memoryview | None:
     words = memoryview(data).cast("Q")
     if len(words) <= HEADER_WORDS or data[:8] != SLOTS_MAGIC or tuple(words[3:7]) != stamp:
         return None
-    if len(words) != HEADER_WORDS + words[7] + 1 or words[-1] != _checksum(words[:-1]):
+    slots = HEADER_WORDS + words[7] + 1  # where the directory ends and the words begin
+    if slots >= len(words) or slots + words[slots - 1] + 1 != len(words) or words[-1] != _checksum(words[:-1]):
         return None
     return words
 
 
-def _views(words) -> tuple[bytes, memoryview]:
-    """A lookup's table over checked slot-file words, read or built: salt and slots."""
+def _views(words) -> tuple[bytes, memoryview, memoryview]:
+    """A lookup's table over checked slot-file words, read or built: salt, directory and words."""
     words = memoryview(words)
-    return words[1:3].tobytes(), words[HEADER_WORDS:-1]
+    slots = HEADER_WORDS + words[7] + 1
+    return words[1:3].tobytes(), words[HEADER_WORDS:slots], words[slots:-1]
 
 
 def _load_table(records: RecordStore, size: int):
@@ -247,7 +262,7 @@ class SerialIndex(Closeable):
         if self.records.record_count >> OFFSET_BITS:
             self.close()
             raise ValueError(f"index {path} is {self.records.record_count} B, not under the {1 << OFFSET_BITS} B limit")
-        self._table: tuple[bytes, memoryview] | None = None  # salt, slots
+        self._table: tuple[bytes, memoryview, memoryview] | None = None  # salt, directory, words
         self._lock = threading.Lock()
 
     @classmethod
@@ -264,25 +279,20 @@ class SerialIndex(Closeable):
             with self._lock:  # one build, by the first lookup
                 if self._table is None:
                     self._table = _load_table(self.records, self.records.record_count)
-        salt, slots = self._table
+        salt, directory, slots = self._table
         if name.isascii() and key.isascii():  # else no line of the ASCII file can match
-            h = _hash(salt, name.encode("ascii"), key.encode("ascii"))
-            tag = h & TAG_MASK
-            n = len(slots)
-            i = (h >> TAG_BITS) % n
-            while word := slots[i]:
+            bucket, tag = _place(_hash(salt, name.encode("ascii"), key.encode("ascii")), len(directory) - 1)
+            for word in slots[directory[bucket]:directory[bucket + 1]]:
                 if word >> (OFFSET_BITS + TAIL_BITS) == tag:
                     offset = word >> TAIL_BITS & OFFSET_MASK
-                    size = self.records.record_count
                     # A true hit's first two tokens are (name, key), whatever blanks surround them.
-                    length = min(len(name) + len(key) + 2 + (word & MAX_TAIL), size - offset)
+                    length = min(len(name) + len(key) + 2 + (word & MAX_TAIL), self.records.record_count - offset)
                     text = self.records.read_records(offset, length).decode("ascii")
                     tokens = text.split()
                     if len(tokens) >= 2 and tokens[0] == name and tokens[1] == key:
-                        if text[-1] != "\n" and offset + length < size:
+                        if text[-1] != "\n" and offset + length < self.records.record_count:
                             raise ValueError(f"index line at byte {offset} has over {MAX_TAIL} B after its key")
                         return SerialIndexEntry.parse(text)
-                i = i + 1 if i + 1 < n else 0
         raise NotFoundError(f"no index entry for ({name}, {key})")
 
     def entries(self):

@@ -9,8 +9,9 @@ import random
 import subprocess
 import sys
 
+from raclib import serial_index
 from raclib.neuro import RegionLibrary
-from raclib.pack import Collection
+from raclib.pack import Collection, pack_directory
 from raclib.ssdi import SearchQuery, SsdiLibrary
 
 # Reads its own VmPeak after importing the CLI, caps its address space at that plus a margin, then runs argv.
@@ -41,6 +42,41 @@ def test_pack_holds_one_member_at_a_time_under_an_address_space_limit(tmp_path):
     with Collection.open(tmp_path / "lib" / "books.raclib") as collection:
         for key, payload in members.items():
             assert collection.fetch("Book", key) == payload, key
+
+
+def test_cold_fetch_of_a_million_line_index_builds_its_slot_file_under_one_address_space_limit(tmp_path):
+    """A 10 MiB margin over the CLI's import peak fits the first fetch on a 1M-line index, which builds its table.
+
+    The table is the slot file's words, built in one array: a directory of
+    65,536 buckets and one word per line, 8.5 MB at 1M lines. A table of
+    1.5 slots per line, 12 MB, did not fit this margin. The second fetch
+    reads the slot file the first published and builds nothing, so the file
+    keeps its inode.
+    """
+    (tmp_path / "in").mkdir()
+    payload = random.Random(1).randbytes(3000)
+    (tmp_path / "in" / "Book_0000000.jpg").write_bytes(payload)
+    pack_directory(tmp_path / "in", "books", tmp_path / "lib").close()
+    index = tmp_path / "lib" / "books.index"
+    _, _, start, count, length = index.read_text().split()
+    index.unlink()
+    lines = 1_000_000
+    with open(index, "w") as f:  # every line locates the one member
+        for low in range(0, lines, 10_000):
+            f.write("".join(f"Book {i:07d} {start} {count} {length}\n" for i in range(low, low + 10_000)))
+    slots = serial_index.slots_path(index)
+    inodes = []
+    for run in ("first", "second"):
+        out = subprocess.run(
+            [sys.executable, "-c", LIMITED_CLI, str(10 * MIB), "fetch", "--library", str(index.with_suffix(".raclib")),
+             "--name", "Book", "--key", f"{lines - 1:07d}", "--out", str(tmp_path / f"{run}.jpg")],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert (tmp_path / f"{run}.jpg").read_bytes() == payload
+        assert slots.stat().st_size == 8 * (serial_index.HEADER_WORDS + 65_536 + 1 + lines + 1)
+        inodes.append(slots.stat().st_ino)
+    assert inodes[0] == inodes[1]
 
 
 def write_atlas_tsv(path, voxels: int) -> None:

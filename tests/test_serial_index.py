@@ -2,7 +2,9 @@ import errno
 import logging
 import os
 import random
+import sys
 import threading
+from array import array
 from types import SimpleNamespace
 
 import pytest
@@ -225,17 +227,16 @@ def test_concurrent_first_lookups_build_one_table(tmp_path, monkeypatch):
 
 
 def test_tag_collisions_never_return_another_entry(tmp_path, monkeypatch):
-    # Every entry gets the same hash, so the same tag: hits must still match
-    # the line exactly. Its home is the last of the table's slots, so the
-    # probe wraps to slot 0, and the first of two duplicate lines still wins.
+    # Every entry gets the same hash, so the same bucket and tag: hits must
+    # still match the line exactly, and the first of two duplicate lines wins.
     monkeypatch.setattr(serial_index, "_hash", lambda salt, name, key: 7 << serial_index.TAG_BITS | 7)
     path = tmp_path / "i"
     written = [SerialIndexEntry(f"n{i}", "0", i, 1) for i in range(2)]
     path.write_text("T 1 100 5\nT 1 900 9\n" + "".join(e.line() for e in written))
     with SerialIndex(path) as index:
         assert all(index.lookup(e.name, e.key) == e for e in written)
-        _, slots = index._table
-        assert len(slots) == 8
+        _, _, slots = index._table
+        assert len(slots) == 4  # one word per line
         assert index.lookup("T", "1").start == 100
         with pytest.raises(NotFoundError):
             index.lookup("n1", "1")
@@ -369,6 +370,60 @@ def test_cold_fetch_reads_the_slot_file_the_line_and_the_member(tmp_path, monkey
         with pytest.raises(NotFoundError):
             collection.fetch("book", "9999")
     assert len(preads) <= 1, preads
+
+
+def test_a_slot_file_holds_a_directory_and_one_word_per_line(tmp_path):
+    path = tmp_path / "i"
+    written = entries(1_000)
+    SerialIndex.create(path, written).close()
+    assert_lookups_exact(path, written)  # publishes the slot file
+    words = memoryview(serial_index.slots_path(path).read_bytes()).cast("Q")
+    buckets = words[7]
+    assert buckets == 64  # the power of two just above 1,000 / 16
+    assert len(words) * 8 == 8 * (serial_index.HEADER_WORDS + buckets + 1 + len(written) + 1)
+    directory = words[serial_index.HEADER_WORDS:serial_index.HEADER_WORDS + buckets + 1]
+    slots = words[serial_index.HEADER_WORDS + buckets + 1:-1]
+    assert directory[0] == 0 and directory[-1] == len(slots)
+    for start, end in zip(directory, directory[1:]):  # each bucket's words in file order
+        offsets = [word >> serial_index.TAIL_BITS & serial_index.OFFSET_MASK for word in slots[start:end]]
+        assert offsets == sorted(set(offsets))
+
+
+def write_version_three(path):
+    """The slot file of ``path`` as version 3 wrote it, stamped for the index as it is, with a valid checksum: an
+    open-addressed table of 1.5 slots per line, a slot 0 when empty, else tag (low 24 bits of the hash) | line
+    offset | tail, at the first free slot from the home that the hash's next bits give."""
+    with SerialIndex(path) as index:
+        stamp = serial_index._stamp(index.records, index.records.record_count)
+    lines = path.read_bytes().splitlines(keepends=True)
+    n = int(len(lines) * 1.5) + 1
+    salt = os.urandom(16)
+    slots = [0] * n
+    offset = 0
+    for line in lines:
+        name, key, rest = line.split(b" ", 2)
+        h = serial_index._hash(salt, name, key)
+        i = (h >> 24) % n
+        while slots[i]:
+            i = (i + 1) % n
+        slots[i] = ((h & 0xFFFFFF) << 32 | offset) << 8 | len(rest)
+        offset += len(line)
+    words = array("Q", b"RACSLT3" + sys.byteorder[0].upper().encode("ascii") + salt) + array("Q", (*stamp, n, *slots))
+    words.append(serial_index._checksum(words))
+    serial_index.slots_path(path).write_bytes(words)
+
+
+def test_a_version_three_slot_file_is_refused_by_its_magic_and_rebuilt_once_as_version_four(tmp_path, monkeypatch):
+    path = tmp_path / "i"
+    written = entries(300)
+    SerialIndex.create(path, written).close()
+    write_version_three(path)
+    builds = counted_loads(monkeypatch)
+    assert_lookups_exact(path, written)
+    assert builds == [path.stat().st_size]
+    assert serial_index.slots_path(path).read_bytes()[:7] == b"RACSLT4"
+    assert_lookups_exact(path, written)
+    assert len(builds) == 1
 
 
 def rewrite_slots(path, edit):
@@ -511,12 +566,15 @@ def test_table_is_views_over_the_slot_file_words_whether_built_or_read(tmp_path)
     for _ in range(2):  # the first handle builds the words and publishes them, the second reads them
         with SerialIndex(path) as index:
             assert all(index.lookup(e.name, e.key) == e for e in written)
-            salt, slots = index._table
+            salt, directory, slots = index._table
             words = bytes(slots.obj)
+            assert directory.obj is slots.obj
             assert words == serial_index.slots_path(path).read_bytes()
             assert salt == words[8:24]
+            assert (directory.tolist(), len(slots)) == ([0, 4], 4)  # four lines, one bucket
+            assert words[8 * serial_index.HEADER_WORDS:-8] == bytes(directory) + bytes(slots)
             # Each word holds its line's tail, what follows the key's separator: the long lines are no exception.
-            tails = sorted(word & serial_index.MAX_TAIL for word in slots if word)
+            tails = sorted(word & serial_index.MAX_TAIL for word in slots)
             assert tails == sorted(len(line.split(" ", 2)[2]) for line in lines)
 
 
