@@ -96,7 +96,7 @@ def cmd_neuro_build(args) -> int:
 
 def cmd_neuro_query(args) -> int:
     with RegionLibrary.open(args.lib) as library:
-        voxels = (library.block_voxels(args.region, args.block) if args.block
+        voxels = (library.block_voxels(args.region, args.block) if args.block is not None
                   else library.region_voxels(args.region))
     for v in voxels:
         print(f"{v.x}\t{v.y}\t{v.z}")

@@ -44,7 +44,10 @@ def _coerce(key: str, value, source: str = "") -> object:
 def _parse_file(path: Path) -> dict:
     """Each key's value from the file; a later line of a key wins."""
     values = {}
-    for lineno, line in enumerate(path.read_text("ascii").splitlines(), 1):
+    # Bytes that are not ASCII decode to lone surrogates, which are found line by line.
+    for lineno, line in enumerate(path.read_text("ascii", "surrogateescape").splitlines(), 1):
+        if not line.isascii():
+            raise ValueError(f"{path}:{lineno}: not ASCII")
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -22,11 +22,11 @@ that fails either step is decoded by ``decode_coord``, so it raises as that
 does, and adds its tokens to the table if it is canonical;
 ``decode_coord`` stays the strict parser of names from outside.
 
-A build holds no ``Voxel`` per input row. Each row, a TSV line or a voxel
-of a region -> voxels map, is checked and its 16-byte record appended to
-its (region, block) buffer; the buffers are all the build keeps. A voxel
-repeated in its region repeats in its block, so repeats are looked for one
-buffer at a time, once every row is packed and before any file is made.
+A library is built from an atlas TSV file, and no ``Voxel`` is held per
+line: ``read_atlas_tsv`` checks each line and appends its 16-byte record
+to its (region, block) buffer, and ``RegionLibrary.build`` writes these
+buffers. A voxel repeated in its region repeats in its block, so repeats
+are looked for one buffer at a time, once every line is read.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import re
 import struct
 import threading
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import NotFoundError
 from .serial_index import SerialIndex, SerialIndexEntry, _check_token
@@ -164,17 +164,6 @@ def _unpack_run(data: bytes) -> list[Voxel]:
     return voxels
 
 
-class PackedAtlas(NamedTuple):
-    """An atlas, checked and packed: what ``read_atlas_tsv`` returns for ``RegionLibrary.build``.
-
-    ``regions`` maps each region, in first-use order, to its blocks' decade
-    codes, in first-use order within the region, and each block to its
-    16-byte records, in input order.
-    """
-
-    regions: dict[str, dict[tuple[str, str, str], bytearray]]
-
-
 _RECORD_STRUCT = struct.Struct(f"{COORD_RECORD_SIZE}s")
 
 
@@ -193,66 +182,20 @@ def _check_distinct(region: str, records: bytearray) -> None:
     assert len(records) <= BLOCK_CAPACITY * COORD_RECORD_SIZE
 
 
-def _pack(rows: Iterable[tuple[int, tuple[str, str, str, str]]], source: str | Path | None) -> PackedAtlas:
-    """Pack ``(lineno, (region, x, y, z))`` rows, components as text, into a ``PackedAtlas``.
-
-    Each row is checked and its record appended to its (region, block)
-    buffer, so no row is held but as its 16 bytes. A component that is not
-    ``-?[0-9]+`` or is outside [-999, 999], or a region an index line cannot
-    hold (checked where it first appears), raises ValueError, prefixed
-    ``source:lineno: `` when ``source`` is given. Then, once every row is
-    packed, a voxel repeated in its region raises. Each canonical component
-    text is checked and encoded once.
-    """
-    codes = _ComponentCodes()
-    regions: dict[str, dict[tuple[str, str, str], bytearray]] = {}
-    for lineno, (region, x, y, z) in rows:
-        try:
-            (cx, dx), (cy, dy), (cz, dz) = codes[x], codes[y], codes[z]
-            blocks = regions.get(region)
-            if blocks is None:
-                _check_token("region", region)
-                blocks = regions[region] = {}
-        except ValueError as e:
-            if source is None:
-                raise
-            raise ValueError(f"{source}:{lineno}: {e}") from None
-        record = (cx + cy + cz).ljust(COORD_RECORD_SIZE, b"\x00")
-        block = blocks.get((dx, dy, dz))
-        if block is None:
-            blocks[dx, dy, dz] = bytearray(record)
-        else:
-            block += record
-    for region, blocks in regions.items():
-        for records in blocks.values():
-            _check_distinct(region, records)
-    return PackedAtlas(regions)
-
-
-def _voxel_rows(regions: Mapping[str, Iterable[Voxel]]):
-    """A region -> voxels map as ``_pack`` rows; a component that is not an int raises ValueError."""
-    for region, voxels in regions.items():
-        for voxel in voxels:
-            x, y, z = voxel
-            if type(x) is not int or type(y) is not int or type(z) is not int:
-                raise ValueError(f"coordinate components must be ints: {Voxel(*voxel)}")
-            yield 0, (region, str(x), str(y), str(z))
-
-
-def _index_entries(atlas: PackedAtlas):
-    """One index line per (region, block) of ``atlas``, in its order, records counted from 0."""
+def _index_entries(regions: dict):
+    """One index line per (region, block) of ``read_atlas_tsv``'s ``regions``, in its order, records counted from 0."""
     start = 0
-    for region, blocks in atlas.regions.items():
+    for region, blocks in regions.items():
         for decades, records in blocks.items():
             count = len(records) // COORD_RECORD_SIZE
             yield SerialIndexEntry(region, BLOCK_KEY.format(*decades), start, count)
             start += count
 
 
-def _writes(atlas: PackedAtlas):
-    """The records of ``atlas`` in store order: its block buffers joined into writes of about ``WRITE_BYTES``."""
+def _writes(regions: dict):
+    """The records of ``regions`` in store order: its block buffers joined into writes of about ``WRITE_BYTES``."""
     chunk, size = [], 0
-    for blocks in atlas.regions.values():
+    for blocks in regions.values():
         for records in blocks.values():
             chunk.append(records)
             size += len(records)
@@ -285,24 +228,19 @@ class RegionLibrary(Library):
         self._lock = threading.Lock()
 
     @classmethod
-    def build(cls, atlas: PackedAtlas | Mapping[str, Iterable[Voxel]], out_dir: str | Path) -> "RegionLibrary":
-        """Write one library and index for ``read_atlas_tsv``'s packed atlas or a region -> voxels map.
+    def build(cls, regions: dict[str, dict[tuple[str, str, str], bytearray]], out_dir: str | Path) -> "RegionLibrary":
+        """Write one library and index for the atlas ``read_atlas_tsv`` returns.
 
         Blocks of a region stay contiguous and appear in first-use order;
-        voxels keep input order within their block. A voxel may appear only
-        once per region, and its components must be ints in [-999, 999]. A
-        map is packed and checked whole, as ``read_atlas_tsv`` packs a file,
-        before any file or directory is created. The voxels are held once,
-        as their packed records, which go to the store under one fsync in
-        writes of about ``WRITE_BYTES``; the index is written last, in one
+        voxels keep input order within their block. The voxels are held
+        once, as their packed records, which go to the store under one fsync
+        in writes of about ``WRITE_BYTES``; the index is written last, in one
         write and one fsync, once the voxels are in the library.
         """
-        if not isinstance(atlas, PackedAtlas):
-            atlas = _pack(_voxel_rows(atlas), None)
         out_dir = Path(out_dir)
         return cls._build(
-            out_dir / DATA_FILE, COORD_RECORD_SIZE, _writes(atlas),
-            out_dir / INDEX_FILE, lambda path, refs: SerialIndex.create(path, _index_entries(atlas)),
+            out_dir / DATA_FILE, COORD_RECORD_SIZE, _writes(regions),
+            out_dir / INDEX_FILE, lambda path, refs: SerialIndex.create(path, _index_entries(regions)),
         )
 
     @classmethod
@@ -353,14 +291,37 @@ class RegionLibrary(Library):
         self._runs = None
 
 
-def read_atlas_tsv(path: str | Path) -> PackedAtlas:
-    """Parse and check region/x/y/z TSV lines into a ``PackedAtlas``, for ``RegionLibrary.build``.
+def read_atlas_tsv(path: str | Path) -> dict[str, dict[tuple[str, str, str], bytearray]]:
+    """Check every region/x/y/z line of a TSV file and pack it, for ``RegionLibrary.build``.
 
-    A component is exactly ``-?[0-9]+`` and in [-999, 999]; signs, spaces
-    and underscores that ``int()`` would accept, and values out of range,
-    raise ``ValueError("path:line: ...")``, as does a region an index line
-    cannot hold, checked on the line it first appears. A voxel repeated in
-    its region raises once the whole file is read. Each line is held only
-    as its packed 16-byte record.
+    Returns each region, in first-use order, mapped to its blocks' decade
+    codes, in first-use order within the region, and each block to its
+    16-byte records, in input order: no line is held but as its record. A
+    component is exactly ``-?[0-9]+`` and in [-999, 999], each canonical
+    text checked and encoded once; signs, spaces and underscores that
+    ``int()`` would accept, and values out of range, raise
+    ``ValueError("path:line: ...")``, as does a region an index line cannot
+    hold, checked on the line it first appears. Once the whole file is
+    read, a voxel repeated in its region raises.
     """
-    return _pack(read_tsv(path, 4, "region<TAB>x<TAB>y<TAB>z"), path)
+    codes = _ComponentCodes()
+    regions: dict[str, dict[tuple[str, str, str], bytearray]] = {}
+    for lineno, (region, x, y, z) in read_tsv(path, 4, "region<TAB>x<TAB>y<TAB>z"):
+        try:
+            (cx, dx), (cy, dy), (cz, dz) = codes[x], codes[y], codes[z]
+            blocks = regions.get(region)
+            if blocks is None:
+                _check_token("region", region)
+                blocks = regions[region] = {}
+        except ValueError as e:
+            raise ValueError(f"{path}:{lineno}: {e}") from None
+        record = (cx + cy + cz).ljust(COORD_RECORD_SIZE, b"\x00")
+        block = blocks.get((dx, dy, dz))
+        if block is None:
+            blocks[dx, dy, dz] = bytearray(record)
+        else:
+            block += record
+    for region, blocks in regions.items():
+        for records in blocks.values():
+            _check_distinct(region, records)
+    return regions

@@ -12,10 +12,11 @@ A non-hit is rejected on its fixed-width name and year bytes, without
 decoding; the remaining candidates are built once each and filtered by
 ``matches``.
 
-A build holds each record in a compact form, its five stored fields each
-ended by a newline, in one buffer per non-empty group, and expands a group
-to its 64-byte records only as it writes it. ``read_records_tsv`` packs a
-plain TSV line from its bytes, with no ``DeathRecord`` and no field text.
+A library is built from a records TSV file: ``read_records_tsv`` holds
+each record in a compact form, its five stored fields each ended by a
+newline, in one buffer per non-empty group, packing a plain line from its
+bytes with no ``DeathRecord`` and no field text; ``SsdiLibrary.build``
+expands a group to its 64-byte records only as it writes it.
 
 Record layout (64 bytes, one line of plain ASCII per person):
 
@@ -33,7 +34,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .computed_index import GROUP_COUNT, ComputedIndex, letters_only, name_ordinal, pack_tiling
 from .store import Library, tsv_fields
@@ -212,29 +213,6 @@ def _compact(record: DeathRecord) -> bytes:
     return f"{record.surname}\n{record.given}\n{record.ssn}\n{record.birth_date}\n{record.death_date}\n".encode("ascii")
 
 
-def _pack(compact_records: Iterable[bytes]) -> PackedRecords:
-    """Sort records in compact form into their groups, in input order, and count them."""
-    groups: list[bytearray | None] = [None] * GROUP_COUNT
-    counts = [0] * GROUP_COUNT
-    for record in compact_records:
-        # Key letters that are the stored names' first bytes give the ordinal with no normalizing.
-        s1, s2, g1 = record[0], record[1], record[record.index(10) + 1]
-        if s2 == 10:  # a one-letter surname, whose second key letter is A
-            s2 = 65
-        if 65 <= s1 <= 90 and 65 <= s2 <= 90 and 65 <= g1 <= 90:
-            ordinal = 676 * s1 + 26 * s2 + g1 - 45_695  # 703 * ord("A")
-        else:
-            surname, given, _ = record.split(b"\n", 2)
-            ordinal = name_ordinal(surname.decode("ascii"), given.decode("ascii"))
-        group = groups[ordinal]
-        if group is None:
-            groups[ordinal] = bytearray(record)
-        else:
-            group += record
-        counts[ordinal] += 1
-    return PackedRecords(groups, counts)
-
-
 def _padded(group: bytearray, count: int) -> bytes:
     """A group's ``count`` records in compact form as the library's 64-byte records: ``DeathRecord.pack``'s bytes."""
     fields = group.split(b"\n")
@@ -246,30 +224,23 @@ class SsdiLibrary(Library):
     """A built record library plus its computed group index."""
 
     @classmethod
-    def build(cls, records: PackedRecords | Iterable[DeathRecord], out_dir: str | Path) -> "SsdiLibrary":
-        """Group records by key letters and write the library and its index.
+    def build(cls, records: PackedRecords, out_dir: str | Path) -> "SsdiLibrary":
+        """Write the library and index of the records ``read_records_tsv`` returns.
 
-        ``records`` is what ``read_records_tsv`` returns, or any iterable of
-        ``DeathRecord``s, packed here as ``read_records_tsv`` packs a file.
         Record order within a group is input order. Every one of the 17,576
         group entries is written; empty groups carry count 0 at their tiling
         position, so starts are always the prefix sums of counts.
 
-        ``Library._build`` refuses an existing index before ``records`` is
-        read, then reads it once. Each record is held in its compact form,
-        in one buffer per non-empty group: about 45 B per record plus under
-        1 MB. The index is tiled from the group counts before the first byte
-        is written; the groups are then streamed to the store in ordinal
-        order, each expanded to 64-byte records only as it is written and
-        dropped once written, and the index is written and fsync'd last.
+        ``Library._build`` refuses an existing index before any group is
+        drawn. The groups are then streamed to the store in ordinal order,
+        each expanded to 64-byte records only as it is written and dropped
+        from ``records`` once written; the index is then tiled from the group
+        counts and written and fsync'd last.
         """
         out_dir = Path(out_dir)
-        index_records = None
+        groups, counts = records
 
         def group_payloads():
-            nonlocal index_records
-            groups, counts = records if isinstance(records, PackedRecords) else _pack(map(_compact, records))
-            index_records = pack_tiling(counts)
             for ordinal, group in enumerate(groups):
                 if group is not None:
                     groups[ordinal] = None  # so each group is released once it is written
@@ -277,7 +248,7 @@ class SsdiLibrary(Library):
 
         return cls._build(
             out_dir / DATA_FILE, RECORD_SIZE, group_payloads(),
-            out_dir / INDEX_FILE, lambda path, refs: ComputedIndex.create_packed(path, index_records),
+            out_dir / INDEX_FILE, lambda path, refs: ComputedIndex.create_packed(path, pack_tiling(counts)),
         )
 
     @classmethod
@@ -333,16 +304,35 @@ def _year_key(year: int) -> bytes:
 
 
 def read_records_tsv(path: str | Path) -> PackedRecords:
-    """Check and pack every line of a surname/given/ssn/birth/death TSV file, for ``SsdiLibrary.build``.
+    """Check every line of a surname/given/ssn/birth/death TSV file and pack it, for ``SsdiLibrary.build``.
 
-    The file is read once, in binary, and each line is held only in its
-    compact form. A plain line is packed from its bytes as they are; any
-    other line is decoded as UTF-8 and checked by ``DeathRecord``. Lines end
-    and are numbered as text mode reads them, at ``\\r\\n``, ``\\r`` or
-    ``\\n``, and blank lines are skipped. A bad line raises
-    ``ValueError("path:lineno: ...")`` before this returns.
+    The file is read once, in binary. A plain line is packed from its bytes
+    as they are; any other line is decoded as UTF-8 and checked by
+    ``DeathRecord``. Lines end and are numbered as text mode reads them, at
+    ``\\r\\n``, ``\\r`` or ``\\n``, and blank lines are skipped. A bad line
+    raises ``ValueError("path:lineno: ...")`` before this returns. Each
+    record is held only in its compact form, appended to its group's buffer
+    in input order, and counted: about 45 B per record plus under 1 MB.
     """
-    return _pack(_compact_lines(path))
+    groups: list[bytearray | None] = [None] * GROUP_COUNT
+    counts = [0] * GROUP_COUNT
+    for record in _compact_lines(path):
+        # Key letters that are the stored names' first bytes give the ordinal with no normalizing.
+        s1, s2, g1 = record[0], record[1], record[record.index(10) + 1]
+        if s2 == 10:  # a one-letter surname, whose second key letter is A
+            s2 = 65
+        if 65 <= s1 <= 90 and 65 <= s2 <= 90 and 65 <= g1 <= 90:
+            ordinal = 676 * s1 + 26 * s2 + g1 - 45_695  # 703 * ord("A")
+        else:
+            surname, given, _ = record.split(b"\n", 2)
+            ordinal = name_ordinal(surname.decode("ascii"), given.decode("ascii"))
+        group = groups[ordinal]
+        if group is None:
+            groups[ordinal] = bytearray(record)
+        else:
+            group += record
+        counts[ordinal] += 1
+    return PackedRecords(groups, counts)
 
 
 def _compact_lines(path: str | Path):

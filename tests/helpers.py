@@ -4,8 +4,9 @@ import os
 import random
 import re
 import tracemalloc
+from pathlib import Path
 
-from raclib.ssdi import DeathRecord
+from raclib.ssdi import DeathRecord, record_tsv_line
 
 SURNAMES = [
     "JOHNSON", "JONES", "JONAS", "KENNEDY", "KENNER", "KENT", "SMITH", "SMYTHE",
@@ -49,6 +50,21 @@ def unpacked_records(packed) -> list[DeathRecord]:
         assert len(fields) == 5 * count
         records += [DeathRecord(*fields[i : i + 5]) for i in range(0, len(fields), 5)]
     return records
+
+
+def records_tsv(path, records) -> Path:
+    """Write ``records`` to ``path`` as a TSV file for ``read_records_tsv``, a ``record_tsv_line`` each; return ``path``."""
+    path = Path(path)
+    path.write_text("".join(record_tsv_line(r) + "\n" for r in records), "ascii")
+    return path
+
+
+def atlas_tsv(path, atlas) -> Path:
+    """Write a region -> voxels map to ``path`` as a TSV file for ``read_atlas_tsv``, a line per voxel; return ``path``."""
+    path = Path(path)
+    lines = (f"{region}\t{x}\t{y}\t{z}\n" for region, voxels in atlas.items() for x, y, z in voxels)
+    path.write_text("".join(lines), "utf-8")
+    return path
 
 
 _TEMP_SUFFIX = re.compile(r"\.\d+\.\d+\.tmp$")

@@ -16,17 +16,17 @@ import urllib.request
 from contextlib import contextmanager
 from types import SimpleNamespace
 
-from helpers import GIVENS, SURNAMES, random_death_fields
+from helpers import GIVENS, SURNAMES, atlas_tsv, random_death_fields, records_tsv
 
 from raclib.bench import build_scan_archive, compare_offsets, scan_extract, synth_library
 from raclib.cache import BucketCache, BucketOutcome, DeliveryRequest, ImageResolver
 from raclib.cli import main
 from raclib.computed_index import GROUP_COUNT, TrigramKey, key_ordinal, trigram_of
-from raclib.neuro import RegionLibrary, Voxel, block_of, decode_coord, encode_coord
+from raclib.neuro import RegionLibrary, Voxel, block_of, decode_coord, encode_coord, read_atlas_tsv
 from raclib.pack import Collection
 from raclib.serial_index import SerialIndexEntry
 from raclib.server import DeliveryServer
-from raclib.ssdi import DeathRecord, SearchQuery, SsdiLibrary
+from raclib.ssdi import DeathRecord, SearchQuery, SsdiLibrary, read_records_tsv
 from raclib.store import RecordStore
 
 
@@ -121,7 +121,8 @@ def test_criterion_3_search_oracle_equivalence(tmp_path):
     with criterion(3, "100k-record search vs linear-scan oracle, 500 queries", budget_seconds=120):
         rng = random.Random(86)
         records = (DeathRecord(*f) for f in random_death_fields(rng, 100_000))
-        with SsdiLibrary.build(records, tmp_path / "lib") as library:
+        tsv = records_tsv(tmp_path / "records.tsv", records)
+        with SsdiLibrary.build(read_records_tsv(tsv), tmp_path / "lib") as library:
             parsed = _parse_store_records((tmp_path / "lib" / "records.raclib").read_bytes())
             assert len(parsed) == 100_000
 
@@ -340,7 +341,8 @@ def test_criterion_7_neuro_encodings(tmp_path):
                     Voxel(*(max(-999, min(999, c + rng.randint(-12, 12))) for c in (cx, cy, cz)))
                 )
             atlas[f"region_{r:02d}"] = sorted(voxels)
-        with RegionLibrary.build(atlas, tmp_path / "atlas") as library:
+        tsv = atlas_tsv(tmp_path / "atlas.tsv", atlas)
+        with RegionLibrary.build(read_atlas_tsv(tsv), tmp_path / "atlas") as library:
             for region, voxels in atlas.items():
                 assert sorted(library.region_voxels(region)) == voxels
             for entry in library.index.entries():
@@ -351,7 +353,8 @@ def test_criterion_8_computed_index_format(tmp_path):
     with criterion(8, "index file geometry and prefix-sum tiling", budget_seconds=10):
         rng = random.Random(64)
         records = (DeathRecord(*f) for f in random_death_fields(rng, 10_000))
-        with SsdiLibrary.build(records, tmp_path / "lib") as library:
+        tsv = records_tsv(tmp_path / "records.tsv", records)
+        with SsdiLibrary.build(read_records_tsv(tsv), tmp_path / "lib") as library:
             assert (tmp_path / "lib" / "groups.index").stat().st_size == 351_520 == GROUP_COUNT * 20
             entries = library.index.read_all()
             assert sum(e.count for e in entries) == library.store.record_count == 10_000

@@ -180,6 +180,15 @@ def test_neuro_query_unknown_region_exits_2(tmp_path, capsys):
     assert main(["neuro", "query", "--lib", str(tmp_path / "lib"), "--region", "missing"]) == 2
 
 
+def test_neuro_query_of_an_empty_block_exits_2(tmp_path, capsys):
+    atlas = tmp_path / "atlas.tsv"
+    atlas.write_text("L_ctx\t-41\t12\t-35\n")
+    main(["neuro", "build", "--in", str(atlas), "--out", str(tmp_path / "lib")])
+    capsys.readouterr()
+    assert main(["neuro", "query", "--lib", str(tmp_path / "lib"), "--region", "L_ctx", "--block", ""]) == 2
+    assert capsys.readouterr() == ("", "raclib: not found: no index entry for (L_ctx, )\n")
+
+
 def test_bench_cli_pipeline(tmp_path, capsys):
     lib = tmp_path / "s.raclib"
     assert main(["bench", "synth", "--out", str(lib), "--records", "64",

@@ -60,6 +60,13 @@ def test_file_errors_name_the_line(tmp_path):
         load_config(conf, env={})
 
 
+def test_a_file_that_is_not_ascii_names_its_line(tmp_path):
+    conf = tmp_path / "raclib.conf"
+    conf.write_text("port=9000\n# caché\nrecord_size=512\n", "utf-8")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{conf}:2: not ASCII") + "$"):
+        load_config(conf, env={})
+
+
 def test_environment_errors_name_the_variable():
     with pytest.raises(ValueError, match="^RACLIB_PORT: port: invalid literal"):
         load_config(env={"RACLIB_PORT": "abc"})

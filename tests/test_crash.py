@@ -16,11 +16,11 @@ import signal
 import time
 
 import pytest
-from helpers import random_death_fields
+from helpers import atlas_tsv, random_death_fields, records_tsv
 
-from raclib.neuro import RegionLibrary, Voxel
+from raclib.neuro import RegionLibrary, Voxel, read_atlas_tsv
 from raclib.pack import Collection, CollectionSet, pack_directory
-from raclib.ssdi import DeathRecord, SearchQuery, SsdiLibrary
+from raclib.ssdi import DeathRecord, SearchQuery, SsdiLibrary, read_records_tsv
 
 CALLS = ("open", "pwritev", "fsync", "link", "replace", "unlink", "mkdir")
 
@@ -70,10 +70,11 @@ def check_atlas(out):
     return True
 
 
+# The SSDI and atlas builds read ``RECORDS`` and ``ATLAS`` from TSV files written beforehand two levels above ``out``.
 BUILDS = {
     "pack": (pack, check_pack),
-    "ssdi": (lambda out: SsdiLibrary.build(RECORDS, out), check_ssdi),
-    "atlas": (lambda out: RegionLibrary.build(ATLAS, out), check_atlas),
+    "ssdi": (lambda out: SsdiLibrary.build(read_records_tsv(out.parent.parent / "records.tsv"), out), check_ssdi),
+    "atlas": (lambda out: RegionLibrary.build(read_atlas_tsv(out.parent.parent / "atlas.tsv"), out), check_atlas),
 }
 
 
@@ -129,6 +130,8 @@ def test_a_killed_build_leaves_no_library_or_a_whole_one(tmp_path, monkeypatch, 
     (tmp_path / "in").mkdir()
     for key, body in MEMBERS.items():
         (tmp_path / "in" / f"Book_{key}.jpg").write_bytes(body)
+    records_tsv(tmp_path / "records.tsv", RECORDS)
+    atlas_tsv(tmp_path / "atlas.tsv", ATLAS)
     (tmp_path / "full").mkdir()
     calls = recorded_calls(build, tmp_path / "full" / "lib", monkeypatch)
     assert set(calls) == set(CALLS), calls

@@ -5,15 +5,15 @@ import os
 from pathlib import Path
 
 import pytest
-from helpers import fd_name, open_fd_count, record_fsyncs
+from helpers import atlas_tsv, fd_name, open_fd_count, record_fsyncs, records_tsv
 
 from raclib import store
 from raclib.computed_index import ComputedIndex
 from raclib.errors import NotFoundError
-from raclib.neuro import COORD_RECORD_SIZE, RegionLibrary, Voxel, block_of
+from raclib.neuro import COORD_RECORD_SIZE, RegionLibrary, Voxel, block_of, read_atlas_tsv
 from raclib.pack import CollectionSet, pack_directory
 from raclib.serial_index import SerialIndex, SerialIndexEntry
-from raclib.ssdi import DeathRecord, SearchQuery, SsdiLibrary
+from raclib.ssdi import DeathRecord, SearchQuery, SsdiLibrary, read_records_tsv
 
 
 def pack_one_page(tmp_path):
@@ -24,11 +24,13 @@ def pack_one_page(tmp_path):
 
 def build_ssdi(tmp_path):
     kennedy = DeathRecord("Kennedy", "Robert", "123456789", "19251120", "19680600")
-    return SsdiLibrary.build([kennedy], tmp_path / "out")
+    tsv = records_tsv(tmp_path / "records.tsv", [kennedy])
+    return SsdiLibrary.build(read_records_tsv(tsv), tmp_path / "out")
 
 
 def build_atlas(tmp_path):
-    return RegionLibrary.build({"r": [Voxel(-41, 12, -35)]}, tmp_path / "out")
+    tsv = atlas_tsv(tmp_path / "atlas.tsv", {"r": [Voxel(-41, 12, -35)]})
+    return RegionLibrary.build(read_atlas_tsv(tsv), tmp_path / "out")
 
 
 @pytest.mark.parametrize(
@@ -104,15 +106,17 @@ def test_a_build_publishes_its_sidecar_once_after_its_data_fsync(tmp_path, monke
 
 def test_a_build_fsyncs_each_directory_it_made_once(tmp_path, monkeypatch):
     fsyncs = record_fsyncs(monkeypatch)
-    RegionLibrary.build({"r": [Voxel(-41, 12, -35)]}, tmp_path / "a" / "b" / "lib").close()
+    tsv = atlas_tsv(tmp_path / "atlas.tsv", {"r": [Voxel(-41, 12, -35)]})
+    RegionLibrary.build(read_atlas_tsv(tsv), tmp_path / "a" / "b" / "lib").close()
     assert fsyncs == ["voxels.raclib", ".voxels.raclib.meta.tmp", ".regions.index.tmp", "lib", "b", "a", tmp_path.name]
     fsyncs.clear()
-    RegionLibrary.build({"r": [Voxel(-41, 12, -35)]}, tmp_path / "a").close()  # made nothing: only its own
+    RegionLibrary.build(read_atlas_tsv(tsv), tmp_path / "a").close()  # made nothing: only its own
     assert fsyncs == ["voxels.raclib", ".voxels.raclib.meta.tmp", ".regions.index.tmp", "a"]
 
 
 def test_empty_builds_publish_their_sidecar_and_reopen(tmp_path):
-    RegionLibrary.build({}, tmp_path / "atlas").close()
+    tsv = atlas_tsv(tmp_path / "atlas.tsv", {})
+    RegionLibrary.build(read_atlas_tsv(tsv), tmp_path / "atlas").close()
     (tmp_path / "in").mkdir()
     pack_directory(tmp_path / "in", "c", tmp_path / "pack").close()
     assert (tmp_path / "atlas" / "voxels.raclib.meta").read_text() == f"record_size={COORD_RECORD_SIZE}\nrecord_count=0\n"

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import open_fd_count, traced_peak
+from helpers import atlas_tsv, open_fd_count, traced_peak
 
 from raclib import neuro
 from raclib.errors import NotFoundError
@@ -111,9 +111,8 @@ def test_block_membership_consistency():
 
 
 def test_build_groups_same_block(tmp_path):
-    with RegionLibrary.build(
-        {"L_ctx_middletemporal": [Voxel(-41, 12, -35), Voxel(-42, 13, -36)]}, tmp_path / "lib"
-    ) as lib:
+    tsv = atlas_tsv(tmp_path / "atlas.tsv", {"L_ctx_middletemporal": [Voxel(-41, 12, -35), Voxel(-42, 13, -36)]})
+    with RegionLibrary.build(read_atlas_tsv(tsv), tmp_path / "lib") as lib:
         entries = list(lib.index.entries())
         assert len(entries) == 1
         assert (entries[0].name, entries[0].key) == ("L_ctx_middletemporal", "n4_xp1_yn3_z")
@@ -123,14 +122,16 @@ def test_build_groups_same_block(tmp_path):
 
 
 def test_build_empty_map(tmp_path):
-    with RegionLibrary.build({}, tmp_path / "lib") as lib:
+    tsv = atlas_tsv(tmp_path / "atlas.tsv", {})
+    with RegionLibrary.build(read_atlas_tsv(tsv), tmp_path / "lib") as lib:
         assert lib.store.record_count == 0
         assert lib.index.entry_count() == 0
 
 
 def test_build_rejects_duplicate_voxel(tmp_path):
+    tsv = atlas_tsv(tmp_path / "atlas.tsv", {"r": [Voxel(1, 2, 3), Voxel(1, 2, 3)]})
     with pytest.raises(ValueError, match="^" + re.escape("duplicate voxel Voxel(x=1, y=2, z=3) in region r") + "$"):
-        RegionLibrary.build({"r": [Voxel(1, 2, 3), Voxel(1, 2, 3)]}, tmp_path / "lib")
+        RegionLibrary.build(read_atlas_tsv(tsv), tmp_path / "lib")
     assert not (tmp_path / "lib").exists()
 
 
@@ -139,8 +140,10 @@ def test_build_rejects_duplicate_voxel(tmp_path):
     ({"r": [Voxel(1, 2, 3), Voxel(1000, 2, 3)]}, "coordinate component out of range [-999, 999]: 1000"),
 ])
 def test_build_of_a_map_an_index_cannot_hold_raises_before_making_a_directory(tmp_path, atlas, message):
-    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
-        RegionLibrary.build(atlas, tmp_path / "lib")
+    tsv = atlas_tsv(tmp_path / "atlas.tsv", atlas)
+    line = sum(map(len, atlas.values()))  # the last line holds what an index cannot
+    with pytest.raises(ValueError, match="^" + re.escape(f"{tsv}:{line}: {message}") + "$"):
+        RegionLibrary.build(read_atlas_tsv(tsv), tmp_path / "lib")
     assert not (tmp_path / "lib").exists()
 
 
@@ -152,23 +155,17 @@ def test_atlas_tsv_rejects_a_voxel_repeated_in_its_region_when_read(tmp_path):
         read_atlas_tsv(path)
 
 
-@pytest.mark.parametrize(
-    "voxels",
-    [[(1.5, 2, 3)], [(1, 2, 3), (1.0, 5, 6)], [(1, 2, "3")], [(True, 2, 3)]],
-)
-def test_build_rejects_components_that_are_not_ints(tmp_path, voxels):
-    # (1.0, 5, 6) follows (1, 2, 3) so that 1.0 would find 1's encoding if it were looked up.
+@pytest.mark.parametrize("voxel", [(1.5, 2, 3), (1.0, 5, 6), (1, 2, "3"), (True, 2, 3)])
+def test_encode_and_block_of_reject_components_that_are_not_ints(voxel):
     with pytest.raises(ValueError, match="must be ints"):
-        RegionLibrary.build({"r": voxels}, tmp_path / "lib")
-    assert not (tmp_path / "lib").exists()
+        encode_coord(voxel)
     with pytest.raises(ValueError, match="must be ints"):
-        encode_coord(voxels[-1])
-    with pytest.raises(ValueError, match="must be ints"):
-        block_of(voxels[-1])
+        block_of(voxel)
 
 
 def test_records_are_fixed_width_null_padded(tmp_path):
-    RegionLibrary.build({"r": [Voxel(-41, 12, -35)]}, tmp_path / "lib").close()
+    tsv = atlas_tsv(tmp_path / "atlas.tsv", {"r": [Voxel(-41, 12, -35)]})
+    RegionLibrary.build(read_atlas_tsv(tsv), tmp_path / "lib").close()
     raw = (tmp_path / "lib" / "voxels.raclib").read_bytes()
     assert raw == b"n41p12n35" + b"\x00" * 7
     assert len(raw) == COORD_RECORD_SIZE
@@ -194,7 +191,8 @@ def random_atlas(rng, n_regions=10, per_region=300):
 def test_rebuild_and_compare_atlas(tmp_path):
     rng = random.Random(21)
     atlas = random_atlas(rng)
-    with RegionLibrary.build(atlas, tmp_path / "lib") as lib:
+    tsv = atlas_tsv(tmp_path / "atlas.tsv", atlas)
+    with RegionLibrary.build(read_atlas_tsv(tsv), tmp_path / "lib") as lib:
         for region, voxels in atlas.items():
             assert sorted(lib.region_voxels(region)) == sorted(voxels)
         # groups of one region are contiguous and ordered
@@ -208,7 +206,8 @@ def test_rebuild_and_compare_atlas(tmp_path):
 def test_region_voxels_is_concatenation_of_blocks(tmp_path):
     rng = random.Random(4)
     atlas = random_atlas(rng, n_regions=3)
-    with RegionLibrary.build(atlas, tmp_path / "lib") as lib:
+    tsv = atlas_tsv(tmp_path / "atlas.tsv", atlas)
+    with RegionLibrary.build(read_atlas_tsv(tsv), tmp_path / "lib") as lib:
         region = "region_01"
         concatenated = []
         for entry in lib.index.entries():
@@ -218,7 +217,8 @@ def test_region_voxels_is_concatenation_of_blocks(tmp_path):
 
 
 def test_block_voxels_uses_one_read(tmp_path):
-    with RegionLibrary.build({"r": [Voxel(-41, 12, -35), Voxel(-42, 13, -36)]}, tmp_path / "lib") as lib:
+    tsv = atlas_tsv(tmp_path / "atlas.tsv", {"r": [Voxel(-41, 12, -35), Voxel(-42, 13, -36)]})
+    with RegionLibrary.build(read_atlas_tsv(tsv), tmp_path / "lib") as lib:
         lib.store.counters.reset()
         assert len(lib.block_voxels("r", "n4_xp1_yn3_z")) == 2
         assert lib.store.counters.reads == 1
@@ -226,7 +226,8 @@ def test_block_voxels_uses_one_read(tmp_path):
 
 
 def test_unknown_region_and_block(tmp_path):
-    with RegionLibrary.build({"r": [Voxel(1, 2, 3)]}, tmp_path / "lib") as lib:
+    tsv = atlas_tsv(tmp_path / "atlas.tsv", {"r": [Voxel(1, 2, 3)]})
+    with RegionLibrary.build(read_atlas_tsv(tsv), tmp_path / "lib") as lib:
         with pytest.raises(NotFoundError):
             lib.region_voxels("nope")
         with pytest.raises(NotFoundError):
@@ -312,13 +313,15 @@ def test_build_from_a_tsv_holds_each_voxel_once_as_its_record(tmp_path):
 
 
 def test_reopen_library(tmp_path):
-    RegionLibrary.build({"r": [Voxel(-41, 12, -35)]}, tmp_path / "lib").close()
+    tsv = atlas_tsv(tmp_path / "atlas.tsv", {"r": [Voxel(-41, 12, -35)]})
+    RegionLibrary.build(read_atlas_tsv(tsv), tmp_path / "lib").close()
     with RegionLibrary.open(tmp_path / "lib") as lib:
         assert lib.region_voxels("r") == [Voxel(-41, 12, -35)]
 
 
 def test_open_without_index_raises_and_leaves_no_fd(tmp_path):
-    RegionLibrary.build({"r": [Voxel(-41, 12, -35)]}, tmp_path / "lib").close()
+    tsv = atlas_tsv(tmp_path / "atlas.tsv", {"r": [Voxel(-41, 12, -35)]})
+    RegionLibrary.build(read_atlas_tsv(tsv), tmp_path / "lib").close()
     (tmp_path / "lib" / "regions.index").unlink()
     before = open_fd_count()
     for _ in range(5):
@@ -329,7 +332,8 @@ def test_open_without_index_raises_and_leaves_no_fd(tmp_path):
 
 def test_region_query_is_one_read_of_its_records(tmp_path):
     atlas = random_atlas(random.Random(8), n_regions=4)
-    with RegionLibrary.build(atlas, tmp_path / "lib") as lib:
+    tsv = atlas_tsv(tmp_path / "atlas.tsv", atlas)
+    with RegionLibrary.build(read_atlas_tsv(tsv), tmp_path / "lib") as lib:
         for region, voxels in atlas.items():
             assert len({e.key for e in lib.index.entries() if e.name == region}) > 1
             lib.store.counters.reset()
@@ -353,7 +357,8 @@ def count_index_passes(monkeypatch):
 @pytest.mark.parametrize("bad", MALFORMED)
 def test_malformed_record_in_the_store_fails_block_and_region_queries(tmp_path, bad):
     voxels = [Voxel(1, 2, 3), Voxel(4, 5, 6), Voxel(7, 8, 9)]
-    RegionLibrary.build({"r": voxels}, tmp_path / "lib").close()
+    tsv = atlas_tsv(tmp_path / "atlas.tsv", {"r": voxels})
+    RegionLibrary.build(read_atlas_tsv(tsv), tmp_path / "lib").close()
     with open(tmp_path / "lib" / "voxels.raclib", "r+b") as f:
         f.seek(COORD_RECORD_SIZE)  # the middle record
         f.write(bad.encode("ascii").ljust(COORD_RECORD_SIZE, b"\0"))
@@ -369,8 +374,10 @@ def test_region_library_serves_the_build_it_opened_after_a_rebuild(tmp_path):
     old = random_atlas(rng, n_regions=3, per_region=40)
     new = {name: voxels[:rng.randrange(5, 40)] for name, voxels in reversed(old.items())}  # new order and sizes
     new["region_new"] = [Voxel(1, 2, 3), Voxel(15, 2, 3)]
-    RegionLibrary.build(old, tmp_path / "lib").close()
-    RegionLibrary.build(new, tmp_path / "rebuilt").close()
+    tsv = atlas_tsv(tmp_path / "atlas.tsv", old)
+    RegionLibrary.build(read_atlas_tsv(tsv), tmp_path / "lib").close()
+    tsv = atlas_tsv(tmp_path / "new.tsv", new)
+    RegionLibrary.build(read_atlas_tsv(tsv), tmp_path / "rebuilt").close()
     with RegionLibrary.open(tmp_path / "lib") as lib:
         assert sorted(lib.region_voxels("region_00")) == sorted(old["region_00"])
         for name in ("voxels.raclib", "voxels.raclib.meta", "regions.index"):
@@ -388,7 +395,8 @@ def test_region_library_serves_the_build_it_opened_after_a_rebuild(tmp_path):
 
 
 def test_unknown_region_reads_nothing_from_the_store(tmp_path):
-    with RegionLibrary.build({"r": [Voxel(1, 2, 3)]}, tmp_path / "lib") as lib:
+    tsv = atlas_tsv(tmp_path / "atlas.tsv", {"r": [Voxel(1, 2, 3)]})
+    with RegionLibrary.build(read_atlas_tsv(tsv), tmp_path / "lib") as lib:
         for _ in range(2):  # before and after the table exists
             lib.store.counters.reset()
             with pytest.raises(NotFoundError):
@@ -414,7 +422,8 @@ def test_concurrent_region_queries_build_runs_once(tmp_path, monkeypatch):
     passes = count_index_passes(monkeypatch)
     a = [Voxel(1, 2, 3), Voxel(15, 2, 3)]
     b = [Voxel(-41, 12, -35), Voxel(-42, 13, -36)]
-    with RegionLibrary.build({"a": a, "b": b}, tmp_path / "lib") as lib:
+    tsv = atlas_tsv(tmp_path / "atlas.tsv", {"a": a, "b": b})
+    with RegionLibrary.build(read_atlas_tsv(tsv), tmp_path / "lib") as lib:
         barrier = threading.Barrier(8)
         first = []
 
@@ -432,7 +441,8 @@ def test_concurrent_region_queries_build_runs_once(tmp_path, monkeypatch):
 def test_malformed_line_fails_every_region_query_with_one_build(tmp_path, monkeypatch):
     passes = count_index_passes(monkeypatch)
     v = Voxel(1, 2, 3)
-    RegionLibrary.build({"a": [v]}, tmp_path / "lib").close()
+    tsv = atlas_tsv(tmp_path / "atlas.tsv", {"a": [v]})
+    RegionLibrary.build(read_atlas_tsv(tsv), tmp_path / "lib").close()
     path = tmp_path / "lib" / "regions.index"
     path.unlink()
     path.write_text(f"a {block_of(v)} 0 1\nb {block_of(v)} x 1\n")  # the second line's start is not a number
@@ -458,7 +468,8 @@ def test_region_runs_build_retries_after_an_os_error(tmp_path, monkeypatch):
         return real_load(entries)
 
     monkeypatch.setattr(neuro, "_region_runs", flaky_load)
-    with RegionLibrary.build({"a": [Voxel(1, 2, 3)]}, tmp_path / "lib") as lib:
+    tsv = atlas_tsv(tmp_path / "atlas.tsv", {"a": [Voxel(1, 2, 3)]})
+    with RegionLibrary.build(read_atlas_tsv(tsv), tmp_path / "lib") as lib:
         with pytest.raises(OSError):
             lib.region_voxels("a")
         assert lib.region_voxels("a") == [Voxel(1, 2, 3)]
@@ -466,7 +477,8 @@ def test_region_runs_build_retries_after_an_os_error(tmp_path, monkeypatch):
 
 def test_open_atlas_builds_its_runs_from_the_index_it_opened(tmp_path):
     v = Voxel(1, 2, 3)
-    RegionLibrary.build({"a": [v]}, tmp_path / "lib").close()
+    tsv = atlas_tsv(tmp_path / "atlas.tsv", {"a": [v]})
+    RegionLibrary.build(read_atlas_tsv(tsv), tmp_path / "lib").close()
     with RegionLibrary.open(tmp_path / "lib") as lib:
         (tmp_path / "new").write_text(f"b {block_of(v)} 5 1\na {block_of(v)} 7 1\n")
         os.replace(tmp_path / "new", tmp_path / "lib" / "regions.index")
@@ -485,7 +497,8 @@ def test_block_query_makes_no_pass_over_the_index(tmp_path, monkeypatch):
 
     monkeypatch.setattr(SerialIndex, "entries", counting_entries)
     v = Voxel(1, 2, 3)
-    RegionLibrary.build({"a": [v, Voxel(15, 2, 3)]}, tmp_path / "lib").close()
+    tsv = atlas_tsv(tmp_path / "atlas.tsv", {"a": [v, Voxel(15, 2, 3)]})
+    RegionLibrary.build(read_atlas_tsv(tsv), tmp_path / "lib").close()
     with RegionLibrary.open(tmp_path / "lib") as lib:
         for _ in range(3):
             assert lib.block_voxels("a", block_of(v)) == [v]
@@ -581,6 +594,19 @@ def test_atlas_tsv_skips_blank_lines_and_names_the_line_of_a_short_one(tmp_path)
         read_atlas_tsv(path)
 
 
+def test_a_crlf_atlas_builds_the_files_of_its_lf_twin(tmp_path):
+    lf = atlas_tsv(tmp_path / "lf.tsv", random_atlas(random.Random(31), n_regions=3, per_region=40))
+    crlf = tmp_path / "crlf.tsv"
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    RegionLibrary.build(read_atlas_tsv(lf), tmp_path / "lf").close()
+    RegionLibrary.build(read_atlas_tsv(crlf), tmp_path / "crlf").close()
+    for name in ("voxels.raclib", "voxels.raclib.meta", "regions.index"):
+        assert (tmp_path / "crlf" / name).read_bytes() == (tmp_path / "lf" / name).read_bytes(), name
+    crlf.write_bytes(b"rA\t1\t2\t3\r\n\r\nrA\t4\t5\r\n")  # a CRLF line is numbered as its LF twin
+    with pytest.raises(ValueError, match="^" + re.escape(f"{crlf}:3: expected region<TAB>x<TAB>y<TAB>z")):
+        read_atlas_tsv(crlf)
+
+
 def test_atlas_tsv_names_the_line_of_bytes_that_are_not_utf8(tmp_path):
     path = tmp_path / "atlas.tsv"
     path.write_bytes(b"rA\t1\t2\t3\nr\xe9\t4\t5\t6\n")
@@ -589,5 +615,6 @@ def test_atlas_tsv_names_the_line_of_bytes_that_are_not_utf8(tmp_path):
 
 
 def test_build_into_a_new_nested_directory(tmp_path):
-    with RegionLibrary.build({"r": [Voxel(1, 2, 3)]}, tmp_path / "a" / "b" / "lib") as lib:
+    tsv = atlas_tsv(tmp_path / "atlas.tsv", {"r": [Voxel(1, 2, 3)]})
+    with RegionLibrary.build(read_atlas_tsv(tsv), tmp_path / "a" / "b" / "lib") as lib:
         assert lib.region_voxels("r") == [Voxel(1, 2, 3)]

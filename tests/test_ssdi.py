@@ -7,7 +7,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from helpers import open_fd_count, random_death_fields, traced_peak, unpacked_records
+from helpers import open_fd_count, random_death_fields, records_tsv, traced_peak, unpacked_records
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -83,7 +83,8 @@ def test_build_tiles_groups(tmp_path):
         DeathRecord("AALTO", "AMY", "000000002", "19100101", "19700101"),
         KENNEDY,
     ]
-    with SsdiLibrary.build(records, tmp_path / "lib") as lib:
+    tsv = records_tsv(tmp_path / "records.tsv", records)
+    with SsdiLibrary.build(read_records_tsv(tsv), tmp_path / "lib") as lib:
         assert lib.store.record_count == 3
         entries = lib.index.read_all()
         assert (entries[0].start, entries[0].count) == (0, 2)
@@ -96,7 +97,8 @@ def test_build_tiles_groups(tmp_path):
 
 
 def test_build_empty_input(tmp_path):
-    with SsdiLibrary.build([], tmp_path / "lib") as lib:
+    tsv = records_tsv(tmp_path / "records.tsv", [])
+    with SsdiLibrary.build(read_records_tsv(tsv), tmp_path / "lib") as lib:
         assert lib.store.record_count == 0
         assert (tmp_path / "lib" / DATA_FILE).stat().st_size == 0
         assert all(e.count == 0 for e in lib.index.read_all())
@@ -108,7 +110,8 @@ def test_group_order_is_input_order(tmp_path):
         DeathRecord("KENNEDY", "ROBERT", "000000002", "19100101", "19700101"),
         DeathRecord("KENNER", "ROSE", "000000003", "19200101", "19800101"),
     ]
-    with SsdiLibrary.build(records, tmp_path / "lib") as lib:
+    tsv = records_tsv(tmp_path / "records.tsv", records)
+    with SsdiLibrary.build(read_records_tsv(tsv), tmp_path / "lib") as lib:
         assert lib.search(SearchQuery(surname="Ken", given="R")) == records
 
 
@@ -120,7 +123,8 @@ def test_planted_record_search(tmp_path):
         DeathRecord("JOHNSON", "JAMES", "000000012", "19250101", "19680101"),
         DeathRecord("SMITH", "MARY", "000000013", "19251120", "19680600"),
     ]
-    with SsdiLibrary.build(corpus, tmp_path / "lib") as lib:
+    tsv = records_tsv(tmp_path / "records.tsv", corpus)
+    with SsdiLibrary.build(read_records_tsv(tsv), tmp_path / "lib") as lib:
         hits = lib.search(
             SearchQuery(given="Robert", surname="Kennedy", birth_year=1925,
                         death_year_from=1936, death_year_to=1974)
@@ -129,18 +133,21 @@ def test_planted_record_search(tmp_path):
 
 
 def test_search_wrong_birth_year_is_empty(tmp_path):
-    with SsdiLibrary.build([KENNEDY], tmp_path / "lib") as lib:
+    tsv = records_tsv(tmp_path / "records.tsv", [KENNEDY])
+    with SsdiLibrary.build(read_records_tsv(tsv), tmp_path / "lib") as lib:
         assert lib.search(SearchQuery(given="Robert", surname="Kennedy", birth_year=1807)) == []
 
 
 def test_search_requires_some_name_letters(tmp_path):
-    with SsdiLibrary.build([KENNEDY], tmp_path / "lib") as lib:
+    tsv = records_tsv(tmp_path / "records.tsv", [KENNEDY])
+    with SsdiLibrary.build(read_records_tsv(tsv), tmp_path / "lib") as lib:
         with pytest.raises(ValueError):
             lib.search(SearchQuery(surname="123", given="'-"))
 
 
 def test_search_uses_one_index_read_and_one_data_read(tmp_path):
-    with SsdiLibrary.build([KENNEDY], tmp_path / "lib") as lib:
+    tsv = records_tsv(tmp_path / "records.tsv", [KENNEDY])
+    with SsdiLibrary.build(read_records_tsv(tsv), tmp_path / "lib") as lib:
         lib.index.counters.reset()
         lib.store.counters.reset()
         lib.search(SearchQuery(given="Robert", surname="Kennedy"))
@@ -205,7 +212,8 @@ def random_queries(rng, n):
 def test_search_matches_linear_scan_oracle(tmp_path):
     rng = random.Random(42)
     records = [DeathRecord(*f) for f in random_death_fields(rng, 4000)]
-    with SsdiLibrary.build(records, tmp_path / "lib") as lib:
+    tsv = records_tsv(tmp_path / "records.tsv", records)
+    with SsdiLibrary.build(read_records_tsv(tsv), tmp_path / "lib") as lib:
         raw = (tmp_path / "lib" / DATA_FILE).read_bytes()
         checked = 0
         for query in random_queries(rng, 80):
@@ -217,9 +225,8 @@ def test_search_matches_linear_scan_oracle(tmp_path):
 
 def test_search_is_deterministic(tmp_path):
     rng = random.Random(5)
-    with SsdiLibrary.build(
-        [DeathRecord(*f) for f in random_death_fields(rng, 500)], tmp_path / "lib"
-    ) as lib:
+    tsv = records_tsv(tmp_path / "records.tsv", (DeathRecord(*f) for f in random_death_fields(rng, 500)))
+    with SsdiLibrary.build(read_records_tsv(tsv), tmp_path / "lib") as lib:
         query = SearchQuery(surname="JO", given="J")
         assert lib.search(query) == lib.search(query)
 
@@ -227,8 +234,7 @@ def test_search_is_deterministic(tmp_path):
 def test_tsv_round_trip(tmp_path):
     rng = random.Random(9)
     records = [DeathRecord(*f) for f in random_death_fields(rng, 50)]
-    tsv = tmp_path / "records.tsv"
-    tsv.write_text("".join(record_tsv_line(r) + "\n" for r in records), "ascii")
+    tsv = records_tsv(tmp_path / "records.tsv", records)
     assert unpacked_records(read_records_tsv(tsv)) == sorted(records, key=_oracle_ordinal)
 
 
@@ -240,7 +246,8 @@ def test_tsv_rejects_wrong_field_count(tmp_path):
 
 
 def test_library_files_on_disk(tmp_path):
-    SsdiLibrary.build([KENNEDY], tmp_path / "lib").close()
+    tsv = records_tsv(tmp_path / "records.tsv", [KENNEDY])
+    SsdiLibrary.build(read_records_tsv(tsv), tmp_path / "lib").close()
     assert (tmp_path / "lib" / DATA_FILE).exists()
     assert (tmp_path / "lib" / INDEX_FILE).stat().st_size == 351_520
     with SsdiLibrary.open(tmp_path / "lib") as reopened:
@@ -255,8 +262,9 @@ def written_bytes() -> int:
 
 def test_build_writes_each_file_once(tmp_path):
     records = [DeathRecord(*fields) for fields in random_death_fields(random.Random(11), 2_000)]
+    tsv = records_tsv(tmp_path / "records.tsv", records)
     before = written_bytes()
-    SsdiLibrary.build(records, tmp_path / "lib").close()
+    SsdiLibrary.build(read_records_tsv(tsv), tmp_path / "lib").close()
     written = written_bytes() - before
     files = (tmp_path / "lib" / DATA_FILE).stat().st_size + (tmp_path / "lib" / INDEX_FILE).stat().st_size
     assert files == 2_000 * RECORD_SIZE + 351_520
@@ -264,7 +272,8 @@ def test_build_writes_each_file_once(tmp_path):
 
 
 def test_failed_open_leaves_no_fd(tmp_path):
-    SsdiLibrary.build([KENNEDY], tmp_path / "lib").close()
+    tsv = records_tsv(tmp_path / "records.tsv", [KENNEDY])
+    SsdiLibrary.build(read_records_tsv(tsv), tmp_path / "lib").close()
     (tmp_path / "lib" / INDEX_FILE).write_bytes(b"0" * 100)  # wrong size
     before = open_fd_count()
     for _ in range(5):
@@ -279,12 +288,12 @@ def test_build_refuses_an_existing_index_before_reading_or_writing(tmp_path, mon
     fsyncs = []
     real_fsync = os.fsync
     monkeypatch.setattr(os, "fsync", lambda fd: fsyncs.append(fd) or real_fsync(fd))
-    records = iter([KENNEDY])
+    records = read_records_tsv(records_tsv(tmp_path / "records.tsv", [KENNEDY]))
     with pytest.raises(FileExistsError):
         SsdiLibrary.build(records, tmp_path / "lib")
     assert fsyncs == []
     assert not (tmp_path / "lib" / DATA_FILE).exists()
-    assert next(records) is KENNEDY  # nothing drawn
+    assert unpacked_records(records) == [KENNEDY]  # nothing drawn: the build drops each group it writes
     assert (tmp_path / "lib" / INDEX_FILE).read_bytes() == b"kept"
 
 
@@ -348,7 +357,8 @@ def search_queries(draw, records):
 @given(st.lists(group_records, min_size=1, max_size=40), st.lists(st.integers(0, 3), max_size=40), st.data())
 def test_search_equals_matches_over_every_record_of_the_group(records, styles, data):
     with tempfile.TemporaryDirectory() as tmp:
-        SsdiLibrary.build(records, Path(tmp, "lib")).close()
+        tsv = records_tsv(Path(tmp, "records.tsv"), records)
+        SsdiLibrary.build(read_records_tsv(tsv), Path(tmp, "lib")).close()
         with open(Path(tmp, "lib", DATA_FILE), "r+b") as f:
             for i, style in enumerate(styles[: len(records)]):
                 f.seek(i * RECORD_SIZE)
@@ -370,7 +380,8 @@ def test_search_builds_a_record_only_for_a_hit(tmp_path, monkeypatch):
     query = SearchQuery(surname="johns", given="J", birth_year=1890, death_year_from=1960, death_year_to=1985)
     built = []
     real = DeathRecord._from_checked.__func__
-    with SsdiLibrary.build(records, tmp_path / "lib") as lib:
+    tsv = records_tsv(tmp_path / "records.tsv", records)
+    with SsdiLibrary.build(read_records_tsv(tsv), tmp_path / "lib") as lib:
         counted = classmethod(lambda cls, text: built.append(text) or real(cls, text))
         monkeypatch.setattr(DeathRecord, "_from_checked", counted)
         hits = lib.search(query)
@@ -388,7 +399,8 @@ def test_search_takes_any_query_year_as_matches_does(tmp_path, years):
     records = [DeathRecord("JONES", "JO", f"{i:09d}", birth, death) for i, (birth, death) in
                enumerate(itertools.product(dates, dates))]
     query = SearchQuery(surname="JONES", given="J", **years)
-    with SsdiLibrary.build(records, tmp_path / "lib") as lib:
+    tsv = records_tsv(tmp_path / "records.tsv", records)
+    with SsdiLibrary.build(read_records_tsv(tsv), tmp_path / "lib") as lib:
         assert lib.search(query) == [r for r in records if matches(query, r)]
 
 
@@ -407,7 +419,8 @@ CORRUPTIONS = {
 def test_corrupt_non_hit_in_the_searched_group_fails_the_search(tmp_path, offset, planted, message):
     kenner = DeathRecord("KENNER", "RALPH", "000000011", "19251010", "19600101")
     query = SearchQuery(surname="Kennedy", given="Robert")
-    with SsdiLibrary.build([KENNEDY, kenner], tmp_path / "lib") as lib:
+    tsv = records_tsv(tmp_path / "records.tsv", [KENNEDY, kenner])
+    with SsdiLibrary.build(read_records_tsv(tsv), tmp_path / "lib") as lib:
         assert lib.search(query) == [KENNEDY]
     with open(tmp_path / "lib" / DATA_FILE, "r+b") as f:
         f.seek(RECORD_SIZE + offset)  # KENNER is the group's second record
@@ -425,7 +438,8 @@ def test_search_peak_stays_within_twice_the_group_bytes(tmp_path):
         for i in range(3_000)
     ]
     hit = DeathRecord("JOHNSON", "JAMES", "999999999", "19000101", "19700101")
-    with SsdiLibrary.build(records + [hit], tmp_path / "lib") as lib:
+    tsv = records_tsv(tmp_path / "records.tsv", records + [hit])
+    with SsdiLibrary.build(read_records_tsv(tsv), tmp_path / "lib") as lib:
         query = SearchQuery(surname="Johnson", given="James")
         group = lib.index.read_group_entry(name_ordinal("JOHNSON", "JAMES"))
         assert group.count >= 2_900
@@ -435,31 +449,23 @@ def test_search_peak_stays_within_twice_the_group_bytes(tmp_path):
 
 # -- memory and output oracles of the build -----------------------------------
 
-def build_peak(tmp_path, n: int, packed: bool) -> int:
-    """Traced peak of building ``n`` records drawn in turn from a pool of 5,000.
+def build_peak(tmp_path, n: int) -> int:
+    """Traced peak of reading and building a TSV file of ``n`` records drawn in turn from a pool of 5,000.
 
-    The build holds each record in its compact form whatever object it came
+    The build holds each record in its compact form whatever line it came
     from, so a pool measures the same memory as ``n`` distinct records, and
-    it keeps record generation out of the traced time. With ``packed``, the
-    records are written to a TSV file, and ``read_records_tsv`` of it is
-    traced with the build.
+    it keeps record generation out of the traced time.
     """
     pool = [DeathRecord(*fields) for fields in random_death_fields(random.Random(17), 5_000)]
-    records = itertools.islice(itertools.cycle(pool), n)
-    lib = tmp_path / f"lib{n}{'packed' * packed}"
-    if not packed:
-        return traced_peak(lambda: SsdiLibrary.build(records, lib).close())
-    tsv = tmp_path / f"records{n}.tsv"
-    tsv.write_text("".join(record_tsv_line(r) + "\n" for r in records), "ascii")
-    return traced_peak(lambda: SsdiLibrary.build(read_records_tsv(tsv), lib).close())
+    tsv = records_tsv(tmp_path / f"records{n}.tsv", itertools.islice(itertools.cycle(pool), n))
+    return traced_peak(lambda: SsdiLibrary.build(read_records_tsv(tsv), tmp_path / f"lib{n}").close())
 
 
 def test_build_holds_each_record_once(tmp_path):
-    for packed in (False, True):  # DeathRecords, and the PackedRecords of a TSV file
-        peak_50k = build_peak(tmp_path, 50_000, packed)
-        peak_100k = build_peak(tmp_path, 100_000, packed)
-        assert peak_50k <= 5_000_000, packed
-        assert peak_100k - peak_50k <= 2_800_000, packed  # at most 56 B per added record
+    peak_50k = build_peak(tmp_path, 50_000)
+    peak_100k = build_peak(tmp_path, 100_000)
+    assert peak_50k <= 5_000_000
+    assert peak_100k - peak_50k <= 2_800_000  # at most 56 B per added record
 
 
 names = st.text(st.sampled_from("ABKZ '-"), max_size=8)
@@ -479,7 +485,8 @@ def _oracle_ordinal(record):
 def test_build_output_is_sorted_records_and_prefix_sums(records):
     """The data file is the packed records stably sorted by group; the index, their prefix sums."""
     with tempfile.TemporaryDirectory() as tmp:
-        SsdiLibrary.build(iter(records), Path(tmp, "lib")).close()
+        tsv = records_tsv(Path(tmp, "records.tsv"), records)
+        SsdiLibrary.build(read_records_tsv(tsv), Path(tmp, "lib")).close()
         data = Path(tmp, "lib", DATA_FILE).read_bytes()
         index = Path(tmp, "lib", INDEX_FILE).read_bytes()
     assert data == b"".join(r.pack() for r in sorted(records, key=_oracle_ordinal))
@@ -536,12 +543,14 @@ def test_tsv_names_the_line_of_bytes_that_are_not_utf8(tmp_path):
 
 
 def test_build_into_a_new_nested_directory(tmp_path):
-    with SsdiLibrary.build([KENNEDY], tmp_path / "a" / "b" / "lib") as lib:
+    tsv = records_tsv(tmp_path / "records.tsv", [KENNEDY])
+    with SsdiLibrary.build(read_records_tsv(tsv), tmp_path / "a" / "b" / "lib") as lib:
         assert lib.search(SearchQuery(surname="Kennedy", given="Robert")) == [KENNEDY]
 
 
 def test_a_library_opened_before_write_all_keeps_its_search_results(tmp_path):
-    SsdiLibrary.build([KENNEDY], tmp_path / "lib").close()
+    tsv = records_tsv(tmp_path / "records.tsv", [KENNEDY])
+    SsdiLibrary.build(read_records_tsv(tsv), tmp_path / "lib").close()
     index_path = tmp_path / "lib" / INDEX_FILE
     published = index_path.stat().st_ino
     query = SearchQuery(surname="Kennedy", given="Robert")

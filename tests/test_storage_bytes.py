@@ -16,15 +16,15 @@ import random
 import threading
 
 import pytest
-from helpers import random_death_fields
+from helpers import atlas_tsv, random_death_fields, records_tsv
 from test_neuro import compact_atlas
 
 from raclib.cache import BucketCache, ImageResolver
 from raclib.computed_index import name_ordinal
-from raclib.neuro import COORD_RECORD_SIZE, DATA_FILE as VOXELS_FILE, RegionLibrary
+from raclib.neuro import COORD_RECORD_SIZE, DATA_FILE as VOXELS_FILE, RegionLibrary, read_atlas_tsv
 from raclib.pack import Collection, pack_directory
 from raclib.server import DeliveryServer
-from raclib.ssdi import DATA_FILE as RECORDS_FILE, RECORD_SIZE, DeathRecord, SearchQuery, SsdiLibrary
+from raclib.ssdi import DATA_FILE as RECORDS_FILE, RECORD_SIZE, DeathRecord, SearchQuery, SsdiLibrary, read_records_tsv
 from raclib.store import RecordStore
 
 PAGE = 4096
@@ -90,7 +90,8 @@ def test_evicted_member_reads_fetch_only_their_pages(tmp_path):
 
 def test_evicted_ssdi_search_fetches_only_its_group(tmp_path):
     records = [DeathRecord(*fields) for fields in random_death_fields(random.Random(6), 20_000)]  # 1.28 MB
-    SsdiLibrary.build(records, tmp_path / "lib").close()
+    tsv = records_tsv(tmp_path / "records.tsv", records)
+    SsdiLibrary.build(read_records_tsv(tsv), tmp_path / "lib").close()
     query = SearchQuery(given="ANNA", surname="MULLER")
     with SsdiLibrary.open(tmp_path / "lib") as library:
         entry = library.index.read_group_entry(name_ordinal("MULLER", "ANNA"))
@@ -103,7 +104,8 @@ def test_evicted_ssdi_search_fetches_only_its_group(tmp_path):
 
 
 def test_evicted_region_query_fetches_only_its_records(tmp_path):
-    RegionLibrary.build(compact_atlas(7, 9, 8_000), tmp_path / "lib").close()  # 1.15 MB of voxel records
+    tsv = atlas_tsv(tmp_path / "atlas.tsv", compact_atlas(7, 9, 8_000))
+    RegionLibrary.build(read_atlas_tsv(tsv), tmp_path / "lib").close()  # 1.15 MB of voxel records
     with RegionLibrary.open(tmp_path / "lib") as library:
         lines = [entry for entry in library.index.entries() if entry.name == "region_4"]
         start, count = lines[0].start, sum(entry.count for entry in lines)  # its blocks are back to back: one run
